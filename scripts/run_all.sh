@@ -1,23 +1,21 @@
 #!/usr/bin/env bash
 # Run every sample configuration into scripts/results/<name>/.
-# Set JOBS=n to parallelize the radius sweeps.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 run() {
     local sub="$1" cfg="$2"
-    shift 2
     local out="results/$(basename "${cfg%.cfg}")"
     echo "== dispersal ${sub} --config ${cfg} --out ${out}"
-    python3 -m dispersal.cli "${sub}" --config "${cfg}" --out "${out}" "$@"
+    python3 -m dispersal.cli "${sub}" --config "${cfg}" --out "${out}"
 }
 
 run simulate   configs/simulate_periodic_wave.cfg
 run spectrum   configs/spectrum_pinned_zero.cfg
 run kpp-orbit  configs/kpp_orbit_seasonal.cfg
-run converge-a configs/converge_a_neumann.cfg --jobs "${JOBS:-1}"
-run converge-b configs/converge_b_dirichlet.cfg --jobs "${JOBS:-1}"
-run converge-c configs/converge_c_periodic.cfg --jobs "${JOBS:-1}"
+run converge-a configs/converge_a_neumann.cfg
+run converge-b configs/converge_b_dirichlet.cfg
+run converge-c configs/converge_c_periodic.cfg
 
 echo "== summaries"
 for dir in results/converge_*; do

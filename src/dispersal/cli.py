@@ -17,9 +17,10 @@ Experiments
 
 Every run writes ``run.txt``: outcome summary comments followed by the
 fully resolved configuration, itself a valid config file for the same
-subcommand.  All output files are byte-for-byte deterministic for a fixed
-configuration.  Exit codes: 0 success, 2 invalid configuration, 3 the
-computation itself failed (blow-up, no convergence, failed solve).
+subcommand.  All output files are byte-identical for a fixed configuration
+within one numpy/scipy build.  Exit codes: 0 success, 2 invalid
+configuration, 3 the computation itself failed (blow-up, no convergence,
+failed solve).
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _write_rows(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header, *rows]) + "\n", encoding="ascii")
 
 
-def _run_simulate(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
+def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc = parse_boundary_condition(cfg.get_str("bc"))
     domain = _build_domain(cfg, bc)
     h = cfg.get_number("h")
@@ -191,7 +192,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
     ]
 
 
-def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
+def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc = parse_boundary_condition(cfg.get_str("bc"))
     domain = _build_domain(cfg, bc)
     h = cfg.get_number("h")
@@ -224,7 +225,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
     return outcome
 
 
-def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
+def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc = parse_boundary_condition(cfg.get_str("bc"))
     domain = _build_domain(cfg, bc)
     h = cfg.get_number("h")
@@ -277,7 +278,7 @@ def _report_outcome(report, label: str) -> list[str]:
     return lines
 
 
-def _run_converge_a(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
+def _run_converge_a(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc = parse_boundary_condition(cfg.get_str("bc"))
     domain = _build_domain(cfg, bc)
     h = cfg.get_number("h")
@@ -302,13 +303,12 @@ def _run_converge_a(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str
         h,
         dt,
         snapshots=snapshots,
-        jobs=jobs,
     )
     report.to_csv(out_dir / "report.csv")
     return _report_outcome(report, "solution distance sweep")
 
 
-def _run_converge_b(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
+def _run_converge_b(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc = parse_boundary_condition(cfg.get_str("bc"))
     domain = _build_domain(cfg, bc)
     h = cfg.get_number("h")
@@ -329,13 +329,12 @@ def _run_converge_b(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str
         h,
         dt,
         tol=tol,
-        jobs=jobs,
     )
     report.to_csv(out_dir / "report.csv")
     return _report_outcome(report, "growth-rate gap sweep")
 
 
-def _run_converge_c(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str]:
+def _run_converge_c(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc = parse_boundary_condition(cfg.get_str("bc"))
     domain = _build_domain(cfg, bc)
     h = cfg.get_number("h")
@@ -357,7 +356,6 @@ def _run_converge_c(cfg: ExperimentConfig, out_dir: Path, jobs: int) -> list[str
         h,
         dt,
         tol=tol,
-        jobs=jobs,
         snapshots_per_period=orbit_snapshots,
     )
     report.to_csv(out_dir / "report.csv")
@@ -393,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=_HELP[name])
         sub.add_argument("--config", required=True, help="flat key = value configuration file")
         sub.add_argument("--out", help="output directory (default: config key 'out', else '.')")
-        sub.add_argument("--jobs", type=int, help="parallel workers for sweeps (default: 1)")
     return parser
 
 
@@ -410,13 +407,8 @@ def main(argv=None) -> int:
         out_key = cfg.get_str("out", default=".")
         out_dir = Path(args.out) if args.out is not None else Path(out_key)
         cfg.resolved["out"] = str(out_dir)
-        config_jobs = cfg.get_int("jobs", default=1)
-        jobs = args.jobs if args.jobs is not None else config_jobs
-        if jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {jobs}")
-        cfg.resolved["jobs"] = str(jobs)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outcome = _RUNNERS[args.command](cfg, out_dir, jobs)
+        outcome = _RUNNERS[args.command](cfg, out_dir)
         (out_dir / "run.txt").write_text(
             format_resolved(cfg.resolved, outcome), encoding="ascii"
         )

@@ -18,7 +18,6 @@ reference and cancels from their comparison.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import nan
 from typing import Sequence
@@ -319,7 +318,6 @@ def orbit_convergence_experiment(
     h: float,
     dt: float,
     tol: float = 1e-8,
-    jobs: int = 1,
     snapshots_per_period: int = 32,
 ) -> ConvergenceReport:
     """Sweep the kernel radius and compare periodic states against the local one.
@@ -367,11 +365,7 @@ def orbit_convergence_experiment(
         )
         return (delta, gap, rate, True, orbit)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_delta, deltas))
-    else:
-        results = [one_delta(d) for d in deltas]
+    results = [one_delta(d) for d in deltas]
 
     rows = [(d, gap, rate, ok) for d, gap, rate, ok, _ in results]
     orbits = [orbit for *_, orbit in results if orbit is not None] + [reference]

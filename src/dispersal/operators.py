@@ -127,11 +127,6 @@ class DispersalOperator:
             flat = np.where(self.constrained, 0.0, flat)
         return flat
 
-    def apply_field(self, f: Field) -> Field:
-        if not same_grid(f.grid, self.grid):
-            raise ValidationError("grid mismatch: field does not live on the operator grid")
-        return Field(self.grid, self.apply(f.values), f.time)
-
     def _add_mirror_terms(self, u: np.ndarray, out: np.ndarray) -> None:
         # Reflecting closure: the missing exterior neighbor of a face node is
         # its interior neighbor, so the inward difference enters twice.

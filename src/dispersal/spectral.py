@@ -21,7 +21,6 @@ deflation are needed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from math import log
 from typing import Sequence
@@ -42,8 +41,6 @@ from .operators import (
     assemble_nonlocal,
 )
 from .reports import ConvergenceReport, empirical_orders
-
-dataclass_cache = dataclass_field
 
 
 @dataclass(eq=False)
@@ -214,8 +211,11 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     """Existence test for a true principal eigenvalue of the jump operator.
 
     The dominant growth rate is a genuine principal eigenvalue exactly when
-    it strictly exceeds ``max_x (-nu + time-average of a)``; the time
-    average is taken by a 512-panel trapezoid rule.
+    it strictly exceeds ``max_x (-(jump rate at x) + time-average of a)``.
+    The jump rate is read from the assembled matrix (minus its diagonal), so
+    the test uses the rate the discrete operator carries, including the
+    in-box rate of the neumann closure that falls towards the faces; the
+    time average is taken by a 512-panel trapezoid rule.
     """
     op = period_map.operator
     if op.kind != NONLOCAL:
@@ -223,7 +223,7 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     grid = op.grid
     averages = time_average(period_map.coefficient, grid.coordinates, panels=512)
     keep = ~grid.ghost_mask
-    threshold = float(np.max(-op.nu + averages[keep]))
+    threshold = float(np.max(op.matrix().diagonal()[keep] + averages[keep]))
     return bool(value > threshold)
 
 
@@ -256,7 +256,6 @@ def spectrum_convergence_experiment(
     h: float,
     dt: float,
     tol: float = 1e-9,
-    jobs: int = 1,
 ) -> ConvergenceReport:
     """Sweep the kernel radius and compare growth rates against the Laplacian.
 
@@ -283,11 +282,7 @@ def spectrum_convergence_experiment(
         result = principal_value(PeriodMap(op, coefficient, dt), tol=tol)
         return result.value, result.is_principal_eigenvalue
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_delta, deltas))
-    else:
-        results = [one_delta(d) for d in deltas]
+    results = [one_delta(d) for d in deltas]
 
     gaps = [abs(lam - lambda_local) for lam, _ in results]
     rows = [

@@ -92,14 +92,6 @@ def test_converge_a_report_and_rerun_from_the_record(tmp_path):
     assert (second / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
 
 
-def test_parallel_jobs_leave_the_report_bytes_unchanged(tmp_path):
-    cfg = write_config(tmp_path, "a.cfg", **CONVERGE_A_KEYS)
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-    assert main(["converge-a", "--config", str(cfg), "--out", str(serial)]) == 0
-    assert main(["converge-a", "--config", str(cfg), "--out", str(threaded), "--jobs", "2"]) == 0
-    assert (serial / "report.csv").read_bytes() == (threaded / "report.csv").read_bytes()
-
-
 def test_spectrum_writes_rate_and_eigenfunction(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -269,10 +261,14 @@ def test_non_invadable_growth_exits_3(tmp_path, capsys):
     assert "not invadable" in err and "no positive periodic state" in err
 
 
-def test_jobs_must_be_positive(tmp_path, capsys):
-    cfg = write_config(tmp_path, "a.cfg", **CONVERGE_A_KEYS)
-    assert main(["converge-a", "--config", str(cfg), "--jobs", "0"]) == 2
-    assert "jobs must be >= 1" in capsys.readouterr().err
+def test_the_retired_jobs_key_and_flag_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "a.cfg", jobs="2", **CONVERGE_A_KEYS)
+    assert main(["converge-a", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config key(s): 'jobs'" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "b.cfg", **CONVERGE_A_KEYS)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["converge-a", "--config", str(cfg), "--jobs", "2"])
+    assert exit_info.value.code == 2
 
 
 # --------------------------------------------------------------------- #

@@ -26,6 +26,7 @@ from dispersal import (
     solution_convergence_experiment,
     solve,
 )
+from dispersal.evolution import implicit_solver
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 
@@ -102,6 +103,44 @@ def test_snapshots_record_requested_times_and_start_state():
     assert run.times == (0.0, 0.5, 1.0)
     assert run.steps == 4 and run.dt == 0.25
     assert np.array_equal(run.states[0].values, u0.values)
+
+
+# --------------------------------------------------------------------- #
+# implicit solves                                                        #
+# --------------------------------------------------------------------- #
+
+
+def solver_operator(closure, kind, dim):
+    """Small operator of every closure and kind; 2D boxes take the Krylov path."""
+    h = 1.0 / 16 if dim == 2 else 1.0 / 64
+    delta = 4.0 * h
+    if closure == "periodic":
+        domain = periodic_cell([1.0] * dim)
+    else:
+        domain = box([0.0] * dim, [1.0] * dim)
+    if kind == "local":
+        return assemble_local(build_grid(domain, h), closure)
+    ghost = delta if closure == "dirichlet" else 0.0
+    grid = build_grid(domain, h, ghost_width=ghost)
+    return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), delta, closure)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["nonlocal", "local"])
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann", "periodic"])
+def test_implicit_solve_meets_the_residual_and_keeps_solved_warm_starts(closure, kind, dim):
+    op = solver_operator(closure, kind, dim)
+    scale = 0.01
+    solve_system = implicit_solver(op, scale)
+    b = np.random.default_rng(7).uniform(-1.0, 1.0, op.grid.num_nodes)
+    b[op.constrained_mask()] = 0.0
+    x = solve_system(b, np.zeros_like(b))
+    # residual against the offset-difference action, not the CSR matrix
+    residual = np.linalg.norm(b - x + scale * op.apply(x))
+    assert residual <= 1e-10 * np.linalg.norm(b)
+    again = solve_system(b, x)
+    assert np.array_equal(again, x) and again is not x
+    assert np.all(solve_system(np.zeros_like(b), x) == 0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -342,20 +381,3 @@ def test_sweep_rejects_bad_radius_lists_and_coarse_grids():
         solution_convergence_experiment(*args, [0.2, 0.1], 1.0 / 32, 0.05)
     with pytest.raises(ValidationError, match="positive"):
         solution_convergence_experiment(*args, [], 1.0 / 128, 0.05)
-
-
-def test_parallel_sweep_matches_the_serial_one_bitwise():
-    kwargs = dict(
-        domain=box(0.0, 1.0),
-        bc="neumann",
-        profile=QUARTIC_1D,
-        reaction=parse_reaction("zero", 0.0),
-        initial_fn=lambda x: np.cos(math.pi * x),
-        t_final=0.25,
-        deltas=[0.4, 0.2],
-        h=1.0 / 64,
-        dt=0.05,
-    )
-    serial = solution_convergence_experiment(**kwargs, jobs=1)
-    threaded = solution_convergence_experiment(**kwargs, jobs=2)
-    assert serial.column("error") == threaded.column("error")

@@ -25,6 +25,7 @@ from dispersal import (
     principal_eigenvalue_criterion,
     principal_value,
     shift_coefficient,
+    space_cosine,
     spectrum_convergence_experiment,
 )
 
@@ -186,6 +187,35 @@ def test_existence_flag_and_its_threshold_arithmetic():
     assert result.is_principal_eigenvalue is True
     assert principal_eigenvalue_criterion(pm, result.value) is True
     assert principal_eigenvalue_criterion(pm, -1401.0) is False
+
+
+@pytest.mark.parametrize("closure", ["periodic", "neumann"])
+def test_existence_threshold_uses_the_assembled_jump_rate(closure):
+    # At delta/h = 4.1 the stencil's total weight (the jump rate the matrix
+    # carries) sits about 22 % below the continuum rate nu, and under the
+    # reflecting closure it falls to about half at the faces, where cos(2 pi x)
+    # peaks.  A rate between the continuum and the assembled threshold must
+    # not count as a principal eigenvalue.
+    h = 1.0 / 128
+    domain = periodic_cell(1.0) if closure == "periodic" else box(0.0, 1.0)
+    grid = build_grid(domain, h)
+    op = assemble_nonlocal(grid, QUARTIC_1D, 4.1 * h, closure)
+    a = space_cosine(0.0, 1.0, 2.0 * math.pi)
+    pm = PeriodMap(op, a, 0.05)
+    n = grid.num_nodes
+    rates = np.array(
+        [
+            sum(w for (o,), w in op.offsets if closure == "periodic" or 0 <= i + o < n)
+            for i in range(n)
+        ]
+    )
+    averages = np.cos(2.0 * math.pi * grid.coordinates[0])
+    assembled = float(np.max(-rates + averages))
+    continuum = float(np.max(-op.nu + averages))
+    assert continuum < assembled - 0.2 * op.nu
+    assert principal_eigenvalue_criterion(pm, 0.5 * (continuum + assembled)) is False
+    assert principal_eigenvalue_criterion(pm, assembled - 1e-6) is False
+    assert principal_eigenvalue_criterion(pm, assembled + 1e-6) is True
 
 
 def test_existence_flag_rejects_the_local_kind():
