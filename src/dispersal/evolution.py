@@ -7,10 +7,12 @@ matrix ``I - (dt/2) A``.  The implicit treatment removes the ``dt ~ h**2``
 (local) and ``dt ~ delta**2`` (nonlocal) stability ceilings that an
 explicit method would impose on refinement sweeps.
 
-Every run solves ``(I - s A) x = b`` many times with one fixed matrix, so
-the solver is prepared once per (operator, step) and picked from the
-operator's structure.  Periodic closures give circulant matrices in any
-dimension, diagonalized exactly by the FFT of the matrix's first column.
+Every run solves ``(I - s A) x = b`` many times with one fixed operator,
+so the solver is prepared once per (operator, step) and picked from the
+operator's structure.  Periodic closures, in any dimension, are circulant:
+the FFT diagonalizes them exactly with eigenvalues ``1 - s * symbol``, and
+they are acted on, solved and residual-checked in Fourier space without
+assembling a matrix.  Box closures are backed by the operator's CSR matrix.
 One-dimensional boxes give banded matrices (nonsymmetric for the mirrored
 local neumann closure), factored once by a sparse LU in natural order.
 Two-dimensional boxes are solved iteratively to relative residual ``1e-10``
@@ -23,6 +25,7 @@ persist bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,15 +147,13 @@ def implicit_solver(op: DispersalOperator, scale: float):
     ``x0`` whose residual is already below ``1e-10 |b|`` comes back
     unchanged (as a copy), and ``b = 0`` gives zeros.
     """
-    A = op.matrix()
     if op.bc is BoundaryCondition.PERIODIC:
-        direct = _circulant_solve(A, scale, op.grid.shape)
-    elif op.grid.dimension == 1:
-        n = A.shape[0]
-        M = sparse.identity(n, format="csr") - scale * A
-        direct = splu(M.tocsc(), permc_spec="NATURAL").solve
-    else:
+        return _fourier_solver(op, scale)
+    A = op.matrix()
+    if op.grid.dimension != 1:
         return _krylov_solver(op, A, scale)
+    M = sparse.identity(A.shape[0], format="csr") - scale * A
+    direct = splu(M.tocsc(), permc_spec="NATURAL").solve
 
     def solve(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
         b_norm = float(np.linalg.norm(b))
@@ -165,23 +166,50 @@ def implicit_solver(op: DispersalOperator, scale: float):
     return solve
 
 
-def _circulant_solve(A: sparse.csr_matrix, scale: float, shape: tuple[int, ...]):
+def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:
+    """Parseval weights for the half spectrum that ``rfftn`` keeps.
+
+    With ``q = rfftn(r).view(float).ravel()`` (real and imaginary parts
+    interleaved), ``sum(weights * q**2) == |r|**2``.  Interior bins of the
+    last axis stand for themselves and their mirror images, so they count
+    twice; bin 0, and the Nyquist bin when the last axis is even, count
+    once; every weight carries Parseval's ``1 / n``.
+    """
+    half = shape[-1] // 2 + 1
+    bins = np.full(half, 2.0 / math.prod(shape))
+    bins[0] /= 2.0
+    if shape[-1] % 2 == 0:
+        bins[-1] /= 2.0
+    return np.broadcast_to(np.repeat(bins, 2), shape[:-1] + (2 * half,)).ravel()
+
+
+def _fourier_solver(op: DispersalOperator, scale: float):
     """Exact solve for the circulant ``I - scale * A`` of a periodic closure.
 
-    A circulant matrix acts as circular convolution with its first column,
-    so the FFT of that column holds its eigenvalues (all ``>= 1`` here,
-    since ``A`` is negative semidefinite).
+    The FFT diagonalizes the matrix with eigenvalues ``1 - scale * symbol``
+    (all ``>= 1``, since ``A`` is negative semidefinite).  The warm-start
+    residual ``B - eig * X0`` is formed in Fourier space as well, and its
+    norm is taken by Parseval over the half spectrum.  Both norms are
+    ``einsum`` reductions: a BLAS dot product hands large vectors to its
+    worker threads, which can cost milliseconds per call on a loaded
+    machine.
     """
+    shape = op.grid.shape
     axes = tuple(range(len(shape)))
-    e0 = np.zeros(A.shape[0])
-    e0[0] = 1.0
-    eig = np.fft.rfftn((e0 - scale * (A @ e0)).reshape(shape))
+    eig = 1.0 - scale * op.symbol()
+    weights = half_spectrum_weights(shape)
 
-    def direct(b: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfftn(b.reshape(shape)) / eig
-        return np.fft.irfftn(spectrum, s=shape, axes=axes).ravel()
+    def solve(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        b_norm = math.sqrt(np.einsum("i,i->", b, b))
+        if b_norm == 0.0:
+            return np.zeros_like(b)
+        B = np.fft.rfftn(b.reshape(shape))
+        R = (B - eig * np.fft.rfftn(x0.reshape(shape))).view(np.float64).ravel()
+        if math.sqrt(np.einsum("i,i,i->", R, R, weights)) < _SOLVE_RTOL * b_norm:
+            return x0.copy()
+        return np.fft.irfftn(B / eig, s=shape, axes=axes).ravel()
 
-    return direct
+    return solve
 
 
 def _krylov_solver(op: DispersalOperator, A: sparse.csr_matrix, scale: float):
@@ -250,7 +278,6 @@ def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]
     op = problem.operator
     coords = op.grid.coordinates
     cm = op.constrained
-    A = op.matrix()
     half_solve = implicit_solver(op, dt / 2.0)
 
     u = problem.initial.values.copy()
@@ -261,8 +288,7 @@ def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]
     reaction = problem.reaction
     for k in range(1, nsteps + 1):
         t = problem.start + (k - 1) * dt
-        Au = A @ u
-        base = u + (dt / 2.0) * Au
+        base = u + (dt / 2.0) * op.matvec(u)
         fn = reaction.evaluate(t, coords, u)
         b = base + dt * fn
         if cm is not None:

@@ -8,8 +8,12 @@ over a fixed stencil of integer grid offsets ``o`` with nonnegative weights
 ``w_o``.  Writing the action as differences (rather than as a matrix row
 times a vector) makes constant fields annihilate bitwise under reflecting
 (neumann) and wrapping (periodic) closures, which several structural tests
-rely on.  A compressed-sparse-row matrix with the same action (constants
-map to values at rounding level) backs the implicit time steppers.
+rely on; it is the reference action.  The time steppers use a faster one
+with the same result up to rounding.  On a wrapping habitat the action is a
+circular convolution, so it is diagonal in Fourier space: periodic closures
+act (and are solved) through their Fourier symbol in O(n) memory and never
+assemble a matrix.  Box closures are backed by a compressed-sparse-row
+matrix (constants map to values at rounding level).
 
 The nonlocal kind quadratures the jump integral at the grid nodes with
 uniform weights ``h**N`` and then scales every weight by one common factor,
@@ -83,6 +87,7 @@ class DispersalOperator:
     nu: float | None = None
     mirror: bool = False
     _matrix: sparse.csr_matrix | None = dataclass_field(default=None, init=False, repr=False)
+    _symbol: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------ #
     # application                                                         #
@@ -141,6 +146,46 @@ class DispersalOperator:
             hi_in = [slice(None)] * dim
             hi[axis], hi_in[axis] = n - 1, n - 2
             out[tuple(hi)] += weight * (u[tuple(hi_in)] - u[tuple(hi)])
+
+    def matvec(self, values: np.ndarray) -> np.ndarray:
+        """Action for the steppers: the Fourier symbol on periodic closures, else the CSR."""
+        if self.bc is BoundaryCondition.PERIODIC:
+            shape = self.grid.shape
+            spectrum = self.symbol() * np.fft.rfftn(values.reshape(shape))
+            return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape)))).ravel()
+        return self.matrix() @ values
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of the action: minus each node's total jump rate."""
+        if self.bc is BoundaryCondition.PERIODIC:
+            return np.full(self.grid.num_nodes, -self._total_weight())
+        return self.matrix().diagonal()
+
+    def _total_weight(self) -> float:
+        # Summed in offset order, as matrix() sums each row's loss term, so
+        # the periodic self term is bitwise the assembled diagonal.
+        total = 0.0
+        for _, weight in self.offsets:
+            total += weight
+        return total
+
+    def symbol(self) -> np.ndarray:
+        """Fourier symbol of a periodic closure (cached).
+
+        The ``rfftn`` of the first column of the action, placed straight
+        from the stencil: ``w_o`` at node ``-o`` and the self term
+        ``-sum_o w_o`` at node 0.
+        """
+        if self.bc is not BoundaryCondition.PERIODIC:
+            raise ValidationError("only periodic closures have a Fourier symbol")
+        if self._symbol is None:
+            shape = self.grid.shape
+            column = np.zeros(shape)
+            for offset, weight in self.offsets:
+                column[tuple(-o % n for o, n in zip(offset, shape))] += weight
+            column[(0,) * len(shape)] -= self._total_weight()
+            self._symbol = np.fft.rfftn(column)
+        return self._symbol
 
     # ------------------------------------------------------------------ #
     # matrix form                                                         #

@@ -91,14 +91,13 @@ class PeriodMap:
         """Apply the map to a flat nodal array."""
         self._prepare()
         op = self.operator
-        A = op.matrix()
         cm = op.constrained
         u = np.array(values, dtype=float)
         if cm is not None:
             u[cm] = 0.0
         for first, second in self._factors:
             u = u * first
-            b = u + (self.dt / 2.0) * (A @ u)
+            b = u + (self.dt / 2.0) * op.matvec(u)
             if cm is not None:
                 b[cm] = 0.0
             u = self._solver(b, u)
@@ -212,10 +211,11 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
 
     The dominant growth rate is a genuine principal eigenvalue exactly when
     it strictly exceeds ``max_x (-(jump rate at x) + time-average of a)``.
-    The jump rate is read from the assembled matrix (minus its diagonal), so
-    the test uses the rate the discrete operator carries, including the
-    in-box rate of the neumann closure that falls towards the faces; the
-    time average is taken by a 512-panel trapezoid rule.
+    The jump rate is read from the operator's diagonal (the constant
+    ``-sum_o w_o`` on periodic closures), so the test uses the rate the
+    discrete operator carries, including the in-box rate of the neumann
+    closure that falls towards the faces; the time average is taken by a
+    512-panel trapezoid rule.
     """
     op = period_map.operator
     if op.kind != NONLOCAL:
@@ -223,7 +223,7 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     grid = op.grid
     averages = time_average(period_map.coefficient, grid.coordinates, panels=512)
     keep = ~grid.ghost_mask
-    threshold = float(np.max(op.matrix().diagonal()[keep] + averages[keep]))
+    threshold = float(np.max(op.diagonal()[keep] + averages[keep]))
     return bool(value > threshold)
 
 

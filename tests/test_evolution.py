@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from dispersal import (
     QUARTIC,
     BlowUpError,
+    DispersalOperator,
     Field,
+    KPPProblem,
+    PeriodMap,
     SemilinearProblem,
     ValidationError,
     assemble_local,
@@ -18,15 +21,19 @@ from dispersal import (
     box,
     build_grid,
     check_comparison,
+    constant_coefficient,
     constant_field,
     field_from_function,
     kernel_profile,
+    parse_growth,
     parse_reaction,
     periodic_cell,
+    principal_value,
     solution_convergence_experiment,
     solve,
 )
-from dispersal.evolution import implicit_solver
+from dispersal.evolution import half_spectrum_weights, implicit_solver
+from dispersal.kpp import advance_periods
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 
@@ -141,6 +148,72 @@ def test_implicit_solve_meets_the_residual_and_keeps_solved_warm_starts(closure,
     again = solve_system(b, x)
     assert np.array_equal(again, x) and again is not x
     assert np.all(solve_system(np.zeros_like(b), x) == 0.0)
+
+
+def periodic_jump_operator(dim, nodes):
+    h = 2.0 * math.pi / nodes
+    grid = build_grid(periodic_cell([2.0 * math.pi] * dim), h)
+    return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), 4.0 * h, "periodic")
+
+
+@pytest.mark.parametrize("nodes", [16, 15])  # rfft keeps no Nyquist bin at 15
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fourier_warm_start_check_is_sharp(dim, nodes):
+    op = periodic_jump_operator(dim, nodes)
+    shape, scale = op.grid.shape, 0.05
+    solve_system = implicit_solver(op, scale)
+    rng = np.random.default_rng(5)
+    b = rng.uniform(-1.0, 1.0, op.grid.num_nodes)
+    b_norm = np.linalg.norm(b)
+
+    def residual(x):
+        return b - x + scale * op.apply(x)
+
+    # Parseval over the half spectrum gives the real-space residual norm.
+    x0 = rng.uniform(-1.0, 1.0, op.grid.num_nodes)
+    spectrum = np.fft.rfftn(b.reshape(shape)) - (1.0 - scale * op.symbol()) * np.fft.rfftn(
+        x0.reshape(shape)
+    )
+    q = spectrum.view(np.float64).ravel()
+    parseval = math.sqrt(np.sum(half_spectrum_weights(shape) * q * q))
+    real_space = np.linalg.norm(residual(x0))
+    assert abs(parseval - real_space) <= 1e-12 * real_space
+
+    # Moving the solution along d moves the residual by (I - scale A) d.
+    x = solve_system(b, np.zeros_like(b))
+    d = rng.uniform(-1.0, 1.0, op.grid.num_nodes)
+    unit = np.linalg.norm(d - scale * op.apply(d))
+    near = x + (1e-12 * b_norm / unit) * d
+    kept = solve_system(b, near)
+    assert np.array_equal(kept, near) and kept is not near
+    far = x + (1e-8 * b_norm / unit) * d
+    solved = solve_system(b, far)
+    assert not np.array_equal(solved, far)
+    assert np.linalg.norm(residual(solved)) <= 1e-10 * b_norm
+
+
+def test_periodic_runs_never_assemble_a_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a periodic closure assembled its CSR matrix")
+
+    monkeypatch.setattr(DispersalOperator, "matrix", refuse)
+    line = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 64)
+    operators = [
+        assemble_nonlocal(line, QUARTIC_1D, 0.4, "periodic"),
+        assemble_local(line, "periodic"),
+        periodic_jump_operator(2, 16),
+    ]
+    growth = "logistic(const(1))"
+    for op in operators:
+        u0 = field_from_function(op.grid, lambda x, *rest: 1.0 + 0.5 * np.sin(x))
+        problem = SemilinearProblem(op, parse_reaction(growth, 1.0), u0, 0.0, 0.2)
+        assert np.all(np.isfinite(solve(problem, 0.05, [0.2]).states[-1].values))
+        # the existence flag of the nonlocal kind reads the operator's diagonal
+        rate = principal_value(PeriodMap(op, constant_coefficient(0.5), 0.05))
+        assert abs(rate.value - 0.5) <= 1e-8
+        assert rate.is_principal_eigenvalue is (True if op.kind == "nonlocal" else None)
+        orbit_step = advance_periods(KPPProblem(op, parse_growth(growth, 1.0), 0.05), u0.values, 1)
+        assert np.all(np.isfinite(orbit_step))
 
 
 # --------------------------------------------------------------------- #

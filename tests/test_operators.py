@@ -87,6 +87,45 @@ def test_matrix_and_offset_action_agree():
     assert np.max(np.abs(direct - via_matrix)) < 1e-9 * np.max(np.abs(direct))
 
 
+def periodic_operator(kind, dim, nodes):
+    h = 2.0 * math.pi / nodes
+    grid = build_grid(periodic_cell([2.0 * math.pi] * dim), h)
+    if kind == "local":
+        return assemble_local(grid, "periodic")
+    return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), 4.0 * h, "periodic")
+
+
+@pytest.mark.parametrize("nodes", [16, 15])  # rfft keeps no Nyquist bin at 15
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["nonlocal", "local"])
+def test_periodic_symbol_action_matches_the_offset_action(kind, dim, nodes):
+    op = periodic_operator(kind, dim, nodes)
+    u = np.random.default_rng(11).standard_normal(op.grid.num_nodes)
+    reference = op.apply(u)
+    assert np.linalg.norm(op.matvec(u) - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("nodes", [16, 15])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["nonlocal", "local"])
+def test_periodic_symbol_and_diagonal_equal_the_assembled_ones_bitwise(kind, dim, nodes):
+    # Both are placed straight from the offsets; the solves and the
+    # existence flags must not change by reading them instead of the matrix.
+    op = periodic_operator(kind, dim, nodes)
+    symbol, diagonal = op.symbol(), op.diagonal()
+    m = op.matrix()
+    e0 = np.zeros(op.grid.num_nodes)
+    e0[0] = 1.0
+    assert np.array_equal(symbol, np.fft.rfftn((m @ e0).reshape(op.grid.shape)))
+    assert np.array_equal(diagonal, m.diagonal())
+
+
+def test_only_periodic_closures_have_a_symbol():
+    op = assemble_local(build_grid(box(0.0, 1.0), 1.0 / 16), "neumann")
+    with pytest.raises(ValidationError, match="Fourier symbol"):
+        op.symbol()
+
+
 def test_dirichlet_rows_and_columns_are_eliminated():
     grid = build_grid(box(0.0, 1.0), 1.0 / 64, ghost_width=0.1)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
