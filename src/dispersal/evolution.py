@@ -21,17 +21,22 @@ gradients for the mirrored closure) with a sparse direct solve as rescue.
 Every path returns its warm start unchanged whenever the start already
 satisfies the ``1e-10`` residual test; constant equilibria therefore
 persist bitwise.
+
+scipy is a dependency of box closures only: ``scipy.sparse`` and
+``scipy.sparse.linalg`` are imported when a box solver is first built, so
+periodic runs never load them.  The solvers ``cg``, ``bicgstab``,
+``spsolve`` and ``splu`` stay module attributes (bound on first access,
+PEP 562), and the Krylov path calls whatever the module holds at call
+time, so a wrapper bound over one of those names sees every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import bicgstab, cg, splu, spsolve
 
 from .coefficients import TimePeriodicCoefficient, parse_coefficient, split_call
 from .errors import BlowUpError, SolverFailureError, ValidationError
@@ -47,11 +52,32 @@ from .operators import (
 )
 from .reports import ConvergenceReport, empirical_orders
 
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
+
 #: Sup-norm ceiling beyond which a run is declared to have left the regime
 #: of existing bounded solutions.
 BLOW_UP_THRESHOLD = 1e12
 
 _SOLVE_RTOL = 1e-10
+
+_SCIPY_SOLVERS = ("bicgstab", "cg", "splu", "spsolve")
+
+
+def _bind_scipy_solvers() -> None:
+    """Bind the ``scipy.sparse.linalg`` solvers as module names, keeping any already bound."""
+    import scipy.sparse.linalg
+
+    namespace = globals()
+    for name in _SCIPY_SOLVERS:
+        namespace.setdefault(name, getattr(scipy.sparse.linalg, name))
+
+
+def __getattr__(name: str):
+    if name in _SCIPY_SOLVERS:
+        _bind_scipy_solvers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -149,10 +175,13 @@ def implicit_solver(op: DispersalOperator, scale: float):
     """
     if op.bc is BoundaryCondition.PERIODIC:
         return _fourier_solver(op, scale)
+    import scipy.sparse as sparse
+
+    _bind_scipy_solvers()
     A = op.matrix()
-    if op.grid.dimension != 1:
-        return _krylov_solver(op, A, scale)
     M = sparse.identity(A.shape[0], format="csr") - scale * A
+    if op.grid.dimension != 1:
+        return _krylov_solver(op, M)
     direct = splu(M.tocsc(), permc_spec="NATURAL").solve
 
     def solve(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -212,10 +241,12 @@ def _fourier_solver(op: DispersalOperator, scale: float):
     return solve
 
 
-def _krylov_solver(op: DispersalOperator, A: sparse.csr_matrix, scale: float):
-    """CG (BiCGSTAB for the mirrored closure) with a sparse direct rescue."""
-    n = A.shape[0]
-    M = (sparse.identity(n, format="csr") - scale * A).tocsr()
+def _krylov_solver(op: DispersalOperator, M: sparse.csr_matrix):
+    """CG (BiCGSTAB for the mirrored closure) on ``M`` with a sparse direct rescue.
+
+    ``cg``, ``bicgstab`` and ``spsolve`` are looked up in the module at
+    each call, not captured here; :func:`implicit_solver` has bound them.
+    """
     symmetric = not (op.kind == LOCAL and op.bc is BoundaryCondition.NEUMANN)
     M_csc = None
 

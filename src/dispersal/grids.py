@@ -223,12 +223,23 @@ def write_field_csv(field: Field, path) -> None:
     """Serialize the non-ghost nodes as ``x[,y],value`` rows."""
     grid = field.grid
     keep = ~grid.ghost_mask
-    columns = [c[keep] for c in grid.coordinates] + [field.values[keep]]
+    columns = [_repr_column(c[keep]) for c in grid.coordinates] + [_repr_column(field.values[keep])]
     header = ",".join(["x", "y"][: grid.dimension] + ["value"])
     with open(path, "w", encoding="ascii") as handle:
         handle.write(header + "\n")
-        for row in zip(*columns):
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*columns))
+
+
+def _repr_column(column: np.ndarray) -> list[str]:
+    """``repr(float(v))`` of every entry, formatting each distinct bit pattern once.
+
+    A coordinate column repeats each axis value once per node of the other
+    axes, and ``repr`` dominates the cost of writing a field.  Keying on the
+    bits, not the value, keeps ``-0.0`` apart from ``0.0``.
+    """
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def read_field_csv(grid: Grid, path, time: float = 0.0) -> Field:

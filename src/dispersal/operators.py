@@ -13,7 +13,9 @@ with the same result up to rounding.  On a wrapping habitat the action is a
 circular convolution, so it is diagonal in Fourier space: periodic closures
 act (and are solved) through their Fourier symbol in O(n) memory and never
 assemble a matrix.  Box closures are backed by a compressed-sparse-row
-matrix (constants map to values at rounding level).
+matrix (constants map to values at rounding level), built by
+:meth:`DispersalOperator.matrix`; that method is the only place the module
+imports ``scipy.sparse``, so a periodic run never loads scipy.
 
 The nonlocal kind quadratures the jump integral at the grid nodes with
 uniform weights ``h**N`` and then scales every weight by one common factor,
@@ -35,13 +37,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import ValidationError
 from .grids import BOX, PERIODIC_CELL, Field, Grid, same_grid
 from .kernels import KernelProfile, dispersal_rate, scaled_kernel
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 NONLOCAL = "nonlocal"
 LOCAL = "local"
@@ -223,8 +228,10 @@ class DispersalOperator:
                     )
 
     def matrix(self) -> sparse.csr_matrix:
-        """CSR form of the action (cached)."""
+        """CSR form of the action (cached); the module's only use of scipy."""
         if self._matrix is None:
+            import scipy.sparse as sparse
+
             n = self.grid.num_nodes
             loss = np.zeros(n)
             rows_all, cols_all, vals_all = [], [], []

@@ -1,11 +1,14 @@
 """End-to-end runs of the command-line front end, in-process and via subprocess."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dispersal
 from dispersal import QUARTIC, assemble_nonlocal, build_grid, kernel_profile, periodic_cell
 from dispersal.cli import main
 from dispersal.reports import read_csv_table
@@ -294,6 +297,15 @@ def test_non_invadable_growth_exits_3(tmp_path, capsys):
     assert "not invadable" in err and "no positive periodic state" in err
 
 
+def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
+    keys = dict(
+        SIMULATE_KEYS, dt="0.01", t_final="0.5", reaction="linear(const(100))", snapshots="1"
+    )
+    cfg = write_config(tmp_path, "boom.cfg", **keys)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: field exceeded 1e+12 at t=0.31\n"
+
+
 def test_the_retired_jobs_key_and_flag_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "a.cfg", jobs="2", **CONVERGE_A_KEYS)
     assert main(["converge-a", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -302,6 +314,56 @@ def test_the_retired_jobs_key_and_flag_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["converge-a", "--config", str(cfg), "--jobs", "2"])
     assert exit_info.value.code == 2
+
+
+# --------------------------------------------------------------------- #
+# scipy stays off the periodic path                                      #
+# --------------------------------------------------------------------- #
+
+
+def test_periodic_runs_never_load_scipy(tmp_path):
+    # This test process has imported scipy already, so the runs go to a
+    # fresh interpreter, which then reports every scipy module it loaded.
+    runs = [
+        ("simulate", write_config(tmp_path, "sim1.cfg", **SIMULATE_KEYS)),
+        (
+            "simulate",
+            write_config(
+                tmp_path, "sim2.cfg", **dict(SIMULATE_KEYS, dimension="2", h="2*pi/16", delta="2.0")
+            ),
+        ),
+        (
+            "kpp-orbit",
+            write_config(
+                tmp_path,
+                "kpp.cfg",
+                bc="periodic",
+                period="2*pi",
+                h="2*pi/32",
+                dt="1/16",
+                T="1",
+                delta="1.0",
+                growth="logistic(tx-product(1,0.5,1))",
+                orbit_snapshots="4",
+            ),
+        ),
+    ]
+    script = (
+        "import sys\n"
+        "from dispersal.cli import main\n"
+        "for command, cfg in zip(*[iter(sys.argv[1:])] * 2):\n"
+        "    assert main([command, '--config', cfg, '--out', cfg + '.out']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    args = [str(item) for run in runs for item in run]
+    package_root = str(Path(dispersal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "kpp.cfg.out" / "orbit.csv").exists()
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from dispersal import (
     solution_convergence_experiment,
     solve,
 )
+from dispersal import evolution
 from dispersal.evolution import half_spectrum_weights, implicit_solver
 from dispersal.kpp import advance_periods
 
@@ -190,6 +192,36 @@ def test_fourier_warm_start_check_is_sharp(dim, nodes):
     solved = solve_system(b, far)
     assert not np.array_equal(solved, far)
     assert np.linalg.norm(residual(solved)) <= 1e-10 * b_norm
+
+
+def test_the_scipy_solvers_stay_module_attributes():
+    for name in ("cg", "bicgstab", "spsolve", "splu"):
+        assert getattr(evolution, name) is getattr(scipy.sparse.linalg, name)
+
+
+@pytest.mark.parametrize(
+    ("closure", "kind", "method"),
+    [("dirichlet", "nonlocal", "cg"), ("neumann", "local", "bicgstab")],
+)
+def test_the_krylov_path_calls_the_solver_the_module_holds(monkeypatch, closure, kind, method):
+    # Tracing rebinds evolution.cg / bicgstab to counting wrappers; the 2D
+    # box solver must look the name up at each call, even when it was built
+    # before the rebinding.
+    op = solver_operator(closure, kind, 2)
+    solve_system = implicit_solver(op, 0.01)
+    original = getattr(evolution, method)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(method)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, method, counting)
+    b = np.random.default_rng(3).uniform(-1.0, 1.0, op.grid.num_nodes)
+    b[op.constrained_mask()] = 0.0
+    x = solve_system(b, np.zeros_like(b))
+    assert calls == [method]
+    assert np.linalg.norm(b - x + 0.01 * op.apply(x)) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_periodic_runs_never_assemble_a_matrix(monkeypatch):

@@ -142,6 +142,24 @@ def test_field_csv_round_trip_2d(tmp_path):
     np.testing.assert_array_equal(restored.values, field.values)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_csv_bytes_match_the_per_value_repr(tmp_path, dim):
+    # Reference writer: one repr(float(v)) per cell.  Signed zeros, repeated
+    # values, non-finite and subnormal entries must come out the same.
+    grid = build_grid(box([-1.0] * dim, [1.0] * dim), 0.125, ghost_width=0.25)
+    values = np.random.default_rng(2).standard_normal(grid.num_nodes)
+    inner = np.flatnonzero(~grid.ghost_mask)
+    values[inner[:9]] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -0.0, 0.1, 0.1]
+    field = Field(grid, values)
+    path = tmp_path / "field.csv"
+    write_field_csv(field, path)
+    keep = ~grid.ghost_mask
+    columns = [c[keep] for c in grid.coordinates] + [values[keep]]
+    lines = [",".join(["x", "y"][:dim] + ["value"])]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+
 def test_read_field_csv_rejects_wrong_grid(tmp_path):
     grid = build_grid(box(0.0, 1.0), 0.25)
     path = tmp_path / "field.csv"
