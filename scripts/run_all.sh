@@ -1,13 +1,23 @@
 #!/usr/bin/env bash
 # Run every sample configuration into scripts/results/<name>/.
+# The checkout's own package (../src) comes first on PYTHONPATH, so an
+# installed copy is never run by mistake.  Each sample's wall seconds,
+# interpreter start and import included, go to stderr as
+# "wall_s <name> <seconds>".
 set -euo pipefail
 cd "$(dirname "$0")"
+export PYTHONPATH="../src${PYTHONPATH:+:${PYTHONPATH}}"
 
 run() {
     local sub="$1" cfg="$2"
-    local out="results/$(basename "${cfg%.cfg}")"
+    local name out start
+    name="$(basename "${cfg%.cfg}")"
+    out="results/${name}"
     echo "== dispersal ${sub} --config ${cfg} --out ${out}"
+    start="$(date +%s.%N)"
     python3 -m dispersal.cli "${sub}" --config "${cfg}" --out "${out}"
+    awk -v name="${name}" -v start="${start}" -v end="$(date +%s.%N)" \
+        'BEGIN { printf "wall_s %s %.3f\n", name, end - start > "/dev/stderr" }'
 }
 
 run simulate   configs/simulate_periodic_wave.cfg

@@ -83,14 +83,35 @@ def time_sine(c0: float, c1: float, period: float) -> TimePeriodicCoefficient:
     return TimePeriodicCoefficient(period, evaluate, integral, f"time-sine({c0!r},{c1!r})")
 
 
+def _cosine_factor(k: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``x -> cos(k x)``, remembering the factor of the last coordinate array.
+
+    Steppers evaluate a coefficient thousands of times on one grid's
+    coordinates, so the factor is computed once per coordinate array.
+    Only the last ``(array, factor)`` pair is kept, matched by identity:
+    memory stays bounded, and a factor never outlives the array it was
+    computed from (the pair holds that array, so its identity cannot be
+    reused).  Coordinate arrays are not modified in place.
+    """
+    last: list = [None, None]
+
+    def factor(x: np.ndarray) -> np.ndarray:
+        if last[0] is not x:
+            last[:] = [x, np.cos(k * x)]
+        return last[1]
+
+    return factor
+
+
 def space_cosine(c0: float, c1: float, k: float, period: float = 1.0) -> TimePeriodicCoefficient:
     c0, c1, k = float(c0), float(c1), float(k)
+    cosine = _cosine_factor(k)
 
     def evaluate(t, coords):
-        return c0 + c1 * np.cos(k * coords[0])
+        return c0 + c1 * cosine(coords[0])
 
     def integral(t0, t1, coords):
-        return (c0 + c1 * np.cos(k * coords[0])) * (t1 - t0)
+        return (c0 + c1 * cosine(coords[0])) * (t1 - t0)
 
     return TimePeriodicCoefficient(period, evaluate, integral, f"space-cosine({c0!r},{c1!r},{k!r})")
 
@@ -99,13 +120,14 @@ def time_space_product(c0: float, c1: float, k: float, period: float) -> TimePer
     """``c0 + c1 sin(2 pi t / T) cos(k x)`` — oscillates in both arguments."""
     c0, c1, k, period = float(c0), float(c1), float(k), float(period)
     omega = 2.0 * math.pi / period
+    cosine = _cosine_factor(k)
 
     def evaluate(t, coords):
-        return c0 + c1 * math.sin(omega * _phase(t, period)) * np.cos(k * coords[0])
+        return c0 + c1 * math.sin(omega * _phase(t, period)) * cosine(coords[0])
 
     def integral(t0, t1, coords):
         swing = math.cos(omega * _phase(t1, period)) - math.cos(omega * _phase(t0, period))
-        return c0 * (t1 - t0) - c1 * np.cos(k * coords[0]) * swing / omega
+        return c0 * (t1 - t0) - c1 * cosine(coords[0]) * swing / omega
 
     return TimePeriodicCoefficient(period, evaluate, integral, f"tx-product({c0!r},{c1!r},{k!r})")
 

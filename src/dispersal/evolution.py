@@ -8,19 +8,28 @@ matrix ``I - (dt/2) A``.  The implicit treatment removes the ``dt ~ h**2``
 explicit method would impose on refinement sweeps.
 
 Every run solves ``(I - s A) x = b`` many times with one fixed operator,
-so the solver is prepared once per (operator, step) and picked from the
-operator's structure.  Periodic closures, in any dimension, are circulant:
-the FFT diagonalizes them exactly with eigenvalues ``1 - s * symbol``, and
-they are acted on, solved and residual-checked in Fourier space without
-assembling a matrix.  Box closures are backed by the operator's CSR matrix.
-One-dimensional boxes give banded matrices (nonsymmetric for the mirrored
-local neumann closure), factored once by a sparse LU in natural order.
-Two-dimensional boxes are solved iteratively to relative residual ``1e-10``
-(conjugate gradients when the matrix is symmetric, stabilized bi-conjugate
-gradients for the mirrored closure) with a sparse direct solve as rescue.
-Every path returns its warm start unchanged whenever the start already
-satisfies the ``1e-10`` residual test; constant equilibria therefore
-persist bitwise.
+so the linear part of a step is prepared once per (operator, step) as a
+:class:`LinearStep`, picked from the operator's structure.  The step
+object forms the explicit half step, solves, applies the warm-start test
+and zeroes pinned nodes, on an array of rows advanced together (the two
+brackets of :mod:`dispersal.kpp` are two rows of one array).  Periodic
+closures, in any dimension, are circulant: the FFT diagonalizes them
+exactly with eigenvalues ``1 - s * symbol``, and they are acted on, solved
+and residual-checked in Fourier space without assembling a matrix; the
+step carries each row's spectrum from one solve to the next, so a step of
+:func:`solve` costs four transforms (plus one for the start), a backward
+Euler step of the brackets four batched transforms for both rows, and a
+period-map step two.  Box closures are backed by the operator's CSR
+matrix.  One-dimensional boxes give banded matrices (nonsymmetric for the
+mirrored local neumann closure), factored once by a sparse LU in natural
+order; their warm-start test reuses the explicit half step's ``A @ u``.
+Two-dimensional boxes are solved row by row, iteratively to relative
+residual ``1e-10`` (conjugate gradients when the matrix is symmetric,
+stabilized bi-conjugate gradients for the mirrored closure) with a sparse
+direct solve as rescue.  Every path returns its warm start unchanged
+whenever the start already satisfies the ``1e-10`` residual test;
+constant equilibria therefore persist bitwise.  :func:`implicit_solver`
+gives the same solve for one vector.
 
 scipy is a dependency of box closures only: ``scipy.sparse`` and
 ``scipy.sparse.linalg`` are imported when a box solver is first built, so
@@ -167,32 +176,197 @@ class Trajectory:
 def implicit_solver(op: DispersalOperator, scale: float):
     """Return ``solve(b, x0)`` for the system ``(I - scale * A) x = b``.
 
-    The solver is chosen from the operator: an FFT diagonalization for
-    periodic closures, one banded LU factorization for 1D boxes, and
-    CG/BiCGSTAB with a sparse direct rescue for 2D boxes.  A warm start
-    ``x0`` whose residual is already below ``1e-10 |b|`` comes back
-    unchanged (as a copy), and ``b = 0`` gives zeros.
+    The solve is that of :func:`linear_step` on one row: an FFT
+    diagonalization for periodic closures, one banded LU factorization for
+    1D boxes, and CG/BiCGSTAB with a sparse direct rescue for 2D boxes.  A
+    warm start ``x0`` whose residual is already below ``1e-10 |b|`` comes
+    back unchanged (as a copy), and ``b = 0`` gives zeros.
     """
+    return linear_step(op, scale).solve
+
+
+def linear_step(op: DispersalOperator, scale: float) -> LinearStep:
+    """The linear part of a time step with ``(I - scale * A)``, prepared once."""
     if op.bc is BoundaryCondition.PERIODIC:
-        return _fourier_solver(op, scale)
-    import scipy.sparse as sparse
+        return _FourierStep(op, scale)
+    return _MatrixStep(op, scale)
 
-    _bind_scipy_solvers()
-    A = op.matrix()
-    M = sparse.identity(A.shape[0], format="csr") - scale * A
-    if op.grid.dimension != 1:
-        return _krylov_solver(op, M)
-    direct = splu(M.tocsc(), permc_spec="NATURAL").solve
 
-    def solve(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        b_norm = float(np.linalg.norm(b))
-        if b_norm == 0.0:
-            return np.zeros_like(b)
-        if float(np.linalg.norm(b - x0 + scale * (A @ x0))) < _SOLVE_RTOL * b_norm:
-            return x0.copy()
-        return direct(b)
+class LinearStep:
+    """Explicit half step, implicit solve and warm-start test for one (operator, scale).
 
-    return solve
+    Every method works on an array of rows, shape ``(rows, num_nodes)``,
+    each row one field advanced by the same step.  Rows entering a step
+    must vanish on the operator's pinned nodes; the step zeroes those
+    nodes in every right-hand side and every solution it forms, so rows
+    leave it pinned too.
+
+    Each solve first tests its warm start: a row whose residual is already
+    below ``1e-10`` times its right-hand side's norm is returned unchanged,
+    so constant equilibria persist bitwise.  Alongside the rows a step
+    carries a *companion* of its warm start, which saves work in the next
+    solve: the spectrum of the rows on periodic closures, ``A @ rows`` (or
+    ``None``) on boxes.  Callers only pass it back.
+
+    The closures differ in four hooks: ``_start`` (the explicit part and
+    the companion), ``_rhs`` (adds a reaction term), ``_solve_rows`` (the
+    warm-start test and the solve) and ``solve`` (one vector).
+    """
+
+    def __init__(self, op: DispersalOperator, scale: float):
+        self.scale = scale
+        self._pinned = op.constrained
+
+    def pin(self, rows: np.ndarray) -> np.ndarray:
+        """Zero the pinned nodes of ``rows`` in place and return them."""
+        if self._pinned is not None:
+            np.copyto(rows, 0.0, where=self._pinned)
+        return rows
+
+    def crank_nicolson(self, rows: np.ndarray) -> np.ndarray:
+        """One trapezoidal step ``x = (I - sA)^-1 (I + sA) rows`` of pure dispersal."""
+        base, companion = self._start(rows, None, explicit=True)
+        return self.pin(self._solve_rows(base, rows, companion)[0])
+
+    def imex_step(self, t: float, rows: np.ndarray, rate, companion=None, *, trapezoid: bool):
+        """One step of ``u' = A u + rate(t, u)``: implicit dispersal, Heun reaction.
+
+        With ``trapezoid`` the dispersal is treated by the trapezoidal rule
+        and the step is ``dt = 2 * scale``; otherwise by backward Euler with
+        ``dt = scale``.  The predictor is the warm start of the corrector.
+        Returns the new rows and their companion.
+        """
+        dt = 2.0 * self.scale if trapezoid else self.scale
+        base, companion = self._start(rows, companion, explicit=trapezoid)
+        fn = rate(t, rows)
+        predictor, companion = self._solve_rows(self._rhs(base, dt, fn), rows, companion)
+        predictor = self.pin(predictor)
+        fs = rate(t + dt, predictor)
+        out, companion = self._solve_rows(self._rhs(base, dt / 2.0, fn + fs), predictor, companion)
+        return self.pin(out), companion
+
+
+class _FourierStep(LinearStep):
+    """Periodic closures: every solve is exact and diagonal in Fourier space.
+
+    The FFT diagonalizes ``I - scale * A`` with eigenvalues
+    ``1 - scale * symbol`` (all ``>= 1``, since ``A`` is negative
+    semidefinite).  The warm-start residual ``B - eig * X0`` and both
+    norms are taken in Fourier space (by Parseval over the half spectrum),
+    and each solved row's spectrum is carried into the next solve as the
+    companion, so no warm start is transformed again.  An explicit half
+    step is applied to the carried spectrum; without one, the right-hand
+    side ``u + c f`` is formed in real space and transformed once, which
+    costs the same single transform as transforming ``f`` and rounds
+    ``b`` exactly as the real-space formula does.  Both norms are
+    ``einsum`` reductions: a BLAS dot product hands large vectors to its
+    worker threads, which can cost milliseconds per call on a loaded
+    machine.
+    """
+
+    def __init__(self, op: DispersalOperator, scale: float):
+        super().__init__(op, scale)
+        self._shape = op.grid.shape
+        self._symbol = op.symbol()
+        self._eig = 1.0 - scale * self._symbol
+        self._weights = half_spectrum_weights(self._shape)
+
+    def _forward(self, rows: np.ndarray) -> np.ndarray:
+        if len(self._shape) == 1:
+            return np.fft.rfft(rows)
+        return np.fft.rfftn(rows.reshape((-1,) + self._shape), axes=(1, 2))
+
+    def _inverse(self, spectra: np.ndarray) -> np.ndarray:
+        if len(self._shape) == 1:
+            return np.fft.irfft(spectra, self._shape[0])
+        rows = np.fft.irfftn(spectra, s=self._shape, axes=(1, 2))
+        return rows.reshape(len(rows), -1)
+
+    def _start(self, rows, companion, explicit):
+        spectra = self._forward(rows) if companion is None else companion
+        return (spectra + self.scale * (self._symbol * spectra) if explicit else rows), spectra
+
+    def _rhs(self, base, weight, values):
+        if np.iscomplexobj(base):
+            return base + weight * self._forward(values)
+        return self._forward(base + weight * values)
+
+    def _norms(self, spectra: np.ndarray) -> np.ndarray:
+        flat = spectra.reshape(len(spectra), -1).view(np.float64)
+        return np.sqrt(np.einsum("ij,ij,j->i", flat, flat, self._weights))
+
+    def _solve_rows(self, B, x0, X0):
+        keep = self._norms(B - self._eig * X0) < _SOLVE_RTOL * self._norms(B)
+        kept = keep.tolist()  # a handful of rows: Python's all/any are cheaper
+        if all(kept):
+            return x0, X0
+        X = B / self._eig
+        x = self._inverse(X)
+        if any(kept):
+            x[keep], X[keep] = x0[keep], X0[keep]
+        return x, X
+
+    def solve(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        x0 = x0.reshape(1, -1)
+        x, _ = self._solve_rows(self._forward(b.reshape(1, -1)), x0, self._forward(x0))
+        return x[0].copy()
+
+
+class _MatrixStep(LinearStep):
+    """Box closures, backed by the operator's CSR matrix.
+
+    1D boxes factor ``I - scale * A`` once by a sparse LU in natural order;
+    their warm-start test reuses ``A @ x0`` when the step already formed
+    it.  2D boxes run CG (BiCGSTAB for the mirrored closure) row by row,
+    whose own first residual check is the warm-start test.
+    """
+
+    def __init__(self, op: DispersalOperator, scale: float):
+        super().__init__(op, scale)
+        import scipy.sparse as sparse
+
+        _bind_scipy_solvers()
+        self._A = op.matrix()
+        M = sparse.identity(self._A.shape[0], format="csr") - scale * self._A
+        if op.grid.dimension == 1:
+            self._direct = splu(M.tocsc(), permc_spec="NATURAL").solve
+            self._krylov = None
+        else:
+            self._krylov = _krylov_solver(op, M)
+
+    def _start(self, rows, companion, explicit):
+        if not explicit:
+            return rows, companion
+        if companion is None:
+            companion = (self._A @ rows.T).T
+        return self.pin(rows + self.scale * companion), companion
+
+    def _rhs(self, base, weight, values):
+        return self.pin(base + weight * values)
+
+    def _solve_rows(self, b, x0, Ax0):
+        if self._krylov is not None:
+            return np.stack([self._krylov(bi, xi) for bi, xi in zip(b, x0)]), None
+        out = np.empty_like(b)
+        Ax = np.empty_like(b) if Ax0 is None else Ax0
+        kept = True
+        for i, bi in enumerate(b):
+            b_norm = float(np.linalg.norm(bi))
+            if b_norm == 0.0:
+                out[i] = 0.0
+                kept = False
+                continue
+            if Ax0 is None:
+                Ax[i] = self._A @ x0[i]
+            if float(np.linalg.norm(bi - x0[i] + self.scale * Ax[i])) < _SOLVE_RTOL * b_norm:
+                out[i] = x0[i]
+            else:
+                out[i] = self._direct(bi)
+                kept = False
+        return out, (Ax if kept else None)
+
+    def solve(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        return self._solve_rows(b.reshape(1, -1), x0.reshape(1, -1), None)[0][0]
 
 
 def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:
@@ -212,40 +386,11 @@ def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(np.repeat(bins, 2), shape[:-1] + (2 * half,)).ravel()
 
 
-def _fourier_solver(op: DispersalOperator, scale: float):
-    """Exact solve for the circulant ``I - scale * A`` of a periodic closure.
-
-    The FFT diagonalizes the matrix with eigenvalues ``1 - scale * symbol``
-    (all ``>= 1``, since ``A`` is negative semidefinite).  The warm-start
-    residual ``B - eig * X0`` is formed in Fourier space as well, and its
-    norm is taken by Parseval over the half spectrum.  Both norms are
-    ``einsum`` reductions: a BLAS dot product hands large vectors to its
-    worker threads, which can cost milliseconds per call on a loaded
-    machine.
-    """
-    shape = op.grid.shape
-    axes = tuple(range(len(shape)))
-    eig = 1.0 - scale * op.symbol()
-    weights = half_spectrum_weights(shape)
-
-    def solve(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        b_norm = math.sqrt(np.einsum("i,i->", b, b))
-        if b_norm == 0.0:
-            return np.zeros_like(b)
-        B = np.fft.rfftn(b.reshape(shape))
-        R = (B - eig * np.fft.rfftn(x0.reshape(shape))).view(np.float64).ravel()
-        if math.sqrt(np.einsum("i,i,i->", R, R, weights)) < _SOLVE_RTOL * b_norm:
-            return x0.copy()
-        return np.fft.irfftn(B / eig, s=shape, axes=axes).ravel()
-
-    return solve
-
-
 def _krylov_solver(op: DispersalOperator, M: sparse.csr_matrix):
     """CG (BiCGSTAB for the mirrored closure) on ``M`` with a sparse direct rescue.
 
     ``cg``, ``bicgstab`` and ``spsolve`` are looked up in the module at
-    each call, not captured here; :func:`implicit_solver` has bound them.
+    each call, not captured here; :func:`linear_step` has bound them.
     """
     symmetric = not (op.kind == LOCAL and op.bc is BoundaryCondition.NEUMANN)
     M_csc = None
@@ -308,38 +453,25 @@ def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]
     wanted = _snapshot_steps(problem.start, dt, nsteps, snapshot_times)
     op = problem.operator
     coords = op.grid.coordinates
-    cm = op.constrained
-    half_solve = implicit_solver(op, dt / 2.0)
+    step = linear_step(op, dt / 2.0)
+    evaluate = problem.reaction.evaluate
 
-    u = problem.initial.values.copy()
-    if cm is not None:
-        u[cm] = 0.0
+    def rate(t: float, rows: np.ndarray) -> np.ndarray:
+        return evaluate(t, coords, rows)
+
+    u = step.pin(problem.initial.values.reshape(1, -1).copy())
+    companion = None
     times = [problem.start]
-    states = [Field(op.grid, u.copy(), problem.start)]
-    reaction = problem.reaction
+    states = [Field(op.grid, u[0].copy(), problem.start)]
     for k in range(1, nsteps + 1):
         t = problem.start + (k - 1) * dt
-        base = u + (dt / 2.0) * op.matvec(u)
-        fn = reaction.evaluate(t, coords, u)
-        b = base + dt * fn
-        if cm is not None:
-            b[cm] = 0.0
-        predictor = half_solve(b, u)
-        if cm is not None:
-            predictor[cm] = 0.0
-        fs = reaction.evaluate(t + dt, coords, predictor)
-        b = base + (dt / 2.0) * (fn + fs)
-        if cm is not None:
-            b[cm] = 0.0
-        u = half_solve(b, predictor)
-        if cm is not None:
-            u[cm] = 0.0
+        u, companion = step.imex_step(t, u, rate, companion, trapezoid=True)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOW_UP_THRESHOLD:
             raise BlowUpError(f"field exceeded {BLOW_UP_THRESHOLD:.0e} at t={problem.start + k * dt!r}")
         if k in wanted:
             stamp = problem.start + k * dt
             times.append(stamp)
-            states.append(Field(op.grid, u.copy(), stamp))
+            states.append(Field(op.grid, u[0].copy(), stamp))
     return Trajectory(tuple(times), tuple(states), nsteps, dt)
 
 

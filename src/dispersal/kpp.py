@@ -6,14 +6,22 @@ the linearization at zero has positive principal growth rate, the unique
 positive periodic state is found by iterating the nonlinear period map from
 a constant super-solution downward and from a small positive sub-solution
 upward; the two ordered iterations bracket the state and their agreement is
-a built-in uniqueness check.
+a built-in uniqueness check.  The two brackets advance together as the two
+rows of one array, so each step makes one batched call where the two
+iterations would make two; a bracket that has converged is frozen while
+the other goes on, and iteration counts, order-breach records and errors
+are those of running the super bracket first and the sub bracket after.
 
 Each time step treats dispersal by backward Euler and the reaction by a
 Heun predictor-corrector.  The backward-Euler resolvent has entrywise
 nonnegative inverse for every step size, so the ordered iterations stay
 ordered numerically no matter how stiff the dispersal rate is; the
 first-order dispersal bias is shared by the nonlocal run and its local
-reference and cancels from their comparison.
+reference and cancels from their comparison.  The step is the backward
+Euler step of :class:`dispersal.evolution.LinearStep`; on periodic closures
+it costs four transforms for both rows together: each right-hand side is
+formed in real space and transformed, each solution transformed back, and
+the warm-start tests use the spectra the step carries.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
-from .evolution import implicit_solver
+from .evolution import linear_step
 from .grids import Field, build_grid, field_from_function, same_grid, sup_distance
 from .kernels import KernelProfile
 from .operators import (
@@ -135,37 +143,28 @@ def validate_saturation(problem: KPPProblem, time_samples: int = 64) -> float:
 
 
 class _PeriodStepper:
-    """Nonlinear one-period map with backward-Euler dispersal and Heun reaction."""
+    """Nonlinear one-period map with backward-Euler dispersal and Heun reaction.
+
+    It advances an array of rows, shape ``(rows, num_nodes)``, all by the
+    same steps; each step's companion (the rows' spectrum on periodic
+    closures) is carried to the next step within a period.
+    """
 
     def __init__(self, problem: KPPProblem):
         self.problem = problem
-        self.solver = implicit_solver(problem.operator, problem.dt)
+        self.linear = linear_step(problem.operator, problem.dt)
         self.coords = problem.operator.grid.coordinates
-        self.cm = problem.operator.constrained
 
     def _rate(self, t: float, u: np.ndarray) -> np.ndarray:
         return u * self.problem.growth.evaluate(t, self.coords, u)
 
-    def step(self, t: float, u: np.ndarray) -> np.ndarray:
-        dt, cm = self.problem.dt, self.cm
-        fn = self._rate(t, u)
-        b = u + dt * fn
-        if cm is not None:
-            b[cm] = 0.0
-        predictor = self.solver(b, u)
-        if cm is not None:
-            predictor[cm] = 0.0
-        b = u + (dt / 2.0) * (fn + self._rate(t + dt, predictor))
-        if cm is not None:
-            b[cm] = 0.0
-        out = self.solver(b, predictor)
-        if cm is not None:
-            out[cm] = 0.0
-        return out
+    def step(self, t: float, u: np.ndarray, companion=None):
+        return self.linear.imex_step(t, u, self._rate, companion, trapezoid=False)
 
     def one_period(self, u: np.ndarray) -> np.ndarray:
+        companion = None
         for k in range(self.problem.steps_per_period):
-            u = self.step(k * self.problem.dt, u)
+            u, companion = self.step(k * self.problem.dt, u, companion)
         return u
 
     def period_with_snapshots(self, u: np.ndarray, count: int):
@@ -175,13 +174,15 @@ class _PeriodStepper:
                 f"snapshot count {count} must divide the {steps} steps per period"
             )
         stride = steps // count
-        times, states = [0.0], [u.copy()]
+        u = u.reshape(1, -1)
+        times, states = [0.0], [u[0].copy()]
+        companion = None
         for k in range(steps):
-            u = self.step(k * self.problem.dt, u)
+            u, companion = self.step(k * self.problem.dt, u, companion)
             if (k + 1) % stride == 0 and k + 1 < steps:
                 times.append((k + 1) * self.problem.dt)
-                states.append(u.copy())
-        return times, states, u
+                states.append(u[0].copy())
+        return times, states, u[0]
 
 
 @dataclass
@@ -219,33 +220,53 @@ def _small_positive_start(op: DispersalOperator, eps: float) -> np.ndarray:
     return np.full(op.grid.num_nodes, eps)
 
 
-def _iterate_monotone(
-    stepper: _PeriodStepper,
-    u: np.ndarray,
-    expect: str,
-    tol: float,
-    max_periods: int,
-) -> tuple[np.ndarray, int, float]:
-    worst = 0.0
+def _bracket(
+    stepper: _PeriodStepper, starts: np.ndarray, tol: float, max_periods: int
+) -> tuple[np.ndarray, list[int], list[float]]:
+    """Iterate the super bracket (row 0) and the sub bracket (row 1) together.
+
+    Each row is the serial iteration of its own bracket: row 0 should not
+    increase and row 1 should not decrease, and the worst breach of that
+    order is recorded per row.  A row stops once a period moves it by less
+    than ``tol`` (converged) or leaves it below :data:`COLLAPSE_FLOOR`
+    (collapsed); only the rows still active are stepped.  A failure of the
+    super bracket is raised at once; one of the sub bracket is raised only
+    after the super bracket has converged, so the errors come out as if
+    the super bracket ran first.
+    """
+    rows = starts.copy()
+    iterations = [0, 0]
+    worst = [0.0, 0.0]
+    failures: list[Exception | None] = [None, None]
+    active = [0, 1]
     for iteration in range(1, max_periods + 1):
-        image = stepper.one_period(u.copy())
-        if expect == "nonincreasing":
-            breach = float(np.max(image - u))
-        else:
-            breach = float(np.max(u - image))
-        worst = max(worst, breach)
-        gap = float(np.max(np.abs(image - u)))
-        u = image
-        if float(np.max(np.abs(u))) < COLLAPSE_FLOOR:
-            raise CollapsedToZeroError(
-                f"orbit iteration collapsed to zero after {iteration} periods "
-                "(the zero state is the only nonnegative periodic state here)"
-            )
-        if gap < tol:
-            return u, iteration, worst
-    raise NoConvergenceError(
-        f"period-map iteration did not reach tol={tol!r} within {max_periods} periods"
-    )
+        u = rows[active]
+        image = stepper.one_period(u)
+        for before, after, row in zip(u, image, list(active)):
+            breach = float(np.max(after - before)) if row == 0 else float(np.max(before - after))
+            worst[row] = max(worst[row], breach)
+            gap = float(np.max(np.abs(after - before)))
+            rows[row] = after
+            if float(np.max(np.abs(after))) < COLLAPSE_FLOOR:
+                failures[row] = CollapsedToZeroError(
+                    f"orbit iteration collapsed to zero after {iteration} periods "
+                    "(the zero state is the only nonnegative periodic state here)"
+                )
+            elif gap < tol:
+                iterations[row] = iteration
+            else:
+                continue
+            active.remove(row)
+        if failures[0] is not None or not active:
+            break
+    for row in active:
+        failures[row] = NoConvergenceError(
+            f"period-map iteration did not reach tol={tol!r} within {max_periods} periods"
+        )
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return rows, iterations, worst
 
 
 def positive_periodic_solution(
@@ -264,15 +285,9 @@ def positive_periodic_solution(
     stepper = _PeriodStepper(problem)
     level = validate_saturation(problem)
     op = problem.operator
-    upper = np.full(op.grid.num_nodes, level)
-    if op.constrained is not None:
-        upper[op.constrained] = 0.0
-    upper, super_iters, viol_super = _iterate_monotone(
-        stepper, upper, "nonincreasing", tol, max_periods
-    )
-    lower = _small_positive_start(op, eps=1e-3)
-    lower, sub_iters, viol_sub = _iterate_monotone(
-        stepper, lower, "nondecreasing", tol, max_periods
+    starts = np.stack([np.full(op.grid.num_nodes, level), _small_positive_start(op, eps=1e-3)])
+    (upper, lower), (super_iters, sub_iters), (viol_super, viol_sub) = _bracket(
+        stepper, stepper.linear.pin(starts), tol, max_periods
     )
     agreement = float(np.max(np.abs(upper - lower)))
     if agreement > 10.0 * tol:
@@ -303,10 +318,10 @@ def positive_periodic_solution(
 def advance_periods(problem: KPPProblem, values: np.ndarray, periods: int) -> np.ndarray:
     """Apply the nonlinear period map ``periods`` times (stability probes)."""
     stepper = _PeriodStepper(problem)
-    u = np.array(values, dtype=float)
+    u = np.array(values, dtype=float).reshape(1, -1)
     for _ in range(periods):
         u = stepper.one_period(u)
-    return u
+    return u[0]
 
 
 def orbit_convergence_experiment(

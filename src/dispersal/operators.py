@@ -9,10 +9,11 @@ over a fixed stencil of integer grid offsets ``o`` with nonnegative weights
 times a vector) makes constant fields annihilate bitwise under reflecting
 (neumann) and wrapping (periodic) closures, which several structural tests
 rely on; it is the reference action.  The time steppers use a faster one
-with the same result up to rounding.  On a wrapping habitat the action is a
-circular convolution, so it is diagonal in Fourier space: periodic closures
-act (and are solved) through their Fourier symbol in O(n) memory and never
-assemble a matrix.  Box closures are backed by a compressed-sparse-row
+with the same result up to rounding (see :mod:`dispersal.evolution`).  On a
+wrapping habitat the action is a circular convolution, so it is diagonal in
+Fourier space: periodic closures act (and are solved) through their Fourier
+symbol (:meth:`DispersalOperator.symbol`) in O(n) memory and never assemble
+a matrix.  Box closures are backed by a compressed-sparse-row
 matrix (constants map to values at rounding level), built by
 :meth:`DispersalOperator.matrix`; that method is the only place the module
 imports ``scipy.sparse``, so a periodic run never loads scipy.
@@ -151,14 +152,6 @@ class DispersalOperator:
             hi_in = [slice(None)] * dim
             hi[axis], hi_in[axis] = n - 1, n - 2
             out[tuple(hi)] += weight * (u[tuple(hi_in)] - u[tuple(hi)])
-
-    def matvec(self, values: np.ndarray) -> np.ndarray:
-        """Action for the steppers: the Fourier symbol on periodic closures, else the CSR."""
-        if self.bc is BoundaryCondition.PERIODIC:
-            shape = self.grid.shape
-            spectrum = self.symbol() * np.fft.rfftn(values.reshape(shape))
-            return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape)))).ravel()
-        return self.matrix() @ values
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the action: minus each node's total jump rate."""

@@ -12,7 +12,11 @@ part, and multiplies by the second half-step factor.  Because the catalog
 coefficients carry closed-form time integrals, the reaction contributes no
 time-discretization error at all — a space-free coefficient reproduces its
 time average to rounding — and the splitting is symmetric, so the dispersal
-error stays second order in ``dt``.
+error stays second order in ``dt``.  The dispersal step is the
+Crank–Nicolson step of :class:`dispersal.evolution.LinearStep`; on periodic
+closures it forms the explicit half step, the warm-start test and the
+solve from one forward transform of the field and returns it with one
+inverse transform, two transforms per step.
 
 ``lambda`` is extracted by plain power iteration with sup-norm ratios; the
 dominant eigenvector is a positive (Perron) vector, so no shifts or
@@ -29,7 +33,7 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, sup_difference, time_average
 from .errors import NoConvergenceError, NumericsError, ValidationError
-from .evolution import implicit_solver
+from .evolution import linear_step
 from .grids import Field, build_grid, field_from_function, same_grid
 from .kernels import KernelProfile
 from .operators import (
@@ -50,7 +54,7 @@ class PeriodMap:
     operator: DispersalOperator
     coefficient: TimePeriodicCoefficient
     dt: float
-    _solver: object = dataclass_field(default=None, init=False, repr=False)
+    _step: object = dataclass_field(default=None, init=False, repr=False)
     _factors: list | None = dataclass_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -71,8 +75,8 @@ class PeriodMap:
         return int(round(self.period / self.dt))
 
     def _prepare(self):
-        if self._solver is None:
-            self._solver = implicit_solver(self.operator, self.dt / 2.0)
+        if self._step is None:
+            self._step = linear_step(self.operator, self.dt / 2.0)
             coords = self.operator.grid.coordinates
             factors = []
             for k in range(self.steps):
@@ -90,21 +94,11 @@ class PeriodMap:
     def advance(self, values: np.ndarray) -> np.ndarray:
         """Apply the map to a flat nodal array."""
         self._prepare()
-        op = self.operator
-        cm = op.constrained
-        u = np.array(values, dtype=float)
-        if cm is not None:
-            u[cm] = 0.0
+        step = self._step
+        u = step.pin(np.array(values, dtype=float).reshape(1, -1))
         for first, second in self._factors:
-            u = u * first
-            b = u + (self.dt / 2.0) * op.matvec(u)
-            if cm is not None:
-                b[cm] = 0.0
-            u = self._solver(b, u)
-            if cm is not None:
-                u[cm] = 0.0
-            u = u * second
-        return u
+            u = step.crank_nicolson(u * first) * second
+        return u[0]
 
 
 def apply_period_map(period_map: PeriodMap, u0: Field) -> Field:

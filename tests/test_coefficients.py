@@ -65,6 +65,40 @@ def test_integral_is_additive_over_subintervals():
     np.testing.assert_allclose(left + right, a.integral(0.0, 1.0, xs), atol=1e-14)
 
 
+def test_cached_cosine_factor_is_bitwise_and_follows_the_grid(monkeypatch):
+    """cos(k x) is computed once per coordinate array, never reused across grids."""
+    cosines = []
+    numpy_cos = np.cos
+
+    def counting_cos(x):
+        cosines.append(x)
+        return numpy_cos(x)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    c0, c1, k, period = 1.0, 0.5, 2.0, 1.5
+    omega = 2.0 * math.pi / period
+    space = parse_coefficient(f"space-cosine({c0},{c1},{k})", period)
+    product = parse_coefficient(f"tx-product({c0},{c1},{k})", period)
+    coarse = np.linspace(0.0, 2.0 * math.pi, 9)
+    fine = np.linspace(0.0, 2.0 * math.pi, 33)
+    for x in (coarse, fine, coarse):
+        cosines.clear()
+        for t0, t1 in [(0.0, 0.4), (0.4, 1.1), (0.25, 3.1)]:
+            t0p, t1p = math.fmod(t0, period), math.fmod(t1, period)
+            factor = numpy_cos(k * x)
+            swing = math.cos(omega * t1p) - math.cos(omega * t0p)
+            assert np.array_equal(space.evaluate(t0, (x,)), c0 + c1 * factor)
+            assert np.array_equal(space.integral(t0, t1, (x,)), (c0 + c1 * factor) * (t1 - t0))
+            assert np.array_equal(
+                product.evaluate(t0, (x,)), c0 + c1 * math.sin(omega * t0p) * factor
+            )
+            assert np.array_equal(
+                product.integral(t0, t1, (x,)), c0 * (t1 - t0) - c1 * factor * swing / omega
+            )
+        # one factor per coefficient for this grid, however many calls
+        assert len(cosines) == 2
+
+
 def test_time_average_of_pure_oscillation_vanishes():
     a = parse_coefficient("time-sine(0.0,1.0)", period=1.0)
     avg = time_average(a, COORDS)

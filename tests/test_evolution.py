@@ -26,6 +26,7 @@ from dispersal import (
     constant_field,
     field_from_function,
     kernel_profile,
+    parse_coefficient,
     parse_growth,
     parse_reaction,
     periodic_cell,
@@ -35,7 +36,7 @@ from dispersal import (
 )
 from dispersal import evolution
 from dispersal.evolution import half_spectrum_weights, implicit_solver
-from dispersal.kpp import advance_periods
+from dispersal.kpp import _PeriodStepper, advance_periods
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 
@@ -246,6 +247,50 @@ def test_periodic_runs_never_assemble_a_matrix(monkeypatch):
         assert rate.is_principal_eigenvalue is (True if op.kind == "nonlocal" else None)
         orbit_step = advance_periods(KPPProblem(op, parse_growth(growth, 1.0), 0.05), u0.values, 1)
         assert np.all(np.isfinite(orbit_step))
+
+
+def count_transforms(monkeypatch) -> list[str]:
+    """Record every call to a ``numpy.fft`` function made from now on."""
+    calls = []
+    for name in np.fft.__all__:
+        original = getattr(np.fft, name)
+        if callable(original):
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_periodic_steps_transform_each_field_once_each_way(monkeypatch, dim):
+    # The spectrum of every field is carried through the step, so the
+    # counts below are the whole cost in transforms.  Data are far from
+    # equilibrium, so no warm start is kept and every solve transforms.
+    op = periodic_jump_operator(dim, 16)
+    wave = field_from_function(op.grid, lambda x, *rest: 1.0 + 0.5 * np.sin(x))
+    kpp = KPPProblem(op, parse_growth("logistic(tx-product(1,0.5,1))", 1.0), 0.25)
+    stepper = _PeriodStepper(kpp)
+    rows = np.stack([np.full(op.grid.num_nodes, 2.0), wave.values])
+    rows, companion = stepper.step(0.0, rows)
+    period_map = PeriodMap(op, parse_coefficient("tx-product(1,0.5,1)", 1.0), 0.25)
+    period_map.advance(wave.values)  # prepares the map
+    problem = SemilinearProblem(op, parse_reaction("logistic(const(1))", 1.0), wave, 0.0, 0.2)
+    calls = count_transforms(monkeypatch)
+
+    solve(problem, 0.05, [0.2])  # four steps and the start's transform
+    assert len(calls) <= 4 * 4 + 1
+    calls.clear()
+    stepper.step(0.25, rows, companion)  # both brackets, batched
+    assert len(calls) <= 4
+    calls.clear()
+    stepper.one_period(rows)  # four steps and the start's transform
+    assert len(calls) <= 4 * kpp.steps_per_period + 1
+    calls.clear()
+    period_map.advance(wave.values)  # four steps
+    assert len(calls) <= 2 * period_map.steps
 
 
 # --------------------------------------------------------------------- #

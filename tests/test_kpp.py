@@ -1,6 +1,7 @@
 """Positive periodic states of saturating growth: oracles and invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dispersal import (
     CollapsedToZeroError,
     GrowthTerm,
     KPPProblem,
+    NoConvergenceError,
     NumericsError,
     ValidationError,
     assemble_local,
@@ -26,7 +28,14 @@ from dispersal import (
     validate_saturation,
     verify_invasion_condition,
 )
-from dispersal.kpp import advance_periods
+from dispersal.evolution import implicit_solver
+from dispersal.kpp import (
+    COLLAPSE_FLOOR,
+    _bracket,
+    _PeriodStepper,
+    _small_positive_start,
+    advance_periods,
+)
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 
@@ -59,6 +68,62 @@ def scalar_orbit(times, period=1.0):
 
     w0 = weight(period) / math.expm1(running(period))
     return [1.0 / (math.exp(-running(t)) * (w0 + weight(t))) for t in times]
+
+
+def bracket_starts(problem):
+    """The super and sub starts of the bracketing, pinned."""
+    op = problem.operator
+    upper = np.full(op.grid.num_nodes, validate_saturation(problem))
+    upper[op.constrained_mask()] = 0.0
+    return upper, _small_positive_start(op, eps=1e-3)
+
+
+def serial_step(problem):
+    """One time step of one field by the real-space formulas.
+
+    Backward-Euler dispersal and Heun reaction, each solve through
+    ``implicit_solver``: the reference that the paired brackets of
+    ``positive_periodic_solution`` must reproduce.
+    """
+    op, dt = problem.operator, problem.dt
+    solver = implicit_solver(op, dt)
+    pinned = op.constrained_mask()
+
+    def rate(t, u):
+        return u * problem.growth.evaluate(t, op.grid.coordinates, u)
+
+    def step(t, u):
+        fn = rate(t, u)
+        b = u + dt * fn
+        b[pinned] = 0.0
+        predictor = solver(b, u)
+        predictor[pinned] = 0.0
+        b = u + (dt / 2.0) * (fn + rate(t + dt, predictor))
+        b[pinned] = 0.0
+        out = solver(b, predictor)
+        out[pinned] = 0.0
+        return out
+
+    return step
+
+
+def serial_bracket(problem, start, expect, tol=1e-8, max_periods=2000):
+    """One bracket on its own: limit, iteration count, worst order breach."""
+    step = serial_step(problem)
+    u, worst = start.copy(), 0.0
+    for iteration in range(1, max_periods + 1):
+        image = u
+        for k in range(problem.steps_per_period):
+            image = step(k * problem.dt, image)
+        breach = np.max(image - u) if expect == "nonincreasing" else np.max(u - image)
+        worst = max(worst, float(breach))
+        gap = float(np.max(np.abs(image - u)))
+        u = image
+        if float(np.max(np.abs(u))) < COLLAPSE_FLOOR:
+            raise CollapsedToZeroError(f"collapsed to zero after {iteration} periods")
+        if gap < tol:
+            return u, iteration, worst
+    raise NoConvergenceError(f"did not reach tol={tol!r} within {max_periods} periods")
 
 
 # --------------------------------------------------------------------- #
@@ -183,8 +248,96 @@ def test_perturbed_orbits_return_to_the_periodic_state():
 
 
 def test_dying_population_collapses_to_zero():
-    with pytest.raises(CollapsedToZeroError, match="collapsed to zero"):
-        positive_periodic_solution(neumann_problem("logistic(const(-12))", dt=1.0 / 32))
+    # The sub bracket starts lower and collapses a period earlier, yet the
+    # error is the super bracket's, as if that bracket ran first.
+    problem = neumann_problem("logistic(const(-12))", dt=1.0 / 32)
+    upper, lower = bracket_starts(problem)
+    with pytest.raises(CollapsedToZeroError) as super_error:
+        serial_bracket(problem, upper, "nonincreasing")
+    with pytest.raises(CollapsedToZeroError) as sub_error:
+        serial_bracket(problem, lower, "nondecreasing")
+    periods = int(re.search(r"after (\d+) periods", str(super_error.value)).group(1))
+    assert f"after {periods - 1} periods" in str(sub_error.value)
+    with pytest.raises(CollapsedToZeroError, match=f"collapsed to zero after {periods} periods"):
+        positive_periodic_solution(problem)
+    # capped before the super bracket collapses: its non-convergence wins
+    # over the sub bracket's collapse one period earlier
+    with pytest.raises(NoConvergenceError, match=f"within {periods - 1} periods"):
+        positive_periodic_solution(problem, max_periods=periods - 1)
+
+
+def test_too_few_periods_raise_no_convergence():
+    problem = neumann_problem("logistic(time-sine(1,0.5))", h=1.0 / 16, dt=1.0 / 32)
+    with pytest.raises(NoConvergenceError, match="within 3 periods"):
+        positive_periodic_solution(problem, max_periods=3)
+    # enough periods for the super bracket only: the sub bracket's failure
+    orbit = positive_periodic_solution(problem)
+    assert orbit.sub_iterations > orbit.super_iterations
+    with pytest.raises(NoConvergenceError, match=f"within {orbit.super_iterations} periods"):
+        positive_periodic_solution(problem, max_periods=orbit.super_iterations)
+
+
+def periodic_problem():
+    grid = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 64)
+    op = assemble_nonlocal(grid, QUARTIC_1D, 0.4, "periodic")
+    return KPPProblem(op, parse_growth("logistic(tx-product(1,0.5,1))", 1.0), 1.0 / 16)
+
+
+def dirichlet_problem(kind):
+    grid = build_grid(box(0.0, 2.0 * math.pi), 2.0 * math.pi / 64, ghost_width=0.4)
+    op = (
+        assemble_nonlocal(grid, QUARTIC_1D, 0.4, "dirichlet")
+        if kind == "nonlocal"
+        else assemble_local(grid, "dirichlet")
+    )
+    return KPPProblem(op, parse_growth("logistic(space-cosine(1,0.5,1))", 1.0), 1.0 / 16)
+
+
+PAIRED_CASES = {
+    "periodic": periodic_problem,
+    "neumann-nonlocal": lambda: neumann_problem("logistic(time-sine(1,0.5))", dt=1.0 / 16),
+    "neumann-local": lambda: neumann_problem(
+        "logistic(time-sine(1,0.5))", dt=1.0 / 16, kind="local"
+    ),
+    "dirichlet-nonlocal": lambda: dirichlet_problem("nonlocal"),
+    "dirichlet-local": lambda: dirichlet_problem("local"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_CASES))
+def test_paired_brackets_reproduce_the_serial_iterations(case):
+    problem = PAIRED_CASES[case]()
+    orbit = positive_periodic_solution(problem, snapshots_per_period=4)
+    upper, lower = bracket_starts(problem)
+    upper, super_iters, viol_super = serial_bracket(problem, upper, "nonincreasing")
+    lower, sub_iters, viol_sub = serial_bracket(problem, lower, "nondecreasing")
+    assert (orbit.super_iterations, orbit.sub_iterations) == (super_iters, sub_iters)
+    assert orbit.monotone_violation_super == viol_super
+    assert orbit.monotone_violation_sub == viol_sub
+    assert orbit.start_agreement == float(np.max(np.abs(upper - lower)))
+    step, stride = serial_step(problem), problem.steps_per_period // 4
+    u = upper
+    for k in range(problem.steps_per_period):
+        if k % stride == 0:
+            state = orbit.states[k // stride]
+            assert state.time == k * problem.dt
+            assert np.max(np.abs(state.values - u)) <= 1e-12 * np.max(np.abs(u))
+        u = step(k * problem.dt, u)
+    assert abs(orbit.residual - float(np.max(np.abs(u - upper)))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["nonlocal", "local"])
+def test_flat_unit_orbit_stays_exactly_one(kind):
+    # u = 1 solves the autonomous logistic law on a reflecting box: every
+    # warm start is kept, so both rows of a paired step stay 1 bitwise.
+    problem = neumann_problem("logistic(const(1))", dt=1.0 / 32, kind=kind)
+    ones = np.ones((2, problem.operator.grid.num_nodes))
+    assert np.array_equal(advance_periods(problem, ones[0], 3), ones[0])
+    stepper = _PeriodStepper(problem)
+    assert np.array_equal(stepper.one_period(ones), ones)
+    rows, iterations, worst = _bracket(stepper, ones, 1e-8, 5)
+    assert np.array_equal(rows, ones)
+    assert iterations == [1, 1] and worst == [0.0, 0.0]
 
 
 def test_snapshot_count_must_divide_the_period_steps():
