@@ -86,6 +86,7 @@ from .operators import (
     consistency_error,
     dump_coo,
     parse_boundary_condition,
+    sweep_operators,
 )
 from .reports import ConvergenceReport, empirical_orders, read_csv_table, sweep_order
 from .spectral import (

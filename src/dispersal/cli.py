@@ -44,10 +44,9 @@ from .evolution import (
 )
 from .grids import (
     BOX,
-    Field,
     box,
     build_grid,
-    field_from_function,
+    initial_field,
     periodic_cell,
     sup_norm,
     write_field_csv,
@@ -66,6 +65,7 @@ from .operators import (
     BoundaryCondition,
     assemble_local,
     assemble_nonlocal,
+    nonlocal_grid,
     parse_boundary_condition,
 )
 from .spectral import PeriodMap, principal_value, spectrum_convergence_experiment
@@ -73,15 +73,17 @@ from .spectral import PeriodMap, principal_value, spectrum_convergence_experimen
 _U0_CATALOG = "const(c), cosine-mode(m), sine-mode(m), poly-bump"
 
 
-def _build_domain(cfg: ExperimentConfig, bc: BoundaryCondition):
+def _habitat(cfg: ExperimentConfig):
+    """Read the keys every experiment starts with: ``bc``, the domain, ``h``, ``dt``."""
+    bc = parse_boundary_condition(cfg.get_str("bc"))
     dimension = cfg.get_int("dimension", default=1)
     if dimension not in (1, 2):
         raise ValidationError(f"config key 'dimension' must be 1 or 2, got {dimension}")
     if bc is BoundaryCondition.PERIODIC:
-        return periodic_cell(_axis_values(cfg, "period", dimension))
-    lower = _axis_values(cfg, "lower", dimension)
-    upper = _axis_values(cfg, "upper", dimension)
-    return box(lower, upper)
+        domain = periodic_cell(_axis_values(cfg, "period", dimension))
+    else:
+        domain = box(_axis_values(cfg, "lower", dimension), _axis_values(cfg, "upper", dimension))
+    return bc, domain, cfg.get_number("h"), cfg.get_number("dt")
 
 
 def _axis_values(cfg: ExperimentConfig, key: str, dimension: int) -> list[float]:
@@ -94,18 +96,19 @@ def _axis_values(cfg: ExperimentConfig, key: str, dimension: int) -> list[float]
     return values
 
 
+def _profile(cfg: ExperimentConfig, domain):
+    kernel = cfg.get_str("kernel", default=QUARTIC, choices=(QUARTIC, MOLLIFIER))
+    return kernel_profile(kernel, domain.dimension)
+
+
 def _build_operator(cfg: ExperimentConfig, bc: BoundaryCondition, domain, h: float):
     """Assemble the single operator selected by ``kind`` (plus its grid)."""
     kind = cfg.get_str("kind", default=NONLOCAL, choices=(NONLOCAL, LOCAL))
     if kind == NONLOCAL:
-        kernel = cfg.get_str("kernel", default=QUARTIC, choices=(QUARTIC, MOLLIFIER))
+        profile = _profile(cfg, domain)
         delta = cfg.get_number("delta")
-        profile = kernel_profile(kernel, domain.dimension)
-        ghost = delta if bc is BoundaryCondition.DIRICHLET else 0.0
-        grid = build_grid(domain, h, ghost_width=ghost)
-        return assemble_nonlocal(grid, profile, delta, bc)
-    grid = build_grid(domain, h)
-    return assemble_local(grid, bc)
+        return assemble_nonlocal(nonlocal_grid(domain, h, bc, delta), profile, delta, bc)
+    return assemble_local(build_grid(domain, h), bc)
 
 
 def _initial_function(text: str, domain):
@@ -145,23 +148,12 @@ def _initial_function(text: str, domain):
     return lambda *cols: wave(freq * (cols[0] - lo))
 
 
-def _sample_initial(grid, fn) -> Field:
-    """Sample initial data and blank the ghost band (operator padding)."""
-    field = field_from_function(grid, fn)
-    values = field.values.copy()
-    values[grid.ghost_mask] = 0.0
-    return Field(grid, values, 0.0)
-
-
 def _write_rows(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header, *rows]) + "\n", encoding="ascii")
 
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    bc = parse_boundary_condition(cfg.get_str("bc"))
-    domain = _build_domain(cfg, bc)
-    h = cfg.get_number("h")
-    dt = cfg.get_number("dt")
+    bc, domain, h, dt = _habitat(cfg)
     t_final = cfg.get_number("t_final")
     period = cfg.get_number("T", default=1.0)
     reaction_text = cfg.get_str("reaction", default="zero")
@@ -173,7 +165,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     if snapshots < 1:
         raise ValidationError(f"config key 'snapshots' must be >= 1, got {snapshots}")
     reaction = parse_reaction(reaction_text, period)
-    u0 = _sample_initial(op.grid, _initial_function(u0_text, domain))
+    u0 = initial_field(op.grid, _initial_function(u0_text, domain))
     problem = SemilinearProblem(op, reaction, u0, 0.0, t_final)
     nsteps = int(round(t_final / dt))
     times = [k * dt for k in _uniform_snapshot_steps(max(nsteps, 1), snapshots)]
@@ -193,10 +185,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
 
 def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    bc = parse_boundary_condition(cfg.get_str("bc"))
-    domain = _build_domain(cfg, bc)
-    h = cfg.get_number("h")
-    dt = cfg.get_number("dt")
+    bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
     coefficient_text = cfg.get_str("coefficient")
     tol = cfg.get_number("tol", default=1e-9)
@@ -226,10 +215,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
 
 def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    bc = parse_boundary_condition(cfg.get_str("bc"))
-    domain = _build_domain(cfg, bc)
-    h = cfg.get_number("h")
-    dt = cfg.get_number("dt")
+    bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
     growth_text = cfg.get_str("growth")
     tol = cfg.get_number("tol", default=1e-8)
@@ -249,17 +235,7 @@ def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     orbit = positive_periodic_solution(
         problem, tol=tol, max_periods=max_periods, snapshots_per_period=orbit_snapshots
     )
-    grid = op.grid
-    keep = ~grid.ghost_mask
-    columns = [col[keep] for col in grid.coordinates]
-    rows = []
-    for t, state in zip(orbit.times, orbit.states):
-        values = state.values[keep]
-        for i in range(values.size):
-            coords = ",".join(repr(float(col[i])) for col in columns)
-            rows.append(f"{float(t)!r},{coords},{float(values[i])!r}")
-    header = "t," + ("x,value" if grid.dimension == 1 else "x,y,value")
-    _write_rows(out_dir / "orbit.csv", header, rows)
+    write_field_csv(orbit.states, out_dir / "orbit.csv")
     return [
         f"linearized growth rate at zero: {rate!r}",
         f"orbit residual over one cycle: {orbit.residual!r}",
@@ -269,7 +245,14 @@ def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     ]
 
 
-def _report_outcome(report, label: str) -> list[str]:
+def _sweep(cfg: ExperimentConfig, out_dir: Path, domain, label: str, experiment) -> list[str]:
+    """Finish a sweep run: read ``kernel`` and ``deltas``, reject stray keys,
+    run ``experiment(profile, deltas)``, write its report and list its meta."""
+    profile = _profile(cfg, domain)
+    deltas = cfg.get_number_list("deltas")
+    cfg.reject_unknown_keys()
+    report = experiment(profile, deltas)
+    report.to_csv(out_dir / "report.csv")
     lines = [f"{label}: one row per kernel radius ({len(report.rows)} rows)"]
     for key, value in sorted(report.meta.items()):
         if isinstance(value, (list, tuple)):
@@ -279,87 +262,52 @@ def _report_outcome(report, label: str) -> list[str]:
 
 
 def _run_converge_a(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    bc = parse_boundary_condition(cfg.get_str("bc"))
-    domain = _build_domain(cfg, bc)
-    h = cfg.get_number("h")
-    dt = cfg.get_number("dt")
+    bc, domain, h, dt = _habitat(cfg)
     t_final = cfg.get_number("t_final")
     period = cfg.get_number("T", default=1.0)
     reaction_text = cfg.get_str("reaction", default="zero")
     u0_text = cfg.get_str("u0")
     snapshots = cfg.get_int("snapshots", default=8)
-    kernel = cfg.get_str("kernel", default=QUARTIC, choices=(QUARTIC, MOLLIFIER))
-    deltas = cfg.get_number_list("deltas")
-    cfg.reject_unknown_keys()
 
-    report = solution_convergence_experiment(
-        domain,
-        bc,
-        kernel_profile(kernel, domain.dimension),
-        parse_reaction(reaction_text, period),
-        _initial_function(u0_text, domain),
-        t_final,
-        deltas,
-        h,
-        dt,
-        snapshots=snapshots,
-    )
-    report.to_csv(out_dir / "report.csv")
-    return _report_outcome(report, "solution distance sweep")
+    def experiment(profile, deltas):
+        reaction = parse_reaction(reaction_text, period)
+        u0 = _initial_function(u0_text, domain)
+        return solution_convergence_experiment(
+            domain, bc, profile, reaction, u0, t_final, deltas, h, dt, snapshots=snapshots
+        )
+
+    return _sweep(cfg, out_dir, domain, "solution distance sweep", experiment)
 
 
 def _run_converge_b(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    bc = parse_boundary_condition(cfg.get_str("bc"))
-    domain = _build_domain(cfg, bc)
-    h = cfg.get_number("h")
-    dt = cfg.get_number("dt")
+    bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
     coefficient_text = cfg.get_str("coefficient")
     tol = cfg.get_number("tol", default=1e-9)
-    kernel = cfg.get_str("kernel", default=QUARTIC, choices=(QUARTIC, MOLLIFIER))
-    deltas = cfg.get_number_list("deltas")
-    cfg.reject_unknown_keys()
 
-    report = spectrum_convergence_experiment(
-        domain,
-        bc,
-        parse_coefficient(coefficient_text, period),
-        kernel_profile(kernel, domain.dimension),
-        deltas,
-        h,
-        dt,
-        tol=tol,
-    )
-    report.to_csv(out_dir / "report.csv")
-    return _report_outcome(report, "growth-rate gap sweep")
+    def experiment(profile, deltas):
+        coefficient = parse_coefficient(coefficient_text, period)
+        return spectrum_convergence_experiment(
+            domain, bc, coefficient, profile, deltas, h, dt, tol=tol
+        )
+
+    return _sweep(cfg, out_dir, domain, "growth-rate gap sweep", experiment)
 
 
 def _run_converge_c(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
-    bc = parse_boundary_condition(cfg.get_str("bc"))
-    domain = _build_domain(cfg, bc)
-    h = cfg.get_number("h")
-    dt = cfg.get_number("dt")
+    bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
     growth_text = cfg.get_str("growth")
     tol = cfg.get_number("tol", default=1e-8)
-    orbit_snapshots = cfg.get_int("orbit_snapshots", default=32)
-    kernel = cfg.get_str("kernel", default=QUARTIC, choices=(QUARTIC, MOLLIFIER))
-    deltas = cfg.get_number_list("deltas")
-    cfg.reject_unknown_keys()
+    snapshots = cfg.get_int("orbit_snapshots", default=32)
 
-    report = orbit_convergence_experiment(
-        domain,
-        bc,
-        parse_growth(growth_text, period),
-        kernel_profile(kernel, domain.dimension),
-        deltas,
-        h,
-        dt,
-        tol=tol,
-        snapshots_per_period=orbit_snapshots,
-    )
-    report.to_csv(out_dir / "report.csv")
-    return _report_outcome(report, "periodic-state gap sweep")
+    def experiment(profile, deltas):
+        growth = parse_growth(growth_text, period)
+        return orbit_convergence_experiment(
+            domain, bc, growth, profile, deltas, h, dt, tol=tol, snapshots_per_period=snapshots
+        )
+
+    return _sweep(cfg, out_dir, domain, "periodic-state gap sweep", experiment)
 
 
 _RUNNERS = {

@@ -49,15 +49,14 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, parse_coefficient, split_call
 from .errors import BlowUpError, SolverFailureError, ValidationError
-from .grids import Field, Grid, build_grid, field_from_function, same_grid, sup_distance
+from .grids import Field, Grid, initial_field, same_grid, sup_distance
 from .kernels import KernelProfile
 from .operators import (
     LOCAL,
     NONLOCAL,
     BoundaryCondition,
     DispersalOperator,
-    assemble_local,
-    assemble_nonlocal,
+    sweep_operators,
 )
 from .reports import ConvergenceReport, empirical_orders
 
@@ -517,44 +516,30 @@ def solution_convergence_experiment(
     strictly decreasing and ``h <= min(deltas) / 8`` so every kernel stays
     well resolved.
     """
-    deltas = [float(d) for d in deltas]
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValidationError("deltas must be positive")
-    if any(a <= b for a, b in zip(deltas, deltas[1:])):
-        raise ValidationError(f"deltas must be strictly decreasing, got {deltas}")
-    if h > min(deltas) / 8.0 + 1e-12:
-        raise ValidationError(
-            f"h must satisfy h <= min(deltas)/8: h={h!r}, min(deltas)/8={min(deltas) / 8.0!r}"
-        )
-    bc = BoundaryCondition(bc)
-    ghost = max(deltas) if bc is BoundaryCondition.DIRICHLET else 0.0
-    grid = build_grid(domain, h, ghost_width=ghost)
-    u0 = field_from_function(grid, initial_fn)
-    u0.values[grid.ghost_mask] = 0.0
+    deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
+    grid = local_op.grid
+    u0 = initial_field(grid, initial_fn)
 
     nsteps = int(round(t_final / dt))
     snap_times = [k * dt for k in _uniform_snapshot_steps(nsteps, snapshots)]
-
-    local_op = assemble_local(grid, bc)
     reference = solve(SemilinearProblem(local_op, reaction, u0, 0.0, t_final), dt, snap_times)
 
     keep = ~grid.ghost_mask
     observed_min = min(float(np.min(st.values[keep])) for st in reference.states)
 
-    def one_delta(delta: float) -> tuple[float, float]:
-        op = assemble_nonlocal(grid, profile, delta, bc)
+    def one_delta(op: DispersalOperator) -> tuple[float, float]:
         run = solve(SemilinearProblem(op, reaction, u0.copy(), 0.0, t_final), dt, snap_times)
         err = max(sup_distance(a, b) for a, b in zip(run.states, reference.states))
         low = min(float(np.min(st.values[keep])) for st in run.states)
         return err, low
 
-    results = [one_delta(d) for d in deltas]
+    results = list(map(one_delta, nonlocal_ops))
     errors = [r[0] for r in results]
     observed_min = min([observed_min] + [r[1] for r in results])
     orders = empirical_orders(deltas, errors)
     rows = [(d, e, p) for d, e, p in zip(deltas, errors, orders)]
     meta = {
-        "bc": bc.value,
+        "bc": local_op.bc.value,
         "h": h,
         "dt": dt,
         "t_final": t_final,

@@ -13,8 +13,10 @@ distance between fields is the max-norm over non-ghost nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import Sequence
 
 import numpy as np
 
@@ -201,6 +203,13 @@ def field_from_function(grid: Grid, fn, time: float = 0.0) -> Field:
     return Field(grid, values, time)
 
 
+def initial_field(grid: Grid, fn) -> Field:
+    """Sample initial data ``fn`` at time 0 and zero the ghost band (operator padding)."""
+    field = field_from_function(grid, fn)
+    field.values[grid.ghost_mask] = 0.0
+    return field
+
+
 def constant_field(grid: Grid, value: float, time: float = 0.0) -> Field:
     return Field(grid, np.full(grid.num_nodes, float(value)), time)
 
@@ -219,15 +228,27 @@ def sup_distance(f: Field, g: Field) -> float:
     return float(np.max(np.abs(f.values[keep] - g.values[keep])))
 
 
-def write_field_csv(field: Field, path) -> None:
-    """Serialize the non-ghost nodes as ``x[,y],value`` rows."""
-    grid = field.grid
+def write_field_csv(field: Field | Sequence[Field], path) -> None:
+    """Serialize the non-ghost nodes as ``x[,y],value`` rows.
+
+    A sequence of fields on one grid (the snapshots of an orbit) is written
+    as ``t,x[,y],value`` rows, one block per field, each row led by its
+    field's time.
+    """
+    timed = not isinstance(field, Field)
+    fields = list(field) if timed else [field]
+    grid = fields[0].grid
+    if not all(same_grid(f.grid, grid) for f in fields):
+        raise ValidationError("grid mismatch: fields live on different grids")
     keep = ~grid.ghost_mask
-    columns = [_repr_column(c[keep]) for c in grid.coordinates] + [_repr_column(field.values[keep])]
-    header = ",".join(["x", "y"][: grid.dimension] + ["value"])
+    coordinates = [_repr_column(c[keep]) for c in grid.coordinates]
+    header = ",".join(["t"] * timed + ["x", "y"][: grid.dimension] + ["value"])
     with open(path, "w", encoding="ascii") as handle:
         handle.write(header + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*columns))
+        for f in fields:
+            lead = [itertools.repeat(repr(float(f.time)))] if timed else []
+            columns = lead + coordinates + [_repr_column(f.values[keep])]
+            handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _repr_column(column: np.ndarray) -> list[str]:

@@ -40,17 +40,16 @@ from .errors import (
     ValidationError,
 )
 from .evolution import linear_step
-from .grids import Field, build_grid, field_from_function, same_grid, sup_distance
+from .grids import Field, same_grid, sup_distance
 from .kernels import KernelProfile
 from .operators import (
     BOX,
     BoundaryCondition,
     DispersalOperator,
-    assemble_local,
-    assemble_nonlocal,
+    sweep_operators,
 )
 from .reports import ConvergenceReport, empirical_orders
-from .spectral import PeriodMap, default_start, principal_value
+from .spectral import PeriodMap, default_start, principal_value, whole_steps
 
 #: Sup-norm floor below which a positive-orbit iteration is declared collapsed.
 COLLAPSE_FLOOR = 1e-13
@@ -94,13 +93,7 @@ class KPPProblem:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        steps = self.growth.period / self.dt
-        if abs(steps - round(steps)) > 1e-6 or round(steps) < 1:
-            raise ValidationError(
-                f"dt={self.dt!r} does not divide the period {self.growth.period!r} into whole steps"
-            )
+        whole_steps(self.growth.period, self.dt)
 
     @property
     def period(self) -> float:
@@ -108,7 +101,7 @@ class KPPProblem:
 
     @property
     def steps_per_period(self) -> int:
-        return int(round(self.growth.period / self.dt))
+        return whole_steps(self.growth.period, self.dt)
 
 
 def validate_saturation(problem: KPPProblem, time_samples: int = 64) -> float:
@@ -342,20 +335,8 @@ def orbit_convergence_experiment(
     rate was positive; a nonpositive rate records a gapless row instead of
     aborting the sweep.
     """
-    deltas = [float(d) for d in deltas]
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValidationError("deltas must be positive")
-    if any(a <= b for a, b in zip(deltas, deltas[1:])):
-        raise ValidationError(f"deltas must be strictly decreasing, got {deltas}")
-    if h > min(deltas) / 8.0 + 1e-12:
-        raise ValidationError(
-            f"h must satisfy h <= min(deltas)/8: h={h!r}, min(deltas)/8={min(deltas) / 8.0!r}"
-        )
-    bc = BoundaryCondition(bc)
-    ghost = max(deltas) if bc is BoundaryCondition.DIRICHLET else 0.0
-    grid = build_grid(domain, h, ghost_width=ghost)
-
-    local_problem = KPPProblem(assemble_local(grid, bc), growth, dt)
+    deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
+    local_problem = KPPProblem(local_op, growth, dt)
     local_ok, local_rate = verify_invasion_condition(local_problem)
     if not local_ok:
         raise NumericsError(
@@ -366,27 +347,26 @@ def orbit_convergence_experiment(
         local_problem, tol=tol, snapshots_per_period=snapshots_per_period
     )
 
-    def one_delta(delta: float):
-        op = assemble_nonlocal(grid, profile, delta, bc)
+    def one_delta(op: DispersalOperator):
         problem = KPPProblem(op, growth, dt)
         ok, rate = verify_invasion_condition(problem)
         if not ok:
-            return (delta, nan, rate, False, None)
+            return (op.delta, nan, rate, False, None)
         orbit = positive_periodic_solution(
             problem, tol=tol, snapshots_per_period=snapshots_per_period
         )
         gap = max(
             sup_distance(a, b) for a, b in zip(orbit.states, reference.states)
         )
-        return (delta, gap, rate, True, orbit)
+        return (op.delta, gap, rate, True, orbit)
 
-    results = [one_delta(d) for d in deltas]
+    results = list(map(one_delta, nonlocal_ops))
 
     rows = [(d, gap, rate, ok) for d, gap, rate, ok, _ in results]
     orbits = [orbit for *_, orbit in results if orbit is not None] + [reference]
     gaps = [gap for _, gap, *_ in rows]
     meta = {
-        "bc": bc.value,
+        "bc": local_op.bc.value,
         "h": h,
         "dt": dt,
         "growth": growth.description,

@@ -36,6 +36,7 @@ integration restricted to the closed box), or wrapping (``periodic``).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .grids import BOX, PERIODIC_CELL, Field, Grid, same_grid
+from .grids import BOX, PERIODIC_CELL, Domain, Field, Grid, build_grid, same_grid
 from .kernels import KernelProfile, dispersal_rate, scaled_kernel
 
 if TYPE_CHECKING:
@@ -334,25 +335,13 @@ def assemble_nonlocal(
             )
     nu = dispersal_rate(profile.moment_constant, delta)
     reach = int(math.floor(delta / h + 1e-12))
-    cell_weight = h**grid.dimension
-    offsets: list[tuple[Offset, float]] = []
-    if grid.dimension == 1:
-        for o in range(-reach, reach + 1):
-            if o == 0:
-                continue
-            w = nu * cell_weight * float(scaled_kernel(profile, delta, o * h))
-            if w > 0.0:
-                offsets.append(((o,), w))
-    else:
-        for o0 in range(-reach, reach + 1):
-            for o1 in range(-reach, reach + 1):
-                if o0 == 0 and o1 == 0:
-                    continue
-                w = nu * cell_weight * float(
-                    scaled_kernel(profile, delta, np.array([o0 * h, o1 * h]))
-                )
-                if w > 0.0:
-                    offsets.append(((o0, o1), w))
+    dim = grid.dimension
+    cell_weight = h**dim
+    stencil = [o for o in itertools.product(range(-reach, reach + 1), repeat=dim) if any(o)]
+    points = np.array(stencil, dtype=float) * h
+    k = scaled_kernel(profile, delta, points[:, 0] if dim == 1 else points)
+    weights = (nu * cell_weight * k).tolist()
+    offsets: list[tuple[Offset, float]] = [(o, w) for o, w in zip(stencil, weights) if w > 0.0]
     # One factor for all offsets: o and -o stay bitwise equal, so symmetry
     # and the exact annihilation of constants survive the rescale.
     scale = 2.0 / math.fsum(w * (o[0] * h) ** 2 for o, w in offsets)
@@ -398,6 +387,40 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
         constrained=constrained,
         mirror=(bc is BoundaryCondition.NEUMANN),
     )
+
+
+def nonlocal_grid(domain: Domain, h: float, bc: BoundaryCondition, delta: float) -> Grid:
+    """Grid for jump operators of radius up to ``delta`` under closure ``bc``.
+
+    The hostile exterior (``dirichlet``) gets a ghost band ``delta`` wide
+    to hold the zero datum that jumps land in; the other closures take none.
+    """
+    return build_grid(domain, h, ghost_width=delta if bc is BoundaryCondition.DIRICHLET else 0.0)
+
+
+def sweep_operators(
+    domain: Domain, bc: BoundaryCondition, profile: KernelProfile, deltas, h: float
+):
+    """Set up a kernel-radius sweep: ``(deltas, local_op, nonlocal_ops)``.
+
+    Checks ``deltas`` positive, strictly decreasing and ``h <= min(deltas)/8``
+    (every kernel well resolved), builds one grid for the local reference
+    and all radii, and returns the radii as floats, the local operator, and
+    a generator assembling each radius's operator, in order, when reached.
+    """
+    deltas = [float(d) for d in deltas]
+    if not deltas or any(d <= 0 for d in deltas):
+        raise ValidationError("deltas must be positive")
+    if any(a <= b for a, b in zip(deltas, deltas[1:])):
+        raise ValidationError(f"deltas must be strictly decreasing, got {deltas}")
+    if h > min(deltas) / 8.0 + 1e-12:
+        raise ValidationError(
+            f"h must satisfy h <= min(deltas)/8: h={h!r}, min(deltas)/8={min(deltas) / 8.0!r}"
+        )
+    bc = parse_boundary_condition(bc)
+    grid = nonlocal_grid(domain, h, bc, max(deltas))
+    nonlocal_ops = (assemble_nonlocal(grid, profile, delta, bc) for delta in deltas)
+    return deltas, assemble_local(grid, bc), nonlocal_ops
 
 
 # ---------------------------------------------------------------------- #

@@ -34,17 +34,26 @@ import numpy as np
 from .coefficients import TimePeriodicCoefficient, sup_difference, time_average
 from .errors import NoConvergenceError, NumericsError, ValidationError
 from .evolution import linear_step
-from .grids import Field, build_grid, field_from_function, same_grid
+from .grids import Field, field_from_function, same_grid
 from .kernels import KernelProfile
 from .operators import (
     BOX,
     NONLOCAL,
     BoundaryCondition,
     DispersalOperator,
-    assemble_local,
-    assemble_nonlocal,
+    sweep_operators,
 )
 from .reports import ConvergenceReport, empirical_orders
+
+
+def whole_steps(period: float, dt: float) -> int:
+    """Number of steps ``dt`` in one ``period``; it must be a positive whole number."""
+    if dt <= 0.0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    steps = round(period / dt)
+    if steps < 1 or abs(period / dt - steps) > 1e-6:
+        raise ValidationError(f"dt={dt!r} does not divide the period {period!r} into whole steps")
+    return steps
 
 
 @dataclass(eq=False)
@@ -58,13 +67,7 @@ class PeriodMap:
     _factors: list | None = dataclass_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        steps = self.period / self.dt
-        if abs(steps - round(steps)) > 1e-6 or round(steps) < 1:
-            raise ValidationError(
-                f"dt={self.dt!r} does not divide the period {self.period!r} into whole steps"
-            )
+        whole_steps(self.period, self.dt)
 
     @property
     def period(self) -> float:
@@ -72,7 +75,7 @@ class PeriodMap:
 
     @property
     def steps(self) -> int:
-        return int(round(self.period / self.dt))
+        return whole_steps(self.period, self.dt)
 
     def _prepare(self):
         if self._step is None:
@@ -256,27 +259,14 @@ def spectrum_convergence_experiment(
     One row per radius: the nonlocal rate, the shared local reference rate,
     their absolute gap, and the principal-eigenvalue existence flag.
     """
-    deltas = [float(d) for d in deltas]
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValidationError("deltas must be positive")
-    if any(a <= b for a, b in zip(deltas, deltas[1:])):
-        raise ValidationError(f"deltas must be strictly decreasing, got {deltas}")
-    if h > min(deltas) / 8.0 + 1e-12:
-        raise ValidationError(
-            f"h must satisfy h <= min(deltas)/8: h={h!r}, min(deltas)/8={min(deltas) / 8.0!r}"
-        )
-    bc = BoundaryCondition(bc)
-    ghost = max(deltas) if bc is BoundaryCondition.DIRICHLET else 0.0
-    grid = build_grid(domain, h, ghost_width=ghost)
-    local_map = PeriodMap(assemble_local(grid, bc), coefficient, dt)
-    lambda_local = principal_value(local_map, tol=tol).value
+    deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
+    lambda_local = principal_value(PeriodMap(local_op, coefficient, dt), tol=tol).value
 
-    def one_delta(delta: float):
-        op = assemble_nonlocal(grid, profile, delta, bc)
+    def one_delta(op: DispersalOperator):
         result = principal_value(PeriodMap(op, coefficient, dt), tol=tol)
         return result.value, result.is_principal_eigenvalue
 
-    results = [one_delta(d) for d in deltas]
+    results = list(map(one_delta, nonlocal_ops))
 
     gaps = [abs(lam - lambda_local) for lam, _ in results]
     rows = [
@@ -284,7 +274,7 @@ def spectrum_convergence_experiment(
         for d, (lam, flag), gap in zip(deltas, results, gaps)
     ]
     meta = {
-        "bc": bc.value,
+        "bc": local_op.bc.value,
         "h": h,
         "dt": dt,
         "coefficient": coefficient.description,

@@ -306,6 +306,78 @@ def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
     assert capsys.readouterr().err == "error: field exceeded 1e+12 at t=0.31\n"
 
 
+@pytest.mark.parametrize(
+    "command, keys, message",
+    [
+        (
+            "spectrum",
+            dict(
+                bc="neumann",
+                lower="0",
+                upper="1",
+                h="1/32",
+                dt="0.05",
+                T="1",
+                delta="0.3",
+                coefficient="space-cosine(0.3,0.5,3)",
+                max_iterations="1",
+            ),
+            "power iteration did not settle in 1 iterations",
+        ),
+        (
+            "kpp-orbit",
+            dict(
+                bc="neumann",
+                lower="0",
+                upper="1",
+                h="1/32",
+                dt="1/32",
+                T="1",
+                delta="0.3",
+                growth="logistic(const(1))",
+                max_periods="1",
+            ),
+            "did not reach tol=1e-08 within 1 periods",
+        ),
+        (
+            "converge-c",
+            dict(
+                bc="neumann",
+                lower="0",
+                upper="1",
+                h="1/64",
+                dt="1/32",
+                T="1",
+                growth="logistic(const(-1))",
+                deltas="0.4, 0.2",
+            ),
+            "no positive periodic reference state exists",
+        ),
+        (
+            "converge-a",
+            dict(
+                bc="periodic",
+                period="2*pi",
+                h="2*pi/128",
+                dt="0.01",
+                t_final="0.5",
+                u0="sine-mode(1)",
+                reaction="linear(const(100))",
+                deltas="0.8, 0.4",
+            ),
+            "field exceeded 1e+12 at t=",
+        ),
+    ],
+    ids=["spectrum", "kpp-orbit", "converge-c", "converge-a"],
+)
+def test_failed_computations_exit_3(tmp_path, capsys, command, keys, message):
+    cfg = write_config(tmp_path, "x.cfg", **keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o" / "run.txt").exists()
+
+
 def test_the_retired_jobs_key_and_flag_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "a.cfg", jobs="2", **CONVERGE_A_KEYS)
     assert main(["converge-a", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -142,22 +142,35 @@ def test_field_csv_round_trip_2d(tmp_path):
     np.testing.assert_array_equal(restored.values, field.values)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_field_csv_bytes_match_the_per_value_repr(tmp_path, dim):
+@pytest.mark.parametrize(
+    "dim, timed",
+    [(1, False), (2, False), (1, True), (2, True)],
+    ids=["1", "2", "1-orbit", "2-orbit"],
+)
+def test_field_csv_bytes_match_the_per_value_repr(tmp_path, dim, timed):
     # Reference writer: one repr(float(v)) per cell.  Signed zeros, repeated
-    # values, non-finite and subnormal entries must come out the same.
+    # values, non-finite and subnormal entries must come out the same.  A
+    # sequence of fields (an orbit) adds a leading time column.
     grid = build_grid(box([-1.0] * dim, [1.0] * dim), 0.125, ghost_width=0.25)
     values = np.random.default_rng(2).standard_normal(grid.num_nodes)
     inner = np.flatnonzero(~grid.ghost_mask)
     values[inner[:9]] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -0.0, 0.1, 0.1]
-    field = Field(grid, values)
+    fields = [Field(grid, values), Field(grid, values[::-1], 0.1), Field(grid, -values, 1 / 3)]
     path = tmp_path / "field.csv"
-    write_field_csv(field, path)
+    write_field_csv(fields if timed else fields[0], path)
     keep = ~grid.ghost_mask
-    columns = [c[keep] for c in grid.coordinates] + [values[keep]]
-    lines = [",".join(["x", "y"][:dim] + ["value"])]
-    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    lines = [",".join(["t"][:timed] + ["x", "y"][:dim] + ["value"])]
+    for field in fields if timed else fields[:1]:
+        columns = [c[keep] for c in grid.coordinates] + [field.values[keep]]
+        lead = [repr(field.time)] if timed else []
+        lines += [",".join(lead + [repr(float(v)) for v in row]) for row in zip(*columns)]
     assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+
+def test_field_csv_of_several_fields_needs_one_grid(tmp_path):
+    fields = [constant_field(build_grid(box(0.0, 1.0), h), 1.0) for h in (0.25, 0.125)]
+    with pytest.raises(ValidationError, match="grid mismatch"):
+        write_field_csv(fields, tmp_path / "orbit.csv")
 
 
 def test_read_field_csv_rejects_wrong_grid(tmp_path):

@@ -10,6 +10,7 @@ from scipy.special import j0
 from dispersal import (
     MOLLIFIER,
     QUARTIC,
+    BoundaryCondition,
     Field,
     ValidationError,
     assemble_local,
@@ -23,7 +24,9 @@ from dispersal import (
     kernel_profile,
     periodic_cell,
     scaled_kernel,
+    sweep_operators,
 )
+from dispersal import operators
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 MOLLIFIER_1D = kernel_profile(MOLLIFIER, 1)
@@ -375,6 +378,49 @@ def test_assembly_rejects_mismatched_dimensions_and_domains():
         assemble_local(build_grid(box(0.0, 1.0), 1.0), "neumann")
     with pytest.raises(ValidationError, match="boundary condition"):
         assemble_local(grid, "absorbing")
+
+
+# --------------------------------------------------------------------- #
+# sweep harness                                                          #
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
+def test_sweep_operators_share_one_grid_and_assemble_each_radius_when_reached(bc, monkeypatch):
+    assembled = []
+
+    def recording(grid, profile, delta, bc):
+        assembled.append(delta)
+        return assemble_nonlocal(grid, profile, delta, bc)
+
+    monkeypatch.setattr(operators, "assemble_nonlocal", recording)
+    domain = periodic_cell(2.0) if bc == "periodic" else box(0.0, 2.0)
+    h = 1.0 / 128
+    deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, QUARTIC_1D, (0.5, 0.25, 1 / 8), h)
+    assert deltas == [0.5, 0.25, 0.125] and all(type(d) is float for d in deltas)
+    assert local_op.kind == "local" and local_op.bc is BoundaryCondition(bc)
+    grid = local_op.grid
+    if bc == "dirichlet":
+        assert grid.ghost_cells * h >= 0.5 > (grid.ghost_cells - 1) * h  # band covers max(deltas)
+    else:
+        assert grid.ghost_cells == 0
+    assert assembled == []
+    for k, op in enumerate(nonlocal_ops):
+        assert assembled == deltas[: k + 1]  # assembled only when reached, in order
+        assert op.kind == "nonlocal" and op.delta == deltas[k] and op.grid is grid
+    assert assembled == deltas
+
+
+def test_sweep_operators_validate_the_radii():
+    domain = box(0.0, 1.0)
+    with pytest.raises(ValidationError, match="deltas must be positive"):
+        sweep_operators(domain, "neumann", QUARTIC_1D, [], 1.0 / 64)
+    with pytest.raises(ValidationError, match="deltas must be positive"):
+        sweep_operators(domain, "neumann", QUARTIC_1D, [0.4, -0.2], 1.0 / 64)
+    with pytest.raises(ValidationError, match="strictly decreasing"):
+        sweep_operators(domain, "neumann", QUARTIC_1D, [0.2, 0.4], 1.0 / 64)
+    with pytest.raises(ValidationError, match="min\\(deltas\\)/8"):
+        sweep_operators(domain, "neumann", QUARTIC_1D, [0.4, 0.2], 1.0 / 32)
 
 
 # --------------------------------------------------------------------- #
