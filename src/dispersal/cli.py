@@ -96,6 +96,14 @@ def _axis_values(cfg: ExperimentConfig, key: str, dimension: int) -> list[float]
     return values
 
 
+def _snapshot_count(cfg: ExperimentConfig) -> int:
+    """Read ``snapshots`` (default 8), which must be at least 1."""
+    snapshots = cfg.get_int("snapshots", default=8)
+    if snapshots < 1:
+        raise ValidationError(f"config key 'snapshots' must be >= 1, got {snapshots}")
+    return snapshots
+
+
 def _profile(cfg: ExperimentConfig, domain):
     kernel = cfg.get_str("kernel", default=QUARTIC, choices=(QUARTIC, MOLLIFIER))
     return kernel_profile(kernel, domain.dimension)
@@ -140,12 +148,22 @@ def _initial_function(text: str, domain):
         return lambda *cols: np.full_like(np.asarray(cols[0], dtype=float), value)
     wave = np.cos if name == "cosine-mode" else np.sin
     if domain.kind == BOX:
-        lo = domain.lower[0]
-        freq = value * math.pi / (domain.upper[0] - lo)
+        lows = domain.lower
+        freqs = [value * math.pi / (up - lo) for lo, up in zip(lows, domain.upper)]
     else:
-        lo = 0.0
-        freq = 2.0 * math.pi * value / domain.periods[0]
-    return lambda *cols: wave(freq * (cols[0] - lo))
+        lows = (0.0,)
+        freqs = [2.0 * math.pi * value / domain.periods[0]]
+    # A sine mode on a box is the product over all axes, so it vanishes on
+    # every face (the hostile-exterior mode); the others vary along x only.
+    axes = len(freqs) if name == "sine-mode" and domain.kind == BOX else 1
+
+    def mode(*cols):
+        out = wave(freqs[0] * (cols[0] - lows[0]))
+        for axis in range(1, axes):
+            out = out * wave(freqs[axis] * (cols[axis] - lows[axis]))
+        return out
+
+    return mode
 
 
 def _write_rows(path: Path, header: str, rows: list[str]) -> None:
@@ -158,12 +176,10 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T", default=1.0)
     reaction_text = cfg.get_str("reaction", default="zero")
     u0_text = cfg.get_str("u0")
-    snapshots = cfg.get_int("snapshots", default=8)
+    snapshots = _snapshot_count(cfg)
     op = _build_operator(cfg, bc, domain, h)
     cfg.reject_unknown_keys()
 
-    if snapshots < 1:
-        raise ValidationError(f"config key 'snapshots' must be >= 1, got {snapshots}")
     reaction = parse_reaction(reaction_text, period)
     u0 = initial_field(op.grid, _initial_function(u0_text, domain))
     problem = SemilinearProblem(op, reaction, u0, 0.0, t_final)
@@ -267,7 +283,7 @@ def _run_converge_a(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T", default=1.0)
     reaction_text = cfg.get_str("reaction", default="zero")
     u0_text = cfg.get_str("u0")
-    snapshots = cfg.get_int("snapshots", default=8)
+    snapshots = _snapshot_count(cfg)
 
     def experiment(profile, deltas):
         reaction = parse_reaction(reaction_text, period)

@@ -19,24 +19,30 @@ and residual-checked in Fourier space without assembling a matrix; the
 step carries each row's spectrum from one solve to the next, so a step of
 :func:`solve` costs four transforms (plus one for the start), a backward
 Euler step of the brackets four batched transforms for both rows, and a
-period-map step two.  Box closures are backed by the operator's CSR
-matrix.  One-dimensional boxes give banded matrices (nonsymmetric for the
-mirrored local neumann closure), factored once by a sparse LU in natural
-order; their warm-start test reuses the explicit half step's ``A @ u``.
-Two-dimensional boxes are solved row by row, iteratively to relative
-residual ``1e-10`` (conjugate gradients when the matrix is symmetric,
-stabilized bi-conjugate gradients for the mirrored closure) with a sparse
-direct solve as rescue.  Every path returns its warm start unchanged
-whenever the start already satisfies the ``1e-10`` residual test;
-constant equilibria therefore persist bitwise.  :func:`implicit_solver`
-gives the same solve for one vector.
+period-map step two.  On a one-dimensional box the action is a band
+over the contiguous free nodes (nonsymmetric for the mirrored local
+neumann closure), applied by ``np.convolve`` of the stencil; ``I - s A``
+there equals the circulant of the wrapped stencil except in the rows
+within stencil reach of a face, so each solve is one FFT diagonalization
+of that circulant plus a small dense capacitance correction on the face
+rows (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971), exact
+up to rounding (with one step of iterative refinement on stiff steps
+under a hostile exterior); the warm-start test reuses the explicit half
+step's ``A @ u``.  Two-dimensional boxes are backed by the operator's CSR matrix
+and solved row by row, iteratively to relative residual ``1e-10``
+(conjugate gradients when the matrix is symmetric, stabilized
+bi-conjugate gradients for the mirrored closure) with a sparse direct
+solve as rescue.  Every path returns its warm start unchanged whenever the
+start already satisfies the ``1e-10`` residual test; constant equilibria
+therefore persist bitwise.  :func:`implicit_solver` gives the same solve
+for one vector.
 
-scipy is a dependency of box closures only: ``scipy.sparse`` and
-``scipy.sparse.linalg`` are imported when a box solver is first built, so
-periodic runs never load them.  The solvers ``cg``, ``bicgstab``,
-``spsolve`` and ``splu`` stay module attributes (bound on first access,
-PEP 562), and the Krylov path calls whatever the module holds at call
-time, so a wrapper bound over one of those names sees every call.
+scipy is a dependency of two-dimensional boxes only: ``scipy.sparse`` and
+``scipy.sparse.linalg`` are imported when such a solver is first built, so
+periodic and one-dimensional runs never load them.  The solvers ``cg``,
+``bicgstab`` and ``spsolve`` stay module attributes (bound on first
+access, PEP 562), and the Krylov path calls whatever the module holds at
+call time, so a wrapper bound over one of those names sees every call.
 """
 
 from __future__ import annotations
@@ -49,15 +55,9 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, parse_coefficient, split_call
 from .errors import BlowUpError, SolverFailureError, ValidationError
-from .grids import Field, Grid, initial_field, same_grid, sup_distance
+from .grids import Field, initial_field, same_grid, sup_distance
 from .kernels import KernelProfile
-from .operators import (
-    LOCAL,
-    NONLOCAL,
-    BoundaryCondition,
-    DispersalOperator,
-    sweep_operators,
-)
+from .operators import LOCAL, BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
 
 if TYPE_CHECKING:
@@ -69,7 +69,7 @@ BLOW_UP_THRESHOLD = 1e12
 
 _SOLVE_RTOL = 1e-10
 
-_SCIPY_SOLVERS = ("bicgstab", "cg", "splu", "spsolve")
+_SCIPY_SOLVERS = ("bicgstab", "cg", "spsolve")
 
 
 def _bind_scipy_solvers() -> None:
@@ -176,10 +176,11 @@ def implicit_solver(op: DispersalOperator, scale: float):
     """Return ``solve(b, x0)`` for the system ``(I - scale * A) x = b``.
 
     The solve is that of :func:`linear_step` on one row: an FFT
-    diagonalization for periodic closures, one banded LU factorization for
-    1D boxes, and CG/BiCGSTAB with a sparse direct rescue for 2D boxes.  A
-    warm start ``x0`` whose residual is already below ``1e-10 |b|`` comes
-    back unchanged (as a copy), and ``b = 0`` gives zeros.
+    diagonalization for periodic closures, the FFT of the wrapped stencil
+    with a face capacitance correction for 1D boxes, and CG/BiCGSTAB with a
+    sparse direct rescue for 2D boxes.  A warm start ``x0`` whose residual
+    is already below ``1e-10 |b|`` comes back unchanged (as a copy), and
+    ``b = 0`` gives zeros.
     """
     return linear_step(op, scale).solve
 
@@ -188,6 +189,8 @@ def linear_step(op: DispersalOperator, scale: float) -> LinearStep:
     """The linear part of a time step with ``(I - scale * A)``, prepared once."""
     if op.bc is BoundaryCondition.PERIODIC:
         return _FourierStep(op, scale)
+    if op.grid.dimension == 1:
+        return _CapacitanceStep(op, scale)
     return _MatrixStep(op, scale)
 
 
@@ -311,13 +314,149 @@ class _FourierStep(LinearStep):
         return x[0].copy()
 
 
-class _MatrixStep(LinearStep):
-    """Box closures, backed by the operator's CSR matrix.
+class _BoxStep(LinearStep):
+    """Box closures: real-space rows, companion ``A @ rows``.
 
-    1D boxes factor ``I - scale * A`` once by a sparse LU in natural order;
-    their warm-start test reuses ``A @ x0`` when the step already formed
-    it.  2D boxes run CG (BiCGSTAB for the mirrored closure) row by row,
-    whose own first residual check is the warm-start test.
+    Subclasses supply ``_act`` (the action on rows) and ``_solve_rows``.
+    """
+
+    def _start(self, rows, companion, explicit):
+        if not explicit:
+            return rows, companion
+        if companion is None:
+            companion = self._act(rows)
+        return self.pin(rows + self.scale * companion), companion
+
+    def _rhs(self, base, weight, values):
+        return self.pin(base + weight * values)
+
+    def solve(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        return self._solve_rows(b.reshape(1, -1), x0.reshape(1, -1), None)[0][0].copy()
+
+
+class _CapacitanceStep(_BoxStep):
+    """One-dimensional boxes: the FFT of the wrapped stencil plus a face correction.
+
+    On the ``m`` free (unpinned) nodes, which are contiguous, the action is
+    the stencil's band, a diagonal and, for the mirrored closure, the
+    entries ``(0, 1)`` and ``(m-1, m-2)``; it is applied by ``np.convolve``.
+    Zero-padded to a 5-smooth length ``L >= m``, the system ``M = I - sA``
+    sits in the block matrix ``[[M, 0], [P_pf, P_pp]]``, where
+    ``P = I - sC`` is the circulant of the stencil wrapped on ``L`` nodes
+    with self term ``-sum_o w_o``: the padding rows are ``P``'s own, so the
+    block matrix differs from ``P`` only in ``E``, its ``k`` rows ``R``
+    within stencil reach of a face (plus any row whose diagonal is not the
+    self term).  Writing ``x = P^-1 y`` leaves ``y = b`` off ``R`` and
+    ``y_R = b_R - G b`` on it, with the gain ``G = Q^-1 (E P^-1)_F`` and
+    the capacitance matrix ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is
+    one ``k x m`` product and one FFT pair, twice on the stiff steps that
+    need a refinement step (see ``__init__``); ``E P^-1`` takes ``k``
+    batched transforms at set-up.
+    """
+
+    def __init__(self, op: DispersalOperator, scale: float):
+        super().__init__(op, scale)
+        free = np.flatnonzero(~op.constrained_mask())
+        lo, m = int(free[0]), free.size
+        if free[-1] - lo + 1 != m:
+            raise ValidationError("a one-dimensional box step needs contiguous free nodes")
+        self._free = slice(lo, lo + m)
+        reach = max(abs(offset) for (offset,), _ in op.offsets)
+        band = np.zeros(2 * reach + 1)  # band[reach + o] = w_o
+        for (offset,), weight in op.offsets:
+            band[reach + offset] += weight
+        self._reach = reach
+        self._kernel = band[::-1].copy()  # np.convolve flips its kernel
+        self._diagonal = op.diagonal()[self._free]
+        self._mirror = op.mirror_weight if op.mirror else 0.0
+
+        length = _fft_length(m)
+        self_term = -op.total_weight()
+        column = np.zeros(length)  # first column of C: w_o at node -o
+        for (offset,), weight in op.offsets:
+            column[-offset % length] += weight
+        column[0] += self_term
+        self._length = length
+        self._eig = 1.0 - scale * np.fft.rfft(column)
+
+        nodes = np.arange(m)
+        faces = np.flatnonzero(
+            (nodes < reach) | (nodes >= m - reach) | (self._diagonal != self_term)
+        )
+        cols = np.arange(length)
+        gap = cols - faces[:, None]
+        face_rows = np.where(
+            (np.abs(gap) <= reach) & (cols < m), band[np.clip(gap + reach, 0, 2 * reach)], 0.0
+        )
+        face_rows[np.arange(faces.size), faces] = self._diagonal[faces]
+        if op.mirror:
+            face_rows[faces == 0, 1] += self._mirror
+            face_rows[faces == m - 1, m - 2] += self._mirror
+        E = scale * (column[(faces[:, None] - cols) % length] - face_rows)
+        EP = np.fft.irfft(np.fft.rfft(E) / np.conj(self._eig), length)  # rows of E P^-1
+        capacitance = np.eye(faces.size) + EP[:, faces]
+        self._faces = faces
+        self._gain = np.einsum("ij,jk->ik", _inverse(capacitance), EP[:, :m])
+
+        # The correction cancels modes of P that M lacks (the constant mode
+        # under a hostile exterior); on stiff steps the cancellation loses
+        # digits (relative residual 4e-10 at scale * sum(w) = 1.3e6), which
+        # one step of iterative refinement restores.  A probe solve decides:
+        # refine where one step removes most of a residual above 1e-13.
+        probe = np.zeros((1, op.grid.num_nodes))
+        probe[:, self._free] = 1.0 + np.cos(nodes)
+        x = self._solve(probe)
+        before = _row_norms(self._residual(probe, x))[0]
+        x += self._solve(self._residual(probe, x))
+        after = _row_norms(self._residual(probe, x))[0]
+        self._refine = bool(before > 1e-13 * _row_norms(probe)[0] and after < before / 4.0)
+
+    def _act(self, rows):
+        u = rows[:, self._free]
+        out = np.zeros_like(rows)
+        band = out[:, self._free]
+        r, m = self._reach, u.shape[1]
+        for target, values in zip(band, u):
+            target[:] = np.convolve(values, self._kernel)[r : r + m]
+        band += self._diagonal * u
+        if self._mirror:
+            band[:, 0] += self._mirror * u[:, 1]
+            band[:, -1] += self._mirror * u[:, -2]
+        return out
+
+    def _solve_rows(self, b, x0, Ax0):
+        Ax = self._act(x0) if Ax0 is None else Ax0
+        keep = _row_norms(b - x0 + self.scale * Ax) < _SOLVE_RTOL * _row_norms(b)
+        kept = keep.tolist()  # a handful of rows: Python's all/any are cheaper
+        if all(kept):
+            return x0, Ax
+        x = self._solve(b)
+        if self._refine:
+            x += self._solve(self._residual(b, x))
+        if any(kept):
+            x[keep] = x0[keep]
+        return x, None
+
+    def _residual(self, b, x):
+        return b - x + self.scale * self._act(x)
+
+    def _solve(self, b):
+        """``(I - scale * A)^-1 b`` for rows ``b``: face correction, then one FFT pair."""
+        free = b[:, self._free]
+        m = free.shape[1]
+        y = np.zeros((len(b), self._length))
+        y[:, :m] = free
+        y[:, self._faces] -= np.einsum("ij,rj->ri", self._gain, free)
+        x = b.copy()
+        x[:, self._free] = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m]
+        return x
+
+
+class _MatrixStep(_BoxStep):
+    """Two-dimensional boxes, backed by the operator's CSR matrix.
+
+    Each row is solved by CG (BiCGSTAB for the mirrored closure), whose own
+    first residual check is the warm-start test.
     """
 
     def __init__(self, op: DispersalOperator, scale: float):
@@ -327,45 +466,62 @@ class _MatrixStep(LinearStep):
         _bind_scipy_solvers()
         self._A = op.matrix()
         M = sparse.identity(self._A.shape[0], format="csr") - scale * self._A
-        if op.grid.dimension == 1:
-            self._direct = splu(M.tocsc(), permc_spec="NATURAL").solve
-            self._krylov = None
-        else:
-            self._krylov = _krylov_solver(op, M)
+        self._krylov = _krylov_solver(op, M)
 
-    def _start(self, rows, companion, explicit):
-        if not explicit:
-            return rows, companion
-        if companion is None:
-            companion = (self._A @ rows.T).T
-        return self.pin(rows + self.scale * companion), companion
-
-    def _rhs(self, base, weight, values):
-        return self.pin(base + weight * values)
+    def _act(self, rows):
+        return (self._A @ rows.T).T
 
     def _solve_rows(self, b, x0, Ax0):
-        if self._krylov is not None:
-            return np.stack([self._krylov(bi, xi) for bi, xi in zip(b, x0)]), None
-        out = np.empty_like(b)
-        Ax = np.empty_like(b) if Ax0 is None else Ax0
-        kept = True
-        for i, bi in enumerate(b):
-            b_norm = float(np.linalg.norm(bi))
-            if b_norm == 0.0:
-                out[i] = 0.0
-                kept = False
-                continue
-            if Ax0 is None:
-                Ax[i] = self._A @ x0[i]
-            if float(np.linalg.norm(bi - x0[i] + self.scale * Ax[i])) < _SOLVE_RTOL * b_norm:
-                out[i] = x0[i]
-            else:
-                out[i] = self._direct(bi)
-                kept = False
-        return out, (Ax if kept else None)
+        return np.stack([self._krylov(bi, xi) for bi, xi in zip(b, x0)]), None
 
-    def solve(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        return self._solve_rows(b.reshape(1, -1), x0.reshape(1, -1), None)[0][0]
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # einsum, not a BLAS dot product, which hands long rows to worker threads
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _fft_length(n: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c >= n``.
+
+    A prime length costs the FFT several times more: ``rfft`` and
+    ``irfft`` took 59 us at 257 against 23 us at 270.
+    """
+    length = n
+    while True:
+        rest = length
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return length
+        length += 1
+
+
+def _inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of a small dense matrix by Gauss-Jordan elimination with row pivoting.
+
+    Written in numpy ufuncs rather than ``np.linalg``: numpy's OpenBLAS
+    hands a LAPACK solve of this size (about a hundred rows) to its worker
+    threads, which took 16-120 ms per call on a loaded 2-core machine,
+    against a few milliseconds here.
+    """
+    a = np.array(matrix, dtype=float)
+    swaps = []
+    for j in range(len(a)):
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            swaps.append((j, p))
+        pivot = a[j, j]
+        factors = a[:, j].copy()
+        factors[j] = 0.0
+        a[:, j] = 0.0
+        a[j, j] = 1.0
+        a[j] /= pivot
+        a -= np.multiply.outer(factors, a[j])
+    for j, p in reversed(swaps):  # undo the row exchanges on the columns
+        a[:, [j, p]] = a[:, [p, j]]
+    return a
 
 
 def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:

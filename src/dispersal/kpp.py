@@ -40,14 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .evolution import linear_step
-from .grids import Field, same_grid, sup_distance
+from .grids import Field, sup_distance
 from .kernels import KernelProfile
-from .operators import (
-    BOX,
-    BoundaryCondition,
-    DispersalOperator,
-    sweep_operators,
-)
+from .operators import BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
 from .spectral import PeriodMap, default_start, principal_value, whole_steps
 

@@ -13,10 +13,15 @@ with the same result up to rounding (see :mod:`dispersal.evolution`).  On a
 wrapping habitat the action is a circular convolution, so it is diagonal in
 Fourier space: periodic closures act (and are solved) through their Fourier
 symbol (:meth:`DispersalOperator.symbol`) in O(n) memory and never assemble
-a matrix.  Box closures are backed by a compressed-sparse-row
-matrix (constants map to values at rounding level), built by
-:meth:`DispersalOperator.matrix`; that method is the only place the module
-imports ``scipy.sparse``, so a periodic run never loads scipy.
+a matrix.  On a one-dimensional box the action is a band: the stencil
+convolved over the free nodes, a diagonal (:meth:`DispersalOperator.diagonal`,
+read from the stencil) and the two mirror entries of the reflecting local
+closure, which the time steppers apply and solve without a matrix.  Only
+two-dimensional boxes are backed by a compressed-sparse-row matrix
+(constants map to values at rounding level), built by
+:meth:`DispersalOperator.matrix`, which also serves dumps and checks; that
+method is the only place the module imports ``scipy.sparse``, so a periodic
+or one-dimensional run never loads scipy.
 
 The nonlocal kind quadratures the jump integral at the grid nodes with
 uniform weights ``h**N`` and then scales every weight by one common factor,
@@ -142,7 +147,7 @@ class DispersalOperator:
     def _add_mirror_terms(self, u: np.ndarray, out: np.ndarray) -> None:
         # Reflecting closure: the missing exterior neighbor of a face node is
         # its interior neighbor, so the inward difference enters twice.
-        weight = 1.0 / (self.grid.h * self.grid.h)
+        weight = self.mirror_weight
         dim = len(self.grid.shape)
         for axis, n in enumerate(self.grid.shape):
             lo = [slice(None)] * dim
@@ -154,15 +159,35 @@ class DispersalOperator:
             hi[axis], hi_in[axis] = n - 1, n - 2
             out[tuple(hi)] += weight * (u[tuple(hi_in)] - u[tuple(hi)])
 
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of the action: minus each node's total jump rate."""
-        if self.bc is BoundaryCondition.PERIODIC:
-            return np.full(self.grid.num_nodes, -self._total_weight())
-        return self.matrix().diagonal()
+    @property
+    def mirror_weight(self) -> float:
+        """Weight of the extra inward entry on each face of the reflecting local closure."""
+        return 1.0 / (self.grid.h * self.grid.h)
 
-    def _total_weight(self) -> float:
-        # Summed in offset order, as matrix() sums each row's loss term, so
-        # the periodic self term is bitwise the assembled diagonal.
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of the action: minus each node's total jump rate.
+
+        Read from the stencil, never from a matrix: the constant
+        ``-sum_o w_o`` on periodic closures; on boxes each unpinned node's
+        in-box weights, summed in the order :meth:`matrix` sums them, so the
+        result is bitwise ``matrix().diagonal()`` (``0.0`` on pinned nodes).
+        """
+        if self.bc is BoundaryCondition.PERIODIC:
+            return np.full(self.grid.num_nodes, -self.total_weight())
+        loss = np.zeros(self.grid.num_nodes)
+        for rows, _, weight in self._entry_batches():
+            if self.constrained is not None:
+                rows = rows[~self.constrained[rows]]
+            loss[rows] += weight
+        return 0.0 - loss
+
+    def total_weight(self) -> float:
+        """Jump rate of a node whose whole stencil lies in the habitat: ``sum_o w_o``.
+
+        Summed in offset order, as :meth:`diagonal` and :meth:`matrix` sum
+        each row's loss term, so minus it is bitwise the diagonal entry of
+        every such node.
+        """
         total = 0.0
         for _, weight in self.offsets:
             total += weight
@@ -182,7 +207,7 @@ class DispersalOperator:
             column = np.zeros(shape)
             for offset, weight in self.offsets:
                 column[tuple(-o % n for o, n in zip(offset, shape))] += weight
-            column[(0,) * len(shape)] -= self._total_weight()
+            column[(0,) * len(shape)] -= self.total_weight()
             self._symbol = np.fft.rfftn(column)
         return self._symbol
 
@@ -207,8 +232,7 @@ class DispersalOperator:
                     per_axis_cols.append(idx[a:b] + o)
             yield (_ravel_product(per_axis_rows, shape), _ravel_product(per_axis_cols, shape), weight)
         if self.mirror:
-            weight = 1.0 / (self.grid.h * self.grid.h)
-            dim = len(shape)
+            weight = self.mirror_weight
             for axis, n in enumerate(shape):
                 for face, inward in ((0, 1), (n - 1, n - 2)):
                     per_axis_rows = [np.arange(m) for m in shape]
@@ -222,7 +246,10 @@ class DispersalOperator:
                     )
 
     def matrix(self) -> sparse.csr_matrix:
-        """CSR form of the action (cached); the module's only use of scipy."""
+        """CSR form of the action (cached); the module's only use of scipy.
+
+        The time steppers build it for two-dimensional boxes only.
+        """
         if self._matrix is None:
             import scipy.sparse as sparse
 

@@ -239,6 +239,38 @@ def test_two_dimensional_periodic_run_follows_the_sine_mode_oracle(tmp_path):
     assert factor < 1.0 - 1e-3  # the mode decays visibly over the run
 
 
+def test_two_dimensional_dirichlet_box_run_follows_the_sine_mode_oracle(tmp_path):
+    # The product of sines is an eigenvector of the 5-point Laplacian with
+    # pinned faces, eigenvalue -(8/h^2) sin^2(h/2); 2D boxes solve by CG.
+    nodes, dt, steps = 16, 0.05, 5
+    cfg = write_config(
+        tmp_path,
+        "box2.cfg",
+        bc="dirichlet",
+        dimension="2",
+        lower="0",
+        upper="pi",
+        h=f"pi/{nodes}",
+        dt=repr(dt),
+        t_final=repr(steps * dt),
+        kind="local",
+        u0="sine-mode(1)",
+        snapshots="1",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    h = np.pi / nodes
+    lam = -(8.0 / h**2) * np.sin(h / 2.0) ** 2
+    s = dt / 2.0
+    factor = ((1.0 + s * lam) / (1.0 - s * lam)) ** steps
+    header, rows = read_csv_table(out / "snapshot_001.csv")
+    assert header == ["x", "y", "value"] and len(rows) == (nodes + 1) ** 2
+    x, y, value = np.array(rows, dtype=float).T
+    # each CG solve stops at relative residual 1e-10
+    assert np.max(np.abs(value - factor * np.sin(x) * np.sin(y))) <= 1e-10
+    assert factor < 1.0 - 1e-3  # the mode decays visibly over the run
+
+
 # --------------------------------------------------------------------- #
 # failure modes and exit codes                                           #
 # --------------------------------------------------------------------- #
@@ -254,6 +286,15 @@ def test_coarse_grid_for_the_sweep_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.cfg", **keys)
     assert main(["converge-a", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "min(deltas)/8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "keys"), [("simulate", SIMULATE_KEYS), ("converge-a", CONVERGE_A_KEYS)]
+)
+def test_zero_snapshots_exit_2(tmp_path, capsys, command, keys):
+    cfg = write_config(tmp_path, "x.cfg", **dict(keys, snapshots="0"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config key 'snapshots' must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_experiment_key_must_match_the_subcommand(tmp_path, capsys):
@@ -436,6 +477,77 @@ def test_periodic_runs_never_load_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "kpp.cfg.out" / "orbit.csv").exists()
+
+
+def test_one_dimensional_box_runs_never_load_scipy(tmp_path):
+    # As above, in a fresh interpreter: 1D boxes solve by FFT and a dense
+    # face correction in numpy, with no CSR matrix and no sparse solver.
+    local = dict(lower="0", upper="1", h="1/64", dt="0.05", t_final="0.25", snapshots="2")
+    jump = dict(local, delta="0.25")
+    runs = [
+        ("simulate", write_config(tmp_path, "dn.cfg", bc="dirichlet", u0="sine-mode(1)", **jump)),
+        (
+            "simulate",
+            write_config(
+                tmp_path, "dl.cfg", bc="dirichlet", kind="local", u0="sine-mode(1)", **local
+            ),
+        ),
+        ("simulate", write_config(tmp_path, "nn.cfg", bc="neumann", u0="cosine-mode(1)", **jump)),
+        (
+            "simulate",
+            write_config(
+                tmp_path, "nl.cfg", bc="neumann", kind="local", u0="cosine-mode(1)", **local
+            ),
+        ),
+        (
+            "spectrum",
+            write_config(
+                tmp_path,
+                "sp.cfg",
+                bc="dirichlet",
+                lower="0",
+                upper="1",
+                h="1/32",
+                dt="0.05",
+                T="1",
+                delta="0.25",
+                coefficient="const(0)",
+            ),
+        ),
+        ("converge-a", write_config(tmp_path, "ca.cfg", **CONVERGE_A_KEYS)),
+        (
+            "converge-b",
+            write_config(
+                tmp_path,
+                "cb.cfg",
+                bc="dirichlet",
+                lower="0",
+                upper="1",
+                h="1/64",
+                dt="0.05",
+                T="1",
+                deltas="0.4, 0.2",
+                coefficient="const(0)",
+            ),
+        ),
+    ]
+    script = (
+        "import sys\n"
+        "from dispersal.cli import main\n"
+        "for command, cfg in zip(*[iter(sys.argv[1:])] * 2):\n"
+        "    assert main([command, '--config', cfg, '--out', cfg + '.out']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    args = [str(item) for run in runs for item in run]
+    package_root = str(Path(dispersal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    for name in ("sp.cfg.out/spectrum.csv", "ca.cfg.out/report.csv", "cb.cfg.out/report.csv"):
+        assert (tmp_path / name).exists()
 
 
 # --------------------------------------------------------------------- #

@@ -195,8 +195,100 @@ def test_fourier_warm_start_check_is_sharp(dim, nodes):
     assert np.linalg.norm(residual(solved)) <= 1e-10 * b_norm
 
 
+# name: (closure, kind, h, delta, free nodes, padding up to the FFT length)
+BOX_STEP_CASES = {
+    "prime free count, padded": ("neumann", "nonlocal", 1.0 / 256, 0.2, 257, 13),
+    "5-smooth free count, no padding": ("neumann", "nonlocal", 1.0 / 239, 4.0 / 239, 240, 0),
+    "delta/h = 4, pinned ghost bands": ("dirichlet", "nonlocal", 1.0 / 64, 4.0 / 64, 65, 7),
+    "prime free count, pinned": ("dirichlet", "nonlocal", 1.0 / 256, 0.1, 257, 13),
+    "mirrored local closure": ("neumann", "local", 1.0 / 100, None, 101, 7),
+    "pinned local faces": ("dirichlet", "local", 1.0 / 256, None, 255, 1),
+    "face bands overlap, reflecting": ("neumann", "nonlocal", 0.1, 0.65, 11, 1),
+    "face bands overlap, pinned": ("dirichlet", "nonlocal", 0.1, 0.65, 11, 1),
+}
+
+
+def box_step_operator(closure, kind, h, delta):
+    if kind == "local":
+        return assemble_local(build_grid(box(0.0, 1.0), h), closure)
+    grid = build_grid(box(0.0, 1.0), h, ghost_width=delta if closure == "dirichlet" else 0.0)
+    return assemble_nonlocal(grid, QUARTIC_1D, delta, closure)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.1])
+@pytest.mark.parametrize("case", list(BOX_STEP_CASES))
+def test_one_dimensional_box_solves_are_exact_and_keep_solved_warm_starts(case, scale):
+    # The FFT of the wrapped stencil is exact only with the capacitance
+    # correction on every face row, the mirror entry (0, 1) included.
+    closure, kind, h, delta, free, padding = BOX_STEP_CASES[case]
+    op = box_step_operator(closure, kind, h, delta)
+    step = evolution.linear_step(op, scale)
+    reach = max(abs(o) for (o,), _ in op.offsets)
+    assert np.count_nonzero(~op.constrained_mask()) == free
+    assert step._length - free == padding
+    assert (2 * reach >= free) == ("overlap" in case)
+    b = np.random.default_rng(13).uniform(-1.0, 1.0, op.grid.num_nodes)
+    b[op.constrained_mask()] = 0.0
+    x = step.solve(b, np.zeros_like(b))
+    residual = b - x + scale * (op.matrix() @ x)
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+    again = step.solve(b, x)
+    assert np.array_equal(again, x) and again is not x
+    assert np.all(step.solve(np.zeros_like(b), x) == 0.0)
+
+
+@pytest.mark.parametrize("scale", [10.0, 100.0])
+@pytest.mark.parametrize("case", [case for case in BOX_STEP_CASES if "pinned" in case])
+def test_stiff_pinned_box_solves_stay_exact(case, scale):
+    # Under a hostile exterior the correction cancels the circulant's
+    # constant mode; without a refinement step the local closure's residual
+    # reached 4e-10 |b| at scale 10 (scale * sum(w) = 1.3e6).
+    op = box_step_operator(*BOX_STEP_CASES[case][:4])
+    b = np.random.default_rng(13).uniform(-1.0, 1.0, op.grid.num_nodes)
+    b[op.constrained_mask()] = 0.0
+    x = implicit_solver(op, scale)(b, np.zeros_like(b))
+    residual = b - x + scale * (op.matrix() @ x)
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_one_dimensional_box_step_keeps_a_settled_row_beside_a_moving_one():
+    # Rows are solved together; a row that passes the warm-start test must
+    # come back bitwise even when its neighbour needs the solve.
+    op = neumann_operator()
+    step = evolution.linear_step(op, 0.01)
+    wave = np.cos(math.pi * op.grid.coordinates[0])
+    rows = np.stack([np.full(op.grid.num_nodes, 3.0), wave])
+    out = step.crank_nicolson(rows)
+    assert np.all(out[0] == 3.0)
+    alone = step.crank_nicolson(wave.reshape(1, -1))[0]
+    assert np.max(np.abs(out[1] - alone)) <= 1e-14
+
+
+def test_one_dimensional_box_runs_never_assemble_a_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a one-dimensional box assembled its CSR matrix")
+
+    monkeypatch.setattr(DispersalOperator, "matrix", refuse)
+    operators = [
+        box_step_operator(closure, kind, 1.0 / 32, 0.25)
+        for closure in ("dirichlet", "neumann")
+        for kind in ("nonlocal", "local")
+    ]
+    growth = "logistic(const(1))"
+    for op in operators:
+        u0 = field_from_function(op.grid, lambda x: np.sin(math.pi * x) ** 2)
+        u0.values[op.constrained_mask()] = 0.0
+        problem = SemilinearProblem(op, parse_reaction(growth, 1.0), u0, 0.0, 0.2)
+        assert np.all(np.isfinite(solve(problem, 0.05, [0.2]).states[-1].values))
+        # the existence flag of the nonlocal kind reads the operator's diagonal
+        rate = principal_value(PeriodMap(op, constant_coefficient(0.5), 0.05), tol=1e-6)
+        assert (rate.is_principal_eigenvalue is None) == (op.kind == "local")
+        orbit_step = advance_periods(KPPProblem(op, parse_growth(growth, 1.0), 0.05), u0.values, 1)
+        assert np.all(np.isfinite(orbit_step))
+
+
 def test_the_scipy_solvers_stay_module_attributes():
-    for name in ("cg", "bicgstab", "spsolve", "splu"):
+    for name in ("cg", "bicgstab", "spsolve"):
         assert getattr(evolution, name) is getattr(scipy.sparse.linalg, name)
 
 

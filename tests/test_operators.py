@@ -126,6 +126,30 @@ def test_periodic_symbol_and_diagonal_equal_the_assembled_ones_bitwise(kind, dim
     assert np.array_equal(diagonal, m.diagonal())
 
 
+def box_operator(closure, kind, dim):
+    h = 1.0 / 16 if dim == 2 else 1.0 / 64
+    domain = box([0.0] * dim, [1.0] * dim)
+    if kind == "local":
+        return assemble_local(build_grid(domain, h), closure)
+    ghost = 4.0 * h if closure == "dirichlet" else 0.0
+    grid = build_grid(domain, h, ghost_width=ghost)
+    return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), 4.0 * h, closure)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["nonlocal", "local"])
+@pytest.mark.parametrize("closure", ["dirichlet", "neumann"])
+def test_box_diagonal_is_read_from_the_stencil_bitwise(closure, kind, dim):
+    # The 1D box steps and the existence flag read diagonal(), which must
+    # neither build the matrix nor differ from it in any bit.
+    op = box_operator(closure, kind, dim)
+    diagonal = op.diagonal()
+    assert op._matrix is None
+    assembled = op.matrix().diagonal()
+    assert diagonal.tobytes() == assembled.tobytes()
+    assert np.any(diagonal == -op.total_weight())  # nodes with the whole stencil
+
+
 def test_only_periodic_closures_have_a_symbol():
     op = assemble_local(build_grid(box(0.0, 1.0), 1.0 / 16), "neumann")
     with pytest.raises(ValidationError, match="Fourier symbol"):
