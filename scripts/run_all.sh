@@ -3,7 +3,8 @@
 # The checkout's own package (../src) comes first on PYTHONPATH, so an
 # installed copy is never run by mistake.  Each sample's wall seconds,
 # interpreter start and import included, go to stderr as
-# "wall_s <name> <seconds>".
+# "wall_s <name> <seconds>", followed by "src_lines <n>", the line count of
+# the package's sources.
 set -euo pipefail
 cd "$(dirname "$0")"
 export PYTHONPATH="../src${PYTHONPATH:+:${PYTHONPATH}}"
@@ -31,3 +32,5 @@ echo "== summaries"
 for dir in results/converge_*; do
     python3 summarize_report.py "${dir}/report.csv"
 done
+
+wc -l ../src/dispersal/*.py | awk 'END { printf "src_lines %d\n", $1 > "/dev/stderr" }'

@@ -41,6 +41,7 @@ from .evolution import (
     parse_reaction,
     solution_convergence_experiment,
     solve,
+    whole_steps,
 )
 from .grids import (
     BOX,
@@ -183,8 +184,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     reaction = parse_reaction(reaction_text, period)
     u0 = initial_field(op.grid, _initial_function(u0_text, domain))
     problem = SemilinearProblem(op, reaction, u0, 0.0, t_final)
-    nsteps = int(round(t_final / dt))
-    times = [k * dt for k in _uniform_snapshot_steps(max(nsteps, 1), snapshots)]
+    times = [k * dt for k in _uniform_snapshot_steps(whole_steps(t_final, dt), snapshots)]
     trajectory = solve(problem, dt, times)
 
     index_rows = []

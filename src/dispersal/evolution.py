@@ -11,8 +11,8 @@ Every run solves ``(I - s A) x = b`` many times with one fixed operator,
 so the linear part of a step is prepared once per (operator, step) as a
 :class:`LinearStep`, picked from the operator's structure.  The step
 object forms the explicit half step, solves, applies the warm-start test
-and zeroes pinned nodes, on an array of rows advanced together (the two
-brackets of :mod:`dispersal.kpp` are two rows of one array).  Periodic
+and keeps pinned nodes at zero, on an array of rows advanced together
+(the two brackets of :mod:`dispersal.kpp` are two rows of one array).  Periodic
 closures, in any dimension, are circulant: the FFT diagonalizes them
 exactly with eigenvalues ``1 - s * symbol``, and they are acted on, solved
 and residual-checked in Fourier space without assembling a matrix; the
@@ -155,8 +155,7 @@ class SemilinearProblem:
             raise ValidationError("initial field does not live on the operator grid")
         if self.end <= self.start:
             raise ValidationError(f"end {self.end!r} must exceed start {self.start!r}")
-        cm = self.operator.constrained
-        if cm is not None and np.any(np.abs(self.initial.values[cm]) > 1e-12):
+        if np.any(np.abs(self.initial.values[self.operator.constrained]) > 1e-12):
             raise ValidationError(
                 "initial data must vanish on pinned nodes (box boundary and ghost band)"
             )
@@ -199,9 +198,11 @@ class LinearStep:
 
     Every method works on an array of rows, shape ``(rows, num_nodes)``,
     each row one field advanced by the same step.  Rows entering a step
-    must vanish on the operator's pinned nodes; the step zeroes those
-    nodes in every right-hand side and every solution it forms, so rows
-    leave it pinned too.
+    must vanish on the operator's pinned nodes, and they leave it pinned
+    too: a box step zeroes those nodes in every right-hand side it adds a
+    reaction to, its action vanishes on pinned rows, and its solve returns
+    zero wherever a pinned right-hand side is zero (periodic closures pin
+    nothing).
 
     Each solve first tests its warm start: a row whose residual is already
     below ``1e-10`` times its right-hand side's norm is returned unchanged,
@@ -221,14 +222,13 @@ class LinearStep:
 
     def pin(self, rows: np.ndarray) -> np.ndarray:
         """Zero the pinned nodes of ``rows`` in place and return them."""
-        if self._pinned is not None:
-            np.copyto(rows, 0.0, where=self._pinned)
+        np.copyto(rows, 0.0, where=self._pinned)
         return rows
 
     def crank_nicolson(self, rows: np.ndarray) -> np.ndarray:
         """One trapezoidal step ``x = (I - sA)^-1 (I + sA) rows`` of pure dispersal."""
         base, companion = self._start(rows, None, explicit=True)
-        return self.pin(self._solve_rows(base, rows, companion)[0])
+        return self._solve_rows(base, rows, companion)[0]
 
     def imex_step(self, t: float, rows: np.ndarray, rate, companion=None, *, trapezoid: bool):
         """One step of ``u' = A u + rate(t, u)``: implicit dispersal, Heun reaction.
@@ -242,10 +242,8 @@ class LinearStep:
         base, companion = self._start(rows, companion, explicit=trapezoid)
         fn = rate(t, rows)
         predictor, companion = self._solve_rows(self._rhs(base, dt, fn), rows, companion)
-        predictor = self.pin(predictor)
         fs = rate(t + dt, predictor)
-        out, companion = self._solve_rows(self._rhs(base, dt / 2.0, fn + fs), predictor, companion)
-        return self.pin(out), companion
+        return self._solve_rows(self._rhs(base, dt / 2.0, fn + fs), predictor, companion)
 
 
 class _FourierStep(LinearStep):
@@ -325,7 +323,7 @@ class _BoxStep(LinearStep):
             return rows, companion
         if companion is None:
             companion = self._act(rows)
-        return self.pin(rows + self.scale * companion), companion
+        return rows + self.scale * companion, companion
 
     def _rhs(self, base, weight, values):
         return self.pin(base + weight * values)
@@ -356,7 +354,7 @@ class _CapacitanceStep(_BoxStep):
 
     def __init__(self, op: DispersalOperator, scale: float):
         super().__init__(op, scale)
-        free = np.flatnonzero(~op.constrained_mask())
+        free = np.flatnonzero(~op.constrained)
         lo, m = int(free[0]), free.size
         if free[-1] - lo + 1 != m:
             raise ValidationError("a one-dimensional box step needs contiguous free nodes")
@@ -372,10 +370,7 @@ class _CapacitanceStep(_BoxStep):
 
         length = _fft_length(m)
         self_term = -op.total_weight()
-        column = np.zeros(length)  # first column of C: w_o at node -o
-        for (offset,), weight in op.offsets:
-            column[-offset % length] += weight
-        column[0] += self_term
+        column = op.wrapped_column((length,))  # first column of C
         self._length = length
         self._eig = 1.0 - scale * np.fft.rfft(column)
 
@@ -590,6 +585,16 @@ def _snapshot_steps(
     return table
 
 
+def whole_steps(span: float, dt: float) -> int:
+    """Number of steps ``dt`` in ``span``; it must be a positive whole number."""
+    if dt <= 0.0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    steps = round(span / dt)
+    if steps < 1 or abs(span / dt - steps) > 1e-6:
+        raise ValidationError(f"dt={dt!r} does not divide {span!r} into whole steps")
+    return steps
+
+
 def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]) -> Trajectory:
     """Advance the problem and return the requested snapshots.
 
@@ -597,14 +602,7 @@ def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]
     initial state is always included as the first snapshot.  Raises
     :class:`BlowUpError` the moment the sup norm passes ``1e12``.
     """
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    span = problem.end - problem.start
-    nsteps = int(round(span / dt))
-    if nsteps < 1 or abs(span / dt - nsteps) > 1e-6:
-        raise ValidationError(
-            f"integration window {span!r} is not an integer number of steps of dt={dt!r}"
-        )
+    nsteps = whole_steps(problem.end - problem.start, dt)
     wanted = _snapshot_steps(problem.start, dt, nsteps, snapshot_times)
     op = problem.operator
     coords = op.grid.coordinates
@@ -648,6 +646,8 @@ def check_comparison(lower: Trajectory, upper: Trajectory, tol: float) -> bool:
 
 
 def _uniform_snapshot_steps(nsteps: int, count: int) -> list[int]:
+    if count < 1:
+        raise ValidationError(f"snapshot count must be at least 1, got {count}")
     marks = sorted({int(round(j * nsteps / count)) for j in range(count + 1)})
     return [k for k in marks if 0 <= k <= nsteps]
 
@@ -676,8 +676,7 @@ def solution_convergence_experiment(
     grid = local_op.grid
     u0 = initial_field(grid, initial_fn)
 
-    nsteps = int(round(t_final / dt))
-    snap_times = [k * dt for k in _uniform_snapshot_steps(nsteps, snapshots)]
+    snap_times = [k * dt for k in _uniform_snapshot_steps(whole_steps(t_final, dt), snapshots)]
     reference = solve(SemilinearProblem(local_op, reaction, u0, 0.0, t_final), dt, snap_times)
 
     keep = ~grid.ghost_mask

@@ -39,12 +39,12 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
-from .evolution import linear_step
+from .evolution import linear_step, whole_steps
 from .grids import Field, sup_distance
 from .kernels import KernelProfile
 from .operators import BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
-from .spectral import PeriodMap, default_start, principal_value, whole_steps
+from .spectral import PeriodMap, default_start, principal_value
 
 #: Sup-norm floor below which a positive-orbit iteration is declared collapsed.
 COLLAPSE_FLOOR = 1e-13
@@ -286,7 +286,7 @@ def positive_periodic_solution(
     times, raw_states, wrapped = stepper.period_with_snapshots(upper, snapshots_per_period)
     residual = float(np.max(np.abs(wrapped - upper)))
     grid = op.grid
-    interior = ~grid.ghost_mask & ~op.constrained_mask()
+    interior = ~op.constrained
     interior_min = min(float(np.min(s[interior])) for s in raw_states)
     states = tuple(Field(grid, s, t) for t, s in zip(times, raw_states))
     return PeriodicOrbit(

@@ -83,18 +83,19 @@ class DispersalOperator:
     """Assembled linear action of one dispersal operator on one grid.
 
     ``offsets`` pairs each stencil offset with its weight.  ``constrained``
-    marks nodes whose values are pinned to zero (hostile-exterior ghosts,
-    and for the local kind also the box boundary itself); constrained rows
-    of the action are zero and constrained columns never contribute.
-    ``mirror`` marks the reflecting closure of the local kind, which doubles
-    the inward weight on the box faces.
+    is a boolean mask of the nodes pinned to zero: the ghost band of the
+    hostile exterior, plus the box faces for its local kind (all false
+    under the other closures).  Pinned rows of the action are zero and
+    pinned columns never contribute.  ``mirror`` marks the reflecting
+    closure of the local kind, which doubles the inward weight on the box
+    faces.
     """
 
     kind: str
     bc: BoundaryCondition
     grid: Grid
     offsets: tuple[tuple[Offset, float], ...]
-    constrained: np.ndarray | None = None
+    constrained: np.ndarray
     delta: float | None = None
     nu: float | None = None
     mirror: bool = False
@@ -105,11 +106,6 @@ class DispersalOperator:
     # application                                                         #
     # ------------------------------------------------------------------ #
 
-    def constrained_mask(self) -> np.ndarray:
-        if self.constrained is None:
-            return np.zeros(self.grid.num_nodes, dtype=bool)
-        return self.constrained
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Offset-difference action on a flat nodal array."""
         values = np.asarray(values, dtype=float)
@@ -117,47 +113,23 @@ class DispersalOperator:
             raise ValidationError(
                 f"operator expects {self.grid.num_nodes} nodal values, got shape {values.shape}"
             )
-        if self.constrained is not None:
-            work = np.where(self.constrained, 0.0, values)
-        else:
-            work = values
         shape = self.grid.shape
-        u = work.reshape(shape)
+        u = np.where(self.constrained, 0.0, values).reshape(shape)
         out = np.zeros_like(u)
         for offset, weight in self.offsets:
             if self.bc is BoundaryCondition.PERIODIC:
                 shifted = np.roll(u, tuple(-o for o in offset), axis=tuple(range(len(shape))))
                 out += weight * (shifted - u)
             else:
-                row_slices = []
-                target_slices = []
-                for o, n in zip(offset, shape):
-                    a, b = max(0, -o), n - max(0, o)
-                    row_slices.append(slice(a, b))
-                    target_slices.append(slice(a + o, b + o))
-                rows = tuple(row_slices)
-                out[rows] += weight * (u[tuple(target_slices)] - u[rows])
+                rows, targets = _box_slices(offset, shape)
+                out[rows] += weight * (u[targets] - u[rows])
         if self.mirror:
-            self._add_mirror_terms(u, out)
-        flat = out.ravel()
-        if self.constrained is not None:
-            flat = np.where(self.constrained, 0.0, flat)
-        return flat
-
-    def _add_mirror_terms(self, u: np.ndarray, out: np.ndarray) -> None:
-        # Reflecting closure: the missing exterior neighbor of a face node is
-        # its interior neighbor, so the inward difference enters twice.
-        weight = self.mirror_weight
-        dim = len(self.grid.shape)
-        for axis, n in enumerate(self.grid.shape):
-            lo = [slice(None)] * dim
-            lo_in = [slice(None)] * dim
-            lo[axis], lo_in[axis] = 0, 1
-            out[tuple(lo)] += weight * (u[tuple(lo_in)] - u[tuple(lo)])
-            hi = [slice(None)] * dim
-            hi_in = [slice(None)] * dim
-            hi[axis], hi_in[axis] = n - 1, n - 2
-            out[tuple(hi)] += weight * (u[tuple(hi_in)] - u[tuple(hi)])
+            # Reflecting closure: the missing exterior neighbor of a face
+            # node is its interior neighbor, so the inward difference
+            # enters twice.
+            for face, inward in _mirror_faces(shape):
+                out[face] += self.mirror_weight * (u[inward] - u[face])
+        return np.where(self.constrained, 0.0, out.ravel())
 
     @property
     def mirror_weight(self) -> float:
@@ -169,46 +141,47 @@ class DispersalOperator:
 
         Read from the stencil, never from a matrix: the constant
         ``-sum_o w_o`` on periodic closures; on boxes each unpinned node's
-        in-box weights, summed in the order :meth:`matrix` sums them, so the
-        result is bitwise ``matrix().diagonal()`` (``0.0`` on pinned nodes).
+        in-box weights, summed in offset order (``0.0`` on pinned nodes).
+        :meth:`matrix` takes its diagonal from here.
         """
         if self.bc is BoundaryCondition.PERIODIC:
             return np.full(self.grid.num_nodes, -self.total_weight())
         loss = np.zeros(self.grid.num_nodes)
         for rows, _, weight in self._entry_batches():
-            if self.constrained is not None:
-                rows = rows[~self.constrained[rows]]
             loss[rows] += weight
+        loss[self.constrained] = 0.0
         return 0.0 - loss
 
     def total_weight(self) -> float:
         """Jump rate of a node whose whole stencil lies in the habitat: ``sum_o w_o``.
 
-        Summed in offset order, as :meth:`diagonal` and :meth:`matrix` sum
-        each row's loss term, so minus it is bitwise the diagonal entry of
-        every such node.
+        Summed in offset order, as :meth:`diagonal` sums each row's loss
+        term, so minus it is bitwise the diagonal entry of every such node.
         """
         total = 0.0
         for _, weight in self.offsets:
             total += weight
         return total
 
-    def symbol(self) -> np.ndarray:
-        """Fourier symbol of a periodic closure (cached).
+    def wrapped_column(self, shape: tuple[int, ...]) -> np.ndarray:
+        """First column of the stencil wrapped on a torus of ``shape`` nodes.
 
-        The ``rfftn`` of the first column of the action, placed straight
-        from the stencil: ``w_o`` at node ``-o`` and the self term
-        ``-sum_o w_o`` at node 0.
+        ``w_o`` sits at node ``-o`` (modulo ``shape``) and the self term
+        ``-sum_o w_o`` at node 0: the action of a periodic closure, and the
+        circulant that the one-dimensional box solves correct at the faces.
         """
+        column = np.zeros(shape)
+        for offset, weight in self.offsets:
+            column[tuple(-o % n for o, n in zip(offset, shape))] += weight
+        column[(0,) * len(shape)] -= self.total_weight()
+        return column
+
+    def symbol(self) -> np.ndarray:
+        """Fourier symbol of a periodic closure (cached): ``rfftn`` of :meth:`wrapped_column`."""
         if self.bc is not BoundaryCondition.PERIODIC:
             raise ValidationError("only periodic closures have a Fourier symbol")
         if self._symbol is None:
-            shape = self.grid.shape
-            column = np.zeros(shape)
-            for offset, weight in self.offsets:
-                column[tuple(-o % n for o, n in zip(offset, shape))] += weight
-            column[(0,) * len(shape)] -= self.total_weight()
-            self._symbol = np.fft.rfftn(column)
+            self._symbol = np.fft.rfftn(self.wrapped_column(self.grid.shape))
         return self._symbol
 
     # ------------------------------------------------------------------ #
@@ -216,54 +189,36 @@ class DispersalOperator:
     # ------------------------------------------------------------------ #
 
     def _entry_batches(self):
-        """Yield (rows, cols, weight) for every stencil interaction."""
+        """Yield (rows, cols, weight) for every stencil interaction, pinned nodes included."""
         shape = self.grid.shape
-        axis_indices = [np.arange(n) for n in shape]
+        index = np.arange(self.grid.num_nodes).reshape(shape)
         for offset, weight in self.offsets:
             if self.bc is BoundaryCondition.PERIODIC:
-                per_axis_rows = axis_indices
-                per_axis_cols = [(idx + o) % n for idx, o, n in zip(axis_indices, offset, shape)]
+                cols = np.roll(index, tuple(-o for o in offset), axis=tuple(range(len(shape))))
+                yield index.ravel(), cols.ravel(), weight
             else:
-                per_axis_rows = []
-                per_axis_cols = []
-                for idx, o, n in zip(axis_indices, offset, shape):
-                    a, b = max(0, -o), n - max(0, o)
-                    per_axis_rows.append(idx[a:b])
-                    per_axis_cols.append(idx[a:b] + o)
-            yield (_ravel_product(per_axis_rows, shape), _ravel_product(per_axis_cols, shape), weight)
+                rows, targets = _box_slices(offset, shape)
+                yield index[rows].ravel(), index[targets].ravel(), weight
         if self.mirror:
-            weight = self.mirror_weight
-            for axis, n in enumerate(shape):
-                for face, inward in ((0, 1), (n - 1, n - 2)):
-                    per_axis_rows = [np.arange(m) for m in shape]
-                    per_axis_cols = [np.arange(m) for m in shape]
-                    per_axis_rows[axis] = np.array([face])
-                    per_axis_cols[axis] = np.array([inward])
-                    yield (
-                        _ravel_product(per_axis_rows, shape),
-                        _ravel_product(per_axis_cols, shape),
-                        weight,
-                    )
+            for face, inward in _mirror_faces(shape):
+                yield index[face].ravel(), index[inward].ravel(), self.mirror_weight
 
     def matrix(self) -> sparse.csr_matrix:
         """CSR form of the action (cached); the module's only use of scipy.
 
-        The time steppers build it for two-dimensional boxes only.
+        The off-diagonal entries are the stencil's, less any with a pinned
+        end; the diagonal is :meth:`diagonal`.  The time steppers build it
+        for two-dimensional boxes only.
         """
         if self._matrix is None:
             import scipy.sparse as sparse
 
             n = self.grid.num_nodes
-            loss = np.zeros(n)
+            free = ~self.constrained
             rows_all, cols_all, vals_all = [], [], []
             for rows, cols, weight in self._entry_batches():
-                if self.constrained is not None:
-                    keep = ~self.constrained[rows]
-                    rows, cols = rows[keep], cols[keep]
-                loss[rows] += weight
-                if self.constrained is not None:
-                    keep = ~self.constrained[cols]
-                    rows, cols = rows[keep], cols[keep]
+                keep = free[rows] & free[cols]
+                rows, cols = rows[keep], cols[keep]
                 rows_all.append(rows)
                 cols_all.append(cols)
                 vals_all.append(np.full(rows.size, weight))
@@ -271,23 +226,31 @@ class DispersalOperator:
                 (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
                 shape=(n, n),
             ).tocsr()
-            self._matrix = (coupling - sparse.diags(loss)).tocsr()
+            self._matrix = (coupling + sparse.diags(self.diagonal())).tocsr()
         return self._matrix
 
-    def max_row_entries(self) -> int:
-        m = self.matrix()
-        return int(np.max(np.diff(m.indptr)))
+
+def _box_slices(offset: Offset, shape: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
+    """Slices of the nodes whose ``offset`` neighbor is in the box, and of those neighbors.
+
+    ``apply`` and the matrix entries clip the stencil at the box faces by this one rule.
+    """
+    rows, targets = [], []
+    for o, n in zip(offset, shape):
+        a, b = max(0, -o), n - max(0, o)
+        rows.append(slice(a, b))
+        targets.append(slice(a + o, b + o))
+    return tuple(rows), tuple(targets)
 
 
-def _ravel_product(per_axis: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Flat C-order indices of the tensor product of per-axis index sets."""
-    if len(shape) == 1:
-        return per_axis[0]
-    grids = np.meshgrid(*per_axis, indexing="ij")
-    flat = grids[0]
-    for axis in range(1, len(shape)):
-        flat = flat * shape[axis] + grids[axis]
-    return flat.ravel()
+def _mirror_faces(shape: tuple[int, ...]):
+    """Yield ``(face, inward)`` index tuples: each box face layer and the layer inside it."""
+    for axis, n in enumerate(shape):
+        for face, inward in ((0, 1), (n - 1, n - 2)):
+            at = [slice(None)] * len(shape)
+            inside = [slice(None)] * len(shape)
+            at[axis], inside[axis] = face, inward
+            yield tuple(at), tuple(inside)
 
 
 # ---------------------------------------------------------------------- #
@@ -373,13 +336,12 @@ def assemble_nonlocal(
     # and the exact annihilation of constants survive the rescale.
     scale = 2.0 / math.fsum(w * (o[0] * h) ** 2 for o, w in offsets)
     offsets = [(o, w * scale) for o, w in offsets]
-    constrained = grid.ghost_mask.copy() if bc is BoundaryCondition.DIRICHLET else None
     return DispersalOperator(
         kind=NONLOCAL,
         bc=bc,
         grid=grid,
         offsets=tuple(offsets),
-        constrained=constrained,
+        constrained=grid.ghost_mask.copy(),
         delta=float(delta),
         nu=float(nu),
     )
@@ -403,9 +365,9 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
         for sign in (-1, 1):
             offset = tuple(sign if a == axis else 0 for a in range(grid.dimension))
             offsets.append((offset, weight))
-    constrained = None
+    constrained = grid.ghost_mask.copy()
     if bc is BoundaryCondition.DIRICHLET:
-        constrained = grid.ghost_mask | _box_boundary_mask(grid)
+        constrained |= _box_boundary_mask(grid)
     return DispersalOperator(
         kind=LOCAL,
         bc=bc,

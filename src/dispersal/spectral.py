@@ -33,7 +33,7 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, sup_difference, time_average
 from .errors import NoConvergenceError, NumericsError, ValidationError
-from .evolution import linear_step
+from .evolution import linear_step, whole_steps
 from .grids import Field, field_from_function, same_grid
 from .kernels import KernelProfile
 from .operators import (
@@ -44,16 +44,6 @@ from .operators import (
     sweep_operators,
 )
 from .reports import ConvergenceReport, empirical_orders
-
-
-def whole_steps(period: float, dt: float) -> int:
-    """Number of steps ``dt`` in one ``period``; it must be a positive whole number."""
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    steps = round(period / dt)
-    if steps < 1 or abs(period / dt - steps) > 1e-6:
-        raise ValidationError(f"dt={dt!r} does not divide the period {period!r} into whole steps")
-    return steps
 
 
 @dataclass(eq=False)
@@ -145,12 +135,9 @@ def default_start(op: DispersalOperator) -> Field:
             return out
 
         start = field_from_function(grid, bump)
-        start.values[grid.ghost_mask] = 0.0
     else:
         start = Field(grid, np.ones(grid.num_nodes))
-    cm = op.constrained
-    if cm is not None:
-        start.values[cm] = 0.0
+    start.values[op.constrained] = 0.0
     return start
 
 
@@ -175,8 +162,7 @@ def principal_value(
     elif not same_grid(start.grid, op.grid):
         raise ValidationError("grid mismatch: start field lives on a different grid")
     u = np.array(start.values, dtype=float)
-    if op.constrained is not None:
-        u[op.constrained] = 0.0
+    u[op.constrained] = 0.0
     peak = float(np.max(np.abs(u)))
     if peak == 0.0:
         raise ValidationError("start field is identically zero")

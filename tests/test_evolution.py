@@ -15,6 +15,7 @@ from dispersal import (
     Field,
     KPPProblem,
     PeriodMap,
+    ReactionTerm,
     SemilinearProblem,
     ValidationError,
     assemble_local,
@@ -143,7 +144,7 @@ def test_implicit_solve_meets_the_residual_and_keeps_solved_warm_starts(closure,
     scale = 0.01
     solve_system = implicit_solver(op, scale)
     b = np.random.default_rng(7).uniform(-1.0, 1.0, op.grid.num_nodes)
-    b[op.constrained_mask()] = 0.0
+    b[op.constrained] = 0.0
     x = solve_system(b, np.zeros_like(b))
     # residual against the offset-difference action, not the CSR matrix
     residual = np.linalg.norm(b - x + scale * op.apply(x))
@@ -224,11 +225,11 @@ def test_one_dimensional_box_solves_are_exact_and_keep_solved_warm_starts(case, 
     op = box_step_operator(closure, kind, h, delta)
     step = evolution.linear_step(op, scale)
     reach = max(abs(o) for (o,), _ in op.offsets)
-    assert np.count_nonzero(~op.constrained_mask()) == free
+    assert np.count_nonzero(~op.constrained) == free
     assert step._length - free == padding
     assert (2 * reach >= free) == ("overlap" in case)
     b = np.random.default_rng(13).uniform(-1.0, 1.0, op.grid.num_nodes)
-    b[op.constrained_mask()] = 0.0
+    b[op.constrained] = 0.0
     x = step.solve(b, np.zeros_like(b))
     residual = b - x + scale * (op.matrix() @ x)
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
@@ -245,7 +246,7 @@ def test_stiff_pinned_box_solves_stay_exact(case, scale):
     # reached 4e-10 |b| at scale 10 (scale * sum(w) = 1.3e6).
     op = box_step_operator(*BOX_STEP_CASES[case][:4])
     b = np.random.default_rng(13).uniform(-1.0, 1.0, op.grid.num_nodes)
-    b[op.constrained_mask()] = 0.0
+    b[op.constrained] = 0.0
     x = implicit_solver(op, scale)(b, np.zeros_like(b))
     residual = b - x + scale * (op.matrix() @ x)
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
@@ -277,7 +278,7 @@ def test_one_dimensional_box_runs_never_assemble_a_matrix(monkeypatch):
     growth = "logistic(const(1))"
     for op in operators:
         u0 = field_from_function(op.grid, lambda x: np.sin(math.pi * x) ** 2)
-        u0.values[op.constrained_mask()] = 0.0
+        u0.values[op.constrained] = 0.0
         problem = SemilinearProblem(op, parse_reaction(growth, 1.0), u0, 0.0, 0.2)
         assert np.all(np.isfinite(solve(problem, 0.05, [0.2]).states[-1].values))
         # the existence flag of the nonlocal kind reads the operator's diagonal
@@ -311,7 +312,7 @@ def test_the_krylov_path_calls_the_solver_the_module_holds(monkeypatch, closure,
 
     monkeypatch.setattr(evolution, method, counting)
     b = np.random.default_rng(3).uniform(-1.0, 1.0, op.grid.num_nodes)
-    b[op.constrained_mask()] = 0.0
+    b[op.constrained] = 0.0
     x = solve_system(b, np.zeros_like(b))
     assert calls == [method]
     assert np.linalg.norm(b - x + 0.01 * op.apply(x)) <= 1e-10 * np.linalg.norm(b)
@@ -401,7 +402,7 @@ def test_stepper_rejects_misaligned_snapshots_and_windows():
         solve(problem, 0.25, [1.25])
     with pytest.raises(ValidationError, match="dt must be positive"):
         solve(problem, -0.1, [])
-    with pytest.raises(ValidationError, match="integer number of steps"):
+    with pytest.raises(ValidationError, match="into whole steps"):
         solve(problem, 0.3, [])
 
 
@@ -417,6 +418,24 @@ def test_problem_construction_validates_grid_window_and_pins():
     pinned = assemble_nonlocal(grid, QUARTIC_1D, 0.25, "dirichlet")
     with pytest.raises(ValidationError, match="vanish on pinned nodes"):
         SemilinearProblem(pinned, zero, constant_field(grid, 1.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(("dim", "kind"), [(1, "nonlocal"), (1, "local"), (2, "local")])
+def test_a_source_term_leaves_pinned_nodes_at_zero(dim, kind):
+    # A reaction that is nonzero at u = 0 feeds the pinned nodes of every
+    # right-hand side; the box step must zero them there, or the solves
+    # carry the source into the hostile exterior.
+    grid = build_grid(box([0.0] * dim, [1.0] * dim), 1.0 / 16, ghost_width=0.25)
+    if kind == "local":
+        op = assemble_local(grid, "dirichlet")
+    else:
+        op = assemble_nonlocal(grid, QUARTIC_1D, 0.25, "dirichlet")
+    source = ReactionTerm(lambda t, coords, u: np.ones_like(u), 0.0, "source")
+    problem = SemilinearProblem(op, source, constant_field(grid, 0.0), 0.0, 0.5)
+    run = solve(problem, 0.1, [0.5])
+    final = run.states[-1].values
+    assert np.all(final[op.constrained] == 0.0)
+    assert np.all(final[~op.constrained] > 0.0)
 
 
 def test_unknown_reaction_text_is_rejected():
@@ -623,3 +642,9 @@ def test_sweep_rejects_bad_radius_lists_and_coarse_grids():
         solution_convergence_experiment(*args, [0.2, 0.1], 1.0 / 32, 0.05)
     with pytest.raises(ValidationError, match="positive"):
         solution_convergence_experiment(*args, [], 1.0 / 128, 0.05)
+
+
+def test_sweep_rejects_a_snapshot_count_below_one():
+    args = (box(0.0, 1.0), "neumann", QUARTIC_1D, parse_reaction("zero", 0.0), np.cos, 0.25)
+    with pytest.raises(ValidationError, match="snapshot count must be at least 1"):
+        solution_convergence_experiment(*args, [0.4, 0.2], 1.0 / 64, 0.05, snapshots=0)

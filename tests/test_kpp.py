@@ -74,7 +74,7 @@ def bracket_starts(problem):
     """The super and sub starts of the bracketing, pinned."""
     op = problem.operator
     upper = np.full(op.grid.num_nodes, validate_saturation(problem))
-    upper[op.constrained_mask()] = 0.0
+    upper[op.constrained] = 0.0
     return upper, _small_positive_start(op, eps=1e-3)
 
 
@@ -87,7 +87,7 @@ def serial_step(problem):
     """
     op, dt = problem.operator, problem.dt
     solver = implicit_solver(op, dt)
-    pinned = op.constrained_mask()
+    pinned = op.constrained
 
     def rate(t, u):
         return u * problem.growth.evaluate(t, op.grid.coordinates, u)
