@@ -97,12 +97,12 @@ def _axis_values(cfg: ExperimentConfig, key: str, dimension: int) -> list[float]
     return values
 
 
-def _snapshot_count(cfg: ExperimentConfig) -> int:
-    """Read ``snapshots`` (default 8), which must be at least 1."""
-    snapshots = cfg.get_int("snapshots", default=8)
-    if snapshots < 1:
-        raise ValidationError(f"config key 'snapshots' must be >= 1, got {snapshots}")
-    return snapshots
+def _count(cfg: ExperimentConfig, key: str, default: int) -> int:
+    """Read the integer ``key``, which must be at least 1."""
+    value = cfg.get_int(key, default=default)
+    if value < 1:
+        raise ValidationError(f"config key {key!r} must be >= 1, got {value}")
+    return value
 
 
 def _profile(cfg: ExperimentConfig, domain):
@@ -177,7 +177,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T", default=1.0)
     reaction_text = cfg.get_str("reaction", default="zero")
     u0_text = cfg.get_str("u0")
-    snapshots = _snapshot_count(cfg)
+    snapshots = _count(cfg, "snapshots", 8)
     op = _build_operator(cfg, bc, domain, h)
     cfg.reject_unknown_keys()
 
@@ -205,7 +205,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T")
     coefficient_text = cfg.get_str("coefficient")
     tol = cfg.get_number("tol", default=1e-9)
-    max_iterations = cfg.get_int("max_iterations", default=20000)
+    max_iterations = _count(cfg, "max_iterations", 20000)
     op = _build_operator(cfg, bc, domain, h)
     cfg.reject_unknown_keys()
 
@@ -235,8 +235,8 @@ def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T")
     growth_text = cfg.get_str("growth")
     tol = cfg.get_number("tol", default=1e-8)
-    max_periods = cfg.get_int("max_periods", default=2000)
-    orbit_snapshots = cfg.get_int("orbit_snapshots", default=32)
+    max_periods = _count(cfg, "max_periods", 2000)
+    orbit_snapshots = _count(cfg, "orbit_snapshots", 32)
     op = _build_operator(cfg, bc, domain, h)
     cfg.reject_unknown_keys()
 
@@ -283,7 +283,7 @@ def _run_converge_a(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T", default=1.0)
     reaction_text = cfg.get_str("reaction", default="zero")
     u0_text = cfg.get_str("u0")
-    snapshots = _snapshot_count(cfg)
+    snapshots = _count(cfg, "snapshots", 8)
 
     def experiment(profile, deltas):
         reaction = parse_reaction(reaction_text, period)
@@ -315,7 +315,7 @@ def _run_converge_c(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T")
     growth_text = cfg.get_str("growth")
     tol = cfg.get_number("tol", default=1e-8)
-    snapshots = cfg.get_int("orbit_snapshots", default=32)
+    snapshots = _count(cfg, "orbit_snapshots", 32)
 
     def experiment(profile, deltas):
         growth = parse_growth(growth_text, period)

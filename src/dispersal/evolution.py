@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,11 +58,8 @@ from .coefficients import TimePeriodicCoefficient, parse_coefficient, split_call
 from .errors import BlowUpError, SolverFailureError, ValidationError
 from .grids import Field, initial_field, same_grid, sup_distance
 from .kernels import KernelProfile
-from .operators import LOCAL, BoundaryCondition, DispersalOperator, sweep_operators
+from .operators import BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
-
-if TYPE_CHECKING:
-    import scipy.sparse as sparse
 
 #: Sup-norm ceiling beyond which a run is declared to have left the regime
 #: of existing bounded solutions.
@@ -451,7 +449,9 @@ class _MatrixStep(_BoxStep):
     """Two-dimensional boxes, backed by the operator's CSR matrix.
 
     Each row is solved by CG (BiCGSTAB for the mirrored closure), whose own
-    first residual check is the warm-start test.
+    first residual check is the warm-start test, with a sparse direct solve
+    as rescue.  ``cg``, ``bicgstab`` and ``spsolve`` are looked up in the
+    module at each call, not captured here; ``__init__`` has bound them.
     """
 
     def __init__(self, op: DispersalOperator, scale: float):
@@ -460,14 +460,32 @@ class _MatrixStep(_BoxStep):
 
         _bind_scipy_solvers()
         self._A = op.matrix()
-        M = sparse.identity(self._A.shape[0], format="csr") - scale * self._A
-        self._krylov = _krylov_solver(op, M)
+        self._M = sparse.identity(self._A.shape[0], format="csr") - scale * self._A
+        self._mirror = op.mirror
+
+    @cached_property
+    def _M_csc(self):
+        return self._M.tocsc()
 
     def _act(self, rows):
         return (self._A @ rows.T).T
 
     def _solve_rows(self, b, x0, Ax0):
         return np.stack([self._krylov(bi, xi) for bi, xi in zip(b, x0)]), None
+
+    def _krylov(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        krylov = bicgstab if self._mirror else cg
+        x, info = krylov(self._M, b, x0=x0, rtol=_SOLVE_RTOL, atol=0.0)
+        if info == 0:
+            return x
+        x = spsolve(self._M_csc, b)
+        residual = float(np.linalg.norm(b - self._M @ x))
+        bound = _SOLVE_RTOL * float(np.linalg.norm(b))
+        if residual > max(bound, 1e-13):
+            raise SolverFailureError(
+                f"implicit solve stalled: residual {residual:.3e} exceeds {bound:.3e}"
+            )
+        return x
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -534,37 +552,6 @@ def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:
     if shape[-1] % 2 == 0:
         bins[-1] /= 2.0
     return np.broadcast_to(np.repeat(bins, 2), shape[:-1] + (2 * half,)).ravel()
-
-
-def _krylov_solver(op: DispersalOperator, M: sparse.csr_matrix):
-    """CG (BiCGSTAB for the mirrored closure) on ``M`` with a sparse direct rescue.
-
-    ``cg``, ``bicgstab`` and ``spsolve`` are looked up in the module at
-    each call, not captured here; :func:`linear_step` has bound them.
-    """
-    symmetric = not (op.kind == LOCAL and op.bc is BoundaryCondition.NEUMANN)
-    M_csc = None
-
-    def solve(b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        nonlocal M_csc
-        if symmetric:
-            x, info = cg(M, b, x0=x0, rtol=_SOLVE_RTOL, atol=0.0)
-        else:
-            x, info = bicgstab(M, b, x0=x0, rtol=_SOLVE_RTOL, atol=0.0)
-        if info == 0:
-            return x
-        if M_csc is None:
-            M_csc = M.tocsc()
-        x = spsolve(M_csc, b)
-        residual = float(np.linalg.norm(b - M @ x))
-        bound = _SOLVE_RTOL * float(np.linalg.norm(b))
-        if residual > max(bound, 1e-13):
-            raise SolverFailureError(
-                f"implicit solve stalled: residual {residual:.3e} exceeds {bound:.3e}"
-            )
-        return x
-
-    return solve
 
 
 def _snapshot_steps(

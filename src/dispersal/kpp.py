@@ -26,7 +26,8 @@ the warm-start tests use the spectra the step carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from math import nan
 from typing import Sequence
 
@@ -39,7 +40,7 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
-from .evolution import linear_step, whole_steps
+from .evolution import LinearStep, _uniform_snapshot_steps, linear_step, whole_steps
 from .grids import Field, sup_distance
 from .kernels import KernelProfile
 from .operators import BoundaryCondition, DispersalOperator, sweep_operators
@@ -86,17 +87,37 @@ class KPPProblem:
     operator: DispersalOperator
     growth: GrowthTerm
     dt: float
+    steps_per_period: int = dataclass_field(init=False)
 
     def __post_init__(self):
-        whole_steps(self.growth.period, self.dt)
+        self.steps_per_period = whole_steps(self.growth.period, self.dt)
 
     @property
     def period(self) -> float:
         return self.growth.period
 
-    @property
-    def steps_per_period(self) -> int:
-        return whole_steps(self.growth.period, self.dt)
+    @cached_property
+    def _step(self) -> LinearStep:
+        return linear_step(self.operator, self.dt)
+
+    def _rate(self, t: float, u: np.ndarray) -> np.ndarray:
+        return u * self.growth.evaluate(t, self.operator.grid.coordinates, u)
+
+    def one_period(self, rows: np.ndarray, marks: Sequence[int] = ()):
+        """Advance ``rows``, shape ``(rows, num_nodes)``, by one period.
+
+        Returns the advanced rows and a copy of row 0 taken before each
+        step index in ``marks``.  Each step's companion (the rows' spectrum
+        on periodic closures) is carried to the next step.
+        """
+        taken, companion = [], None
+        for k in range(self.steps_per_period):
+            if k in marks:
+                taken.append(rows[0].copy())
+            rows, companion = self._step.imex_step(
+                k * self.dt, rows, self._rate, companion, trapezoid=False
+            )
+        return rows, taken
 
 
 def validate_saturation(problem: KPPProblem, time_samples: int = 64) -> float:
@@ -128,49 +149,6 @@ def validate_saturation(problem: KPPProblem, time_samples: int = 64) -> float:
             return level
         level *= 2.0
     raise ValidationError("growth does not saturate: f(t, x, M) >= 0 up to M = 2**40")
-
-
-class _PeriodStepper:
-    """Nonlinear one-period map with backward-Euler dispersal and Heun reaction.
-
-    It advances an array of rows, shape ``(rows, num_nodes)``, all by the
-    same steps; each step's companion (the rows' spectrum on periodic
-    closures) is carried to the next step within a period.
-    """
-
-    def __init__(self, problem: KPPProblem):
-        self.problem = problem
-        self.linear = linear_step(problem.operator, problem.dt)
-        self.coords = problem.operator.grid.coordinates
-
-    def _rate(self, t: float, u: np.ndarray) -> np.ndarray:
-        return u * self.problem.growth.evaluate(t, self.coords, u)
-
-    def step(self, t: float, u: np.ndarray, companion=None):
-        return self.linear.imex_step(t, u, self._rate, companion, trapezoid=False)
-
-    def one_period(self, u: np.ndarray) -> np.ndarray:
-        companion = None
-        for k in range(self.problem.steps_per_period):
-            u, companion = self.step(k * self.problem.dt, u, companion)
-        return u
-
-    def period_with_snapshots(self, u: np.ndarray, count: int):
-        steps = self.problem.steps_per_period
-        if steps % count != 0:
-            raise ValidationError(
-                f"snapshot count {count} must divide the {steps} steps per period"
-            )
-        stride = steps // count
-        u = u.reshape(1, -1)
-        times, states = [0.0], [u[0].copy()]
-        companion = None
-        for k in range(steps):
-            u, companion = self.step(k * self.problem.dt, u, companion)
-            if (k + 1) % stride == 0 and k + 1 < steps:
-                times.append((k + 1) * self.problem.dt)
-                states.append(u[0].copy())
-        return times, states, u[0]
 
 
 @dataclass
@@ -209,7 +187,7 @@ def _small_positive_start(op: DispersalOperator, eps: float) -> np.ndarray:
 
 
 def _bracket(
-    stepper: _PeriodStepper, starts: np.ndarray, tol: float, max_periods: int
+    problem: KPPProblem, starts: np.ndarray, tol: float, max_periods: int
 ) -> tuple[np.ndarray, list[int], list[float]]:
     """Iterate the super bracket (row 0) and the sub bracket (row 1) together.
 
@@ -229,7 +207,7 @@ def _bracket(
     active = [0, 1]
     for iteration in range(1, max_periods + 1):
         u = rows[active]
-        image = stepper.one_period(u)
+        image, _ = problem.one_period(u)
         for before, after, row in zip(u, image, list(active)):
             breach = float(np.max(after - before)) if row == 0 else float(np.max(before - after))
             worst[row] = max(worst[row], breach)
@@ -270,12 +248,22 @@ def positive_periodic_solution(
     then walks one more period from the downward limit to store
     ``snapshots_per_period`` evenly spaced states.
     """
-    stepper = _PeriodStepper(problem)
+    if tol <= 0.0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if max_periods < 1:
+        raise ValidationError(f"max_periods must be at least 1, got {max_periods}")
+    steps = problem.steps_per_period
+    marks = _uniform_snapshot_steps(steps, snapshots_per_period)[:-1]
+    if steps % snapshots_per_period != 0:
+        raise ValidationError(
+            f"snapshot count {snapshots_per_period} must divide the {steps} steps per period"
+        )
     level = validate_saturation(problem)
     op = problem.operator
     starts = np.stack([np.full(op.grid.num_nodes, level), _small_positive_start(op, eps=1e-3)])
+    starts[:, op.constrained] = 0.0
     (upper, lower), (super_iters, sub_iters), (viol_super, viol_sub) = _bracket(
-        stepper, stepper.linear.pin(starts), tol, max_periods
+        problem, starts, tol, max_periods
     )
     agreement = float(np.max(np.abs(upper - lower)))
     if agreement > 10.0 * tol:
@@ -283,14 +271,15 @@ def positive_periodic_solution(
             f"ordered-start limits disagree by {agreement:.3e} (> 10 * tol = {10 * tol:.1e}); "
             "the periodic state is not uniquely resolved at this tolerance"
         )
-    times, raw_states, wrapped = stepper.period_with_snapshots(upper, snapshots_per_period)
+    (wrapped,), raw_states = problem.one_period(upper.reshape(1, -1), marks)
+    times = tuple(k * problem.dt for k in marks)
     residual = float(np.max(np.abs(wrapped - upper)))
     grid = op.grid
     interior = ~op.constrained
     interior_min = min(float(np.min(s[interior])) for s in raw_states)
     states = tuple(Field(grid, s, t) for t, s in zip(times, raw_states))
     return PeriodicOrbit(
-        times=tuple(times),
+        times=times,
         states=states,
         residual=residual,
         saturation_bound=level,
@@ -305,10 +294,9 @@ def positive_periodic_solution(
 
 def advance_periods(problem: KPPProblem, values: np.ndarray, periods: int) -> np.ndarray:
     """Apply the nonlinear period map ``periods`` times (stability probes)."""
-    stepper = _PeriodStepper(problem)
     u = np.array(values, dtype=float).reshape(1, -1)
     for _ in range(periods):
-        u = stepper.one_period(u)
+        u = problem.one_period(u)[0]
     return u[0]
 
 

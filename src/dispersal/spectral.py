@@ -33,7 +33,7 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, sup_difference, time_average
 from .errors import NoConvergenceError, NumericsError, ValidationError
-from .evolution import linear_step, whole_steps
+from .evolution import LinearStep, linear_step, whole_steps
 from .grids import Field, field_from_function, same_grid
 from .kernels import KernelProfile
 from .operators import (
@@ -53,40 +53,32 @@ class PeriodMap:
     operator: DispersalOperator
     coefficient: TimePeriodicCoefficient
     dt: float
-    _step: object = dataclass_field(default=None, init=False, repr=False)
-    _factors: list | None = dataclass_field(default=None, init=False, repr=False)
+    steps: int = dataclass_field(init=False)
+    _step: LinearStep = dataclass_field(init=False, repr=False)
+    _factors: list = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
-        whole_steps(self.period, self.dt)
+        self.steps = whole_steps(self.period, self.dt)
+        self._step = linear_step(self.operator, self.dt / 2.0)
+        coords = self.operator.grid.coordinates
+        self._factors = []
+        for k in range(self.steps):
+            t0 = k * self.dt
+            mid = t0 + self.dt / 2.0
+            t1 = (k + 1) * self.dt
+            self._factors.append(
+                (
+                    np.exp(self.coefficient.integral(t0, mid, coords)),
+                    np.exp(self.coefficient.integral(mid, t1, coords)),
+                )
+            )
 
     @property
     def period(self) -> float:
         return self.coefficient.period
 
-    @property
-    def steps(self) -> int:
-        return whole_steps(self.period, self.dt)
-
-    def _prepare(self):
-        if self._step is None:
-            self._step = linear_step(self.operator, self.dt / 2.0)
-            coords = self.operator.grid.coordinates
-            factors = []
-            for k in range(self.steps):
-                t0 = k * self.dt
-                mid = t0 + self.dt / 2.0
-                t1 = (k + 1) * self.dt
-                factors.append(
-                    (
-                        np.exp(self.coefficient.integral(t0, mid, coords)),
-                        np.exp(self.coefficient.integral(mid, t1, coords)),
-                    )
-                )
-            self._factors = factors
-
     def advance(self, values: np.ndarray) -> np.ndarray:
         """Apply the map to a flat nodal array."""
-        self._prepare()
         step = self._step
         u = step.pin(np.array(values, dtype=float).reshape(1, -1))
         for first, second in self._factors:
@@ -156,6 +148,8 @@ def principal_value(
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be at least 1, got {max_iterations}")
     op = period_map.operator
     if start is None:
         start = default_start(op)

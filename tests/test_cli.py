@@ -9,8 +9,19 @@ import numpy as np
 import pytest
 
 import dispersal
-from dispersal import QUARTIC, assemble_nonlocal, build_grid, kernel_profile, periodic_cell
+from dispersal import (
+    QUARTIC,
+    BoundaryCondition,
+    assemble_nonlocal,
+    box,
+    build_grid,
+    evolution,
+    kernel_profile,
+    periodic_cell,
+)
 from dispersal.cli import main
+from dispersal.grids import initial_field
+from dispersal.operators import nonlocal_grid
 from dispersal.reports import read_csv_table
 
 
@@ -40,6 +51,28 @@ CONVERGE_A_KEYS = dict(
     t_final="0.25",
     u0="cosine-mode(1)",
     deltas="0.4, 0.2",
+)
+
+KPP_ORBIT_KEYS = dict(
+    bc="periodic",
+    period="2*pi",
+    h="2*pi/32",
+    dt="1/16",
+    T="1",
+    kind="local",
+    growth="logistic(const(1))",
+    orbit_snapshots="4",
+)
+
+CONVERGE_C_KEYS = dict(
+    bc="periodic",
+    period="2*pi",
+    h="2*pi/128",
+    dt="1/16",
+    T="1",
+    growth="logistic(const(1))",
+    deltas="0.8, 0.4",
+    orbit_snapshots="4",
 )
 
 
@@ -316,6 +349,62 @@ def test_two_dimensional_nonlocal_neumann_box_run_keeps_a_constant(tmp_path):
         assert np.all(value == 1.0)
 
 
+def _two_dimensional_dirichlet_box_config(tmp_path, **keys):
+    return write_config(
+        tmp_path,
+        "box2.cfg",
+        bc="dirichlet",
+        dimension="2",
+        lower="0",
+        upper="pi",
+        h="pi/16",
+        dt="0.05",
+        **keys,
+    )
+
+
+def test_two_dimensional_nonlocal_dirichlet_box_run_matches_dense_steps(tmp_path):
+    # The hostile exterior pins a ghost band delta wide; the reference takes
+    # the same ten trapezoid steps by dense solves of the assembled matrix.
+    dt, steps, h, delta = 0.05, 10, np.pi / 16, np.pi / 4
+    cfg = _two_dimensional_dirichlet_box_config(
+        tmp_path, t_final="0.5", delta="pi/4", u0="sine-mode(1)", snapshots="1"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    bc = BoundaryCondition.DIRICHLET
+    grid = nonlocal_grid(box([0.0, 0.0], [np.pi, np.pi]), h, bc, delta)
+    op = assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), delta, bc)
+    sA = (dt / 2.0) * op.matrix().toarray()
+    eye = np.eye(grid.num_nodes)
+    u = initial_field(grid, lambda x, y: np.sin(x) * np.sin(y)).values
+    for _ in range(steps):
+        u = np.linalg.solve(eye - sA, (eye + sA) @ u)
+    header, rows = read_csv_table(out / "snapshot_001.csv")
+    assert header == ["x", "y", "value"] and len(rows) == 17**2
+    value = np.array(rows, dtype=float)[:, 2]
+    # each CG solve stops at relative residual 1e-10
+    assert np.max(np.abs(value - u[~grid.ghost_mask])) <= 1e-9
+    assert np.max(np.abs(u)) < 0.9  # the mode decays visibly over the run
+
+
+def test_two_dimensional_local_dirichlet_spectrum_follows_the_sine_mode_oracle(tmp_path):
+    # With a = 0 the period map is the trapezoid rule's amplification of the
+    # 5-point Laplacian's principal sine mode, once per step.
+    h, dt = np.pi / 16, 0.05
+    cfg = _two_dimensional_dirichlet_box_config(
+        tmp_path, T="1", kind="local", coefficient="const(0)"
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    lam = -(8.0 / h**2) * np.sin(h / 2.0) ** 2
+    s = dt / 2.0
+    oracle = np.log((1.0 + s * lam) / (1.0 - s * lam)) / dt
+    _, rows = read_csv_table(out / "spectrum.csv")
+    assert abs(float(rows[0][0]) - oracle) <= 1e-9
+    assert oracle < -1.9
+
+
 # --------------------------------------------------------------------- #
 # failure modes and exit codes                                           #
 # --------------------------------------------------------------------- #
@@ -334,12 +423,62 @@ def test_coarse_grid_for_the_sweep_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("command", "keys"), [("simulate", SIMULATE_KEYS), ("converge-a", CONVERGE_A_KEYS)]
+    ("command", "keys"),
+    [
+        ("simulate", SIMULATE_KEYS),
+        ("converge-a", CONVERGE_A_KEYS),
+        ("kpp-orbit", KPP_ORBIT_KEYS),
+        ("converge-c", CONVERGE_C_KEYS),
+    ],
 )
 def test_zero_snapshots_exit_2(tmp_path, capsys, command, keys):
-    cfg = write_config(tmp_path, "x.cfg", **dict(keys, snapshots="0"))
+    key = "orbit_snapshots" if "growth" in keys else "snapshots"
+    cfg = write_config(tmp_path, "x.cfg", **dict(keys, **{key: "0"}))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "config key 'snapshots' must be >= 1, got 0" in capsys.readouterr().err
+    assert f"config key '{key}' must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "keys", "message"),
+    [
+        ("simulate", dict(SIMULATE_KEYS, snapshots="-4"), "'snapshots' must be >= 1, got -4"),
+        (
+            "kpp-orbit",
+            dict(KPP_ORBIT_KEYS, orbit_snapshots="-4"),
+            "'orbit_snapshots' must be >= 1, got -4",
+        ),
+        ("kpp-orbit", dict(KPP_ORBIT_KEYS, max_periods="0"), "'max_periods' must be >= 1, got 0"),
+        ("kpp-orbit", dict(KPP_ORBIT_KEYS, tol="0"), "tol must be positive, got 0.0"),
+        ("converge-c", dict(CONVERGE_C_KEYS, tol="0"), "tol must be positive, got 0.0"),
+        (
+            "spectrum",
+            dict(
+                bc="periodic",
+                period="2*pi",
+                h="2*pi/32",
+                dt="1/16",
+                T="1",
+                kind="local",
+                coefficient="const(1)",
+                max_iterations="0",
+            ),
+            "'max_iterations' must be >= 1, got 0",
+        ),
+    ],
+    ids=[
+        "snapshots",
+        "orbit_snapshots",
+        "max_periods",
+        "kpp-orbit-tol",
+        "converge-c-tol",
+        "max_iterations",
+    ],
+)
+def test_impossible_counts_and_tolerances_exit_2(tmp_path, capsys, command, keys, message):
+    cfg = write_config(tmp_path, "x.cfg", **keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "run.txt").exists()
 
 
 def test_experiment_key_must_match_the_subcommand(tmp_path, capsys):
@@ -461,6 +600,20 @@ def test_failed_computations_exit_3(tmp_path, capsys, command, keys, message):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o" / "run.txt").exists()
+
+
+def test_a_failed_two_dimensional_box_solve_exits_3(tmp_path, capsys, monkeypatch):
+    # CG gives up at once and the direct rescue returns zeros, so the
+    # solve's residual is the whole right-hand side.
+    monkeypatch.setattr(evolution, "cg", lambda M, b, x0, **_: (x0, 1))
+    monkeypatch.setattr(evolution, "spsolve", lambda M, b: np.zeros_like(b))
+    cfg = _two_dimensional_dirichlet_box_config(
+        tmp_path, t_final="0.25", kind="local", u0="sine-mode(1)", snapshots="1"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: implicit solve stalled: residual ")
     assert not (tmp_path / "o" / "run.txt").exists()
 
 

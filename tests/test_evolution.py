@@ -37,7 +37,7 @@ from dispersal import (
 )
 from dispersal import evolution
 from dispersal.evolution import half_spectrum_weights, implicit_solver
-from dispersal.kpp import _PeriodStepper, advance_periods
+from dispersal.kpp import advance_periods
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 
@@ -318,6 +318,28 @@ def test_the_krylov_path_calls_the_solver_the_module_holds(monkeypatch, closure,
     assert np.linalg.norm(b - x + 0.01 * op.apply(x)) <= 1e-10 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize(
+    ("closure", "kind", "method"),
+    [("dirichlet", "nonlocal", "cg"), ("neumann", "local", "bicgstab")],
+)
+def test_a_stalled_krylov_solve_is_rescued_by_a_direct_solve(monkeypatch, closure, kind, method):
+    op = solver_operator(closure, kind, 2)
+    solve_system = implicit_solver(op, 0.01)
+    direct, rescues = evolution.spsolve, []
+
+    def counting(M, b):
+        rescues.append(b)
+        return direct(M, b)
+
+    monkeypatch.setattr(evolution, method, lambda M, b, x0, **_: (x0, 1))
+    monkeypatch.setattr(evolution, "spsolve", counting)
+    b = np.random.default_rng(3).uniform(-1.0, 1.0, op.grid.num_nodes)
+    b[op.constrained] = 0.0
+    x = solve_system(b, np.zeros_like(b))
+    assert len(rescues) == 1
+    assert np.linalg.norm(b - x + 0.01 * op.apply(x)) <= 1e-10 * np.linalg.norm(b)
+
+
 def test_periodic_runs_never_assemble_a_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("a periodic closure assembled its CSR matrix")
@@ -365,9 +387,9 @@ def test_periodic_steps_transform_each_field_once_each_way(monkeypatch, dim):
     op = periodic_jump_operator(dim, 16)
     wave = field_from_function(op.grid, lambda x, *rest: 1.0 + 0.5 * np.sin(x))
     kpp = KPPProblem(op, parse_growth("logistic(tx-product(1,0.5,1))", 1.0), 0.25)
-    stepper = _PeriodStepper(kpp)
+    step, rate = kpp._step, kpp._rate  # one backward-Euler step of the brackets
     rows = np.stack([np.full(op.grid.num_nodes, 2.0), wave.values])
-    rows, companion = stepper.step(0.0, rows)
+    rows, companion = step.imex_step(0.0, rows, rate, trapezoid=False)
     period_map = PeriodMap(op, parse_coefficient("tx-product(1,0.5,1)", 1.0), 0.25)
     period_map.advance(wave.values)  # prepares the map
     problem = SemilinearProblem(op, parse_reaction("logistic(const(1))", 1.0), wave, 0.0, 0.2)
@@ -376,10 +398,10 @@ def test_periodic_steps_transform_each_field_once_each_way(monkeypatch, dim):
     solve(problem, 0.05, [0.2])  # four steps and the start's transform
     assert len(calls) <= 4 * 4 + 1
     calls.clear()
-    stepper.step(0.25, rows, companion)  # both brackets, batched
+    step.imex_step(0.25, rows, rate, companion, trapezoid=False)  # both brackets, batched
     assert len(calls) <= 4
     calls.clear()
-    stepper.one_period(rows)  # four steps and the start's transform
+    kpp.one_period(rows)  # four steps and the start's transform
     assert len(calls) <= 4 * kpp.steps_per_period + 1
     calls.clear()
     period_map.advance(wave.values)  # four steps

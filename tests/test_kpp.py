@@ -28,11 +28,11 @@ from dispersal import (
     validate_saturation,
     verify_invasion_condition,
 )
+from dispersal import kpp
 from dispersal.evolution import implicit_solver
 from dispersal.kpp import (
     COLLAPSE_FLOOR,
     _bracket,
-    _PeriodStepper,
     _small_positive_start,
     advance_periods,
 )
@@ -333,9 +333,8 @@ def test_flat_unit_orbit_stays_exactly_one(kind):
     problem = neumann_problem("logistic(const(1))", dt=1.0 / 32, kind=kind)
     ones = np.ones((2, problem.operator.grid.num_nodes))
     assert np.array_equal(advance_periods(problem, ones[0], 3), ones[0])
-    stepper = _PeriodStepper(problem)
-    assert np.array_equal(stepper.one_period(ones), ones)
-    rows, iterations, worst = _bracket(stepper, ones, 1e-8, 5)
+    assert np.array_equal(problem.one_period(ones)[0], ones)
+    rows, iterations, worst = _bracket(problem, ones, 1e-8, 5)
     assert np.array_equal(rows, ones)
     assert iterations == [1, 1] and worst == [0.0, 0.0]
 
@@ -344,6 +343,28 @@ def test_snapshot_count_must_divide_the_period_steps():
     problem = neumann_problem("logistic(const(1))", dt=0.05)  # 20 steps per period
     with pytest.raises(ValidationError, match="must divide"):
         positive_periodic_solution(problem, snapshots_per_period=7)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(snapshots_per_period=0), "snapshot count must be at least 1, got 0"),
+        (dict(snapshots_per_period=-4), "snapshot count must be at least 1, got -4"),
+        (dict(snapshots_per_period=7), "snapshot count 7 must divide the 20 steps"),
+        (dict(tol=0.0), "tol must be positive, got 0.0"),
+        (dict(tol=-1e-8), "tol must be positive, got -1e-08"),
+        (dict(max_periods=0), "max_periods must be at least 1, got 0"),
+    ],
+    ids=["count-0", "count-negative", "count-7", "tol-0", "tol-negative", "max_periods-0"],
+)
+def test_impossible_options_are_rejected_before_any_period(monkeypatch, options, message):
+    def refuse(*args):
+        raise AssertionError("a period step was built before the options were checked")
+
+    monkeypatch.setattr(kpp, "linear_step", refuse)
+    problem = neumann_problem("logistic(const(1))", dt=0.05)  # 20 steps per period
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        positive_periodic_solution(problem, **options)
 
 
 # --------------------------------------------------------------------- #

@@ -163,6 +163,8 @@ def test_principal_value_validates_inputs():
     pm = neumann_map(constant_coefficient(0.0, period=1.0))
     with pytest.raises(ValidationError, match="tol must be positive"):
         principal_value(pm, tol=0.0)
+    with pytest.raises(ValidationError, match="max_iterations must be at least 1, got 0"):
+        principal_value(pm, max_iterations=0)
     with pytest.raises(ValidationError, match="identically zero"):
         principal_value(pm, start=constant_field(pm.operator.grid, 0.0))
     other = build_grid(box(0.0, 1.0), 1.0 / 16)
