@@ -7,35 +7,35 @@ matrix ``I - (dt/2) A``.  The implicit treatment removes the ``dt ~ h**2``
 (local) and ``dt ~ delta**2`` (nonlocal) stability ceilings that an
 explicit method would impose on refinement sweeps.
 
-Every run solves ``(I - s A) x = b`` many times with one fixed operator,
-so the linear part of a step is prepared once per (operator, step) as a
-:class:`LinearStep`, picked from the operator's structure.  The step
-object forms the explicit half step, solves, applies the warm-start test
-and keeps pinned nodes at zero, on an array of rows advanced together
-(the two brackets of :mod:`dispersal.kpp` are two rows of one array).  Periodic
-closures, in any dimension, are circulant: the FFT diagonalizes them
-exactly with eigenvalues ``1 - s * symbol``, and they are acted on, solved
-and residual-checked in Fourier space without assembling a matrix; the
-step carries each row's spectrum from one solve to the next, so a step of
-:func:`solve` costs four transforms (plus one for the start), a backward
-Euler step of the brackets four batched transforms for both rows, and a
-period-map step two.  On a one-dimensional box the action is a band
-over the contiguous free nodes (nonsymmetric for the mirrored local
-neumann closure), applied by ``np.convolve`` of the stencil; ``I - s A``
-there equals the circulant of the wrapped stencil except in the rows
-within stencil reach of a face, so each solve is one FFT diagonalization
-of that circulant plus a small dense capacitance correction on the face
-rows (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971), exact
-up to rounding (with one step of iterative refinement on stiff steps
-under a hostile exterior); the warm-start test reuses the explicit half
-step's ``A @ u``.  Two-dimensional boxes are backed by the operator's CSR matrix
-and solved row by row, iteratively to relative residual ``1e-10``
-(conjugate gradients when the matrix is symmetric, stabilized
-bi-conjugate gradients for the mirrored closure) with a sparse direct
-solve as rescue.  Every path returns its warm start unchanged whenever the
-start already satisfies the ``1e-10`` residual test; constant equilibria
-therefore persist bitwise.  :func:`implicit_solver` gives the same solve
-for one vector.
+Every run solves ``(I - s A) x = b`` many times with fixed operators, so
+the linear part of a step is prepared once per step size as a
+:class:`LinearStep`.  It forms the explicit half step, solves, applies
+the warm-start test and keeps pinned nodes at zero on an array of rows
+advanced together, each row with its own operator: the two brackets of
+:mod:`dispersal.kpp`, and the local reference and every radius of a sweep,
+which share each numpy call.  Periodic closures, in any dimension, are
+circulant: the FFT diagonalizes them exactly with eigenvalues
+``1 - s * symbol``, and they are acted on, solved and residual-checked in
+Fourier space without assembling a matrix; the step carries each row's
+spectrum from one solve to the next, so a step of :func:`solve` costs
+four transforms (plus one for the start), a backward Euler step of the
+brackets four batched transforms, and a period-map step two.  On a
+one-dimensional box the action is a band over the contiguous free nodes
+(nonsymmetric for the mirrored local neumann closure), applied by
+``np.convolve`` of the stencil; ``I - s A`` there equals the circulant of
+the wrapped stencil except in the rows within stencil reach of a face, so
+each solve is one FFT diagonalization of that circulant plus a small dense
+capacitance correction on the face rows (Buzbee, Dorr, George & Golub,
+SIAM J. Numer. Anal. 8, 1971), exact up to rounding (with one step of
+iterative refinement on stiff steps under a hostile exterior); the
+warm-start test reuses the explicit half step's ``A @ u``.
+Two-dimensional boxes are backed by each operator's CSR matrix and solved
+row by row, iteratively to relative residual ``1e-10`` (conjugate
+gradients when the matrix is symmetric, stabilized bi-conjugate gradients
+for the mirrored closure) with a sparse direct solve as rescue.  Every
+path returns its warm start unchanged whenever the start already satisfies
+the ``1e-10`` residual test; constant equilibria therefore persist
+bitwise.  :func:`implicit_solver` gives the same solve for one vector.
 
 scipy is a dependency of two-dimensional boxes only: ``scipy.sparse`` and
 ``scipy.sparse.linalg`` are imported when such a solver is first built, so
@@ -47,9 +47,9 @@ call time, so a wrapper bound over one of those names sees every call.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -182,25 +182,31 @@ def implicit_solver(op: DispersalOperator, scale: float):
     return linear_step(op, scale).solve
 
 
-def linear_step(op: DispersalOperator, scale: float) -> LinearStep:
-    """The linear part of a time step with ``(I - scale * A)``, prepared once."""
-    if op.bc is BoundaryCondition.PERIODIC:
-        return _FourierStep(op, scale)
-    if op.grid.dimension == 1:
-        return _CapacitanceStep(op, scale)
-    return _MatrixStep(op, scale)
+def linear_step(op: DispersalOperator | Sequence[DispersalOperator], scale: float) -> LinearStep:
+    """The linear part of a time step with ``(I - scale * A)`` for one or more operators."""
+    ops = [op] if isinstance(op, DispersalOperator) else list(op)
+    first = ops[0]
+    if any(o.bc is not first.bc or not same_grid(o.grid, first.grid) for o in ops):
+        raise ValidationError("the operators of one step must share one closure and one grid")
+    if first.bc is BoundaryCondition.PERIODIC:
+        return _FourierStep(ops, scale)
+    if first.grid.dimension == 1:
+        return _CapacitanceStep(ops, scale)
+    return _MatrixStep(ops, scale)
 
 
 class LinearStep:
-    """Explicit half step, implicit solve and warm-start test for one (operator, scale).
+    """Explicit half step, implicit solve and warm-start test for one scale and its operators.
 
     Every method works on an array of rows, shape ``(rows, num_nodes)``,
-    each row one field advanced by the same step.  Rows entering a step
-    must vanish on the operator's pinned nodes, and they leave it pinned
-    too: a box step zeroes those nodes in every right-hand side it adds a
-    reaction to, its action vanishes on pinned rows, and its solve returns
-    zero wherever a pinned right-hand side is zero (periodic closures pin
-    nothing).
+    each row one field.  The step keeps one table of each kind per
+    operator, which broadcast against the rows: row ``i`` uses operator
+    ``i``, or the only one; :meth:`select` assigns operators otherwise.
+    Rows entering a step must vanish on their operator's pinned nodes, and
+    they leave it pinned too: a box step zeroes those nodes in every
+    right-hand side it adds a reaction to, its action vanishes on pinned
+    rows, and its solve returns zero wherever a pinned right-hand side is
+    zero (periodic closures pin nothing).
 
     Each solve first tests its warm start: a row whose residual is already
     below ``1e-10`` times its right-hand side's norm is returned unchanged,
@@ -214,9 +220,26 @@ class LinearStep:
     warm-start test and the solve) and ``solve`` (one vector).
     """
 
-    def __init__(self, op: DispersalOperator, scale: float):
+    #: The per-operator tables: arrays stacked along their first axis, or lists.
+    _per_operator: tuple[str, ...] = ("_pinned",)
+
+    def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         self.scale = scale
-        self._pinned = op.constrained
+        self._pinned = np.stack([op.constrained for op in ops])
+
+    def select(self, which: list[int]) -> LinearStep:
+        """This step for rows where row ``i`` uses operator ``which[i]``."""
+        picked = copy.copy(self)
+        for name in self._per_operator:
+            table = getattr(self, name)
+            picks = [table[o] for o in which] if isinstance(table, list) else table[which]
+            setattr(picked, name, picks)
+        return picked
+
+    @staticmethod
+    def _each(table: list, rows) -> list:
+        """A per-operator list's entry for each of ``rows``."""
+        return table * len(rows) if len(table) == 1 else table
 
     def pin(self, rows: np.ndarray) -> np.ndarray:
         """Zero the pinned nodes of ``rows`` in place and return them."""
@@ -262,10 +285,13 @@ class _FourierStep(LinearStep):
     machine.
     """
 
-    def __init__(self, op: DispersalOperator, scale: float):
-        super().__init__(op, scale)
-        self._shape = op.grid.shape
-        self._symbol = op.symbol()
+    _per_operator = ("_pinned", "_symbol", "_eig")
+
+    def __init__(self, ops: Sequence[DispersalOperator], scale: float):
+        super().__init__(ops, scale)
+        self._shape = ops[0].grid.shape
+        symbols = [op.symbol() for op in ops]  # a lone operator's cached symbol is not copied
+        self._symbol = np.stack(symbols) if len(symbols) > 1 else symbols[0][None]
         self._eig = 1.0 - scale * self._symbol
         self._weights = half_spectrum_weights(self._shape)
 
@@ -348,74 +374,89 @@ class _CapacitanceStep(_BoxStep):
     one ``k x m`` product and one FFT pair, twice on the stiff steps that
     need a refinement step (see ``__init__``); ``E P^-1`` takes ``k``
     batched transforms at set-up.
+
+    Several operators share ``L`` and the ``m`` nodes any of them leaves
+    free, so one FFT pair serves all rows; each has its own ``P``, face rows
+    and gain on its own contiguous block of free nodes (the two end nodes
+    that the local dirichlet closure pins join its padding).
     """
 
-    def __init__(self, op: DispersalOperator, scale: float):
-        super().__init__(op, scale)
-        free = np.flatnonzero(~op.constrained)
-        lo, m = int(free[0]), free.size
-        if free[-1] - lo + 1 != m:
-            raise ValidationError("a one-dimensional box step needs contiguous free nodes")
+    _per_operator = ("_pinned", "_kernels", "_diagonal", "_mirror", "_eig", "_faces", "_gain")
+
+    def __init__(self, ops: Sequence[DispersalOperator], scale: float):
+        super().__init__(ops, scale)
+        free = ~self._pinned
+        span = np.flatnonzero(np.any(free, axis=0))
+        lo, m = int(span[0]), span.size
         self._free = slice(lo, lo + m)
-        reach = max(abs(offset) for (offset,), _ in op.offsets)
-        band = np.zeros(2 * reach + 1)  # band[reach + o] = w_o
-        for (offset,), weight in op.offsets:
-            band[reach + offset] += weight
-        self._reach = reach
-        self._kernel = band[::-1].copy()  # np.convolve flips its kernel
-        self._diagonal = op.diagonal()[self._free]
-        self._mirror = op.mirror_weight if op.mirror else 0.0
-
-        length = _fft_length(m)
-        self_term = -op.total_weight()
-        column = op.wrapped_column((length,))  # first column of C
-        self._length = length
-        self._eig = 1.0 - scale * np.fft.rfft(column)
-
-        nodes = np.arange(m)
-        faces = np.flatnonzero(
-            (nodes < reach) | (nodes >= m - reach) | (self._diagonal != self_term)
-        )
+        self._length = length = _fft_length(m)
         cols = np.arange(length)
-        gap = cols - faces[:, None]
-        face_rows = np.where(
-            (np.abs(gap) <= reach) & (cols < m), band[np.clip(gap + reach, 0, 2 * reach)], 0.0
-        )
-        face_rows[np.arange(faces.size), faces] = self._diagonal[faces]
-        if op.mirror:
-            face_rows[faces == 0, 1] += self._mirror
-            face_rows[faces == m - 1, m - 2] += self._mirror
-        E = scale * (column[(faces[:, None] - cols) % length] - face_rows)
-        EP = np.fft.irfft(np.fft.rfft(E) / np.conj(self._eig), length)  # rows of E P^-1
-        capacitance = np.eye(faces.size) + EP[:, faces]
-        self._faces = faces
-        self._gain = np.einsum("ij,jk->ik", _inverse(capacitance), EP[:, :m])
+        columns = np.stack([op.wrapped_column((length,)) for op in ops])  # first columns of C
+        self._eig = 1.0 - scale * np.fft.rfft(columns)
+        self._diagonal = np.stack([op.diagonal()[self._free] for op in ops])
+        self._mirror = np.array([op.mirror_weight if op.mirror else 0.0 for op in ops])
+        self._kernels, self._faces, self._gain = [], [], []
+        tables = zip(ops, free[:, self._free], columns, self._eig, self._diagonal, self._mirror)
+        for op, inside, column, eig, diagonal, mirror in tables:
+            block = np.flatnonzero(inside)
+            a, b = int(block[0]), int(block[-1]) + 1
+            if span[-1] - lo + 1 != m or b - a != block.size:
+                raise ValidationError("a one-dimensional box step needs contiguous free nodes")
+            reach = max(abs(offset) for (offset,), _ in op.offsets)
+            band = np.zeros(2 * reach + 1)  # band[reach + o] = w_o
+            for (offset,), weight in op.offsets:
+                band[reach + offset] += weight
+            self._kernels.append(band[::-1].copy())  # np.convolve flips its kernel
+
+            nodes = np.arange(b - a)
+            faces = a + np.flatnonzero(
+                (nodes < reach) | (nodes >= b - a - reach) | (diagonal[a:b] != -op.total_weight())
+            )
+            gap = cols - faces[:, None]
+            face_rows = np.where(
+                (np.abs(gap) <= reach) & (cols >= a) & (cols < b),
+                band[np.clip(gap + reach, 0, 2 * reach)],
+                0.0,
+            )
+            face_rows[np.arange(faces.size), faces] = diagonal[faces]
+            if mirror:
+                face_rows[faces == a, a + 1] += mirror
+                face_rows[faces == b - 1, b - 2] += mirror
+            E = scale * (column[(faces[:, None] - cols) % length] - face_rows)
+            EP = np.fft.irfft(np.fft.rfft(E) / np.conj(eig), length)  # rows of E P^-1
+            capacitance = np.eye(faces.size) + EP[:, faces]
+            self._faces.append(faces)
+            self._gain.append(np.einsum("ij,jk->ik", _inverse(capacitance), EP[:, :m]))
+            del gap, face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
+        self._pins_inside = bool(np.any(self._pinned[:, self._free]))
 
         # The correction cancels modes of P that M lacks (the constant mode
         # under a hostile exterior); on stiff steps the cancellation loses
         # digits (relative residual 4e-10 at scale * sum(w) = 1.3e6), which
         # one step of iterative refinement restores.  A probe solve decides:
         # refine where one step removes most of a residual above 1e-13.
-        probe = np.zeros((1, op.grid.num_nodes))
-        probe[:, self._free] = 1.0 + np.cos(nodes)
+        probe = np.zeros((len(ops), ops[0].grid.num_nodes))
+        probe[:, self._free] = 1.0 + np.cos(np.arange(m))
+        self.pin(probe)
         x = self._solve(probe)
-        before = _row_norms(self._residual(probe, x))[0]
+        before = _row_norms(self._residual(probe, x))
         x += self._solve(self._residual(probe, x))
-        after = _row_norms(self._residual(probe, x))[0]
-        self._refine = bool(before > 1e-13 * _row_norms(probe)[0] and after < before / 4.0)
+        after = _row_norms(self._residual(probe, x))
+        self._refine = bool(np.any((before > 1e-13 * _row_norms(probe)) & (after < before / 4.0)))
 
     def _act(self, rows):
         u = rows[:, self._free]
         out = np.zeros_like(rows)
         band = out[:, self._free]
-        r, m = self._reach, u.shape[1]
-        for target, values in zip(band, u):
-            target[:] = np.convolve(values, self._kernel)[r : r + m]
+        m = u.shape[1]
+        for target, values, kernel in zip(band, u, self._each(self._kernels, u)):
+            r = len(kernel) // 2
+            target[:] = np.convolve(values, kernel)[r : r + m]
         band += self._diagonal * u
-        if self._mirror:
+        if np.any(self._mirror):
             band[:, 0] += self._mirror * u[:, 1]
             band[:, -1] += self._mirror * u[:, -2]
-        return out
+        return self.pin(out) if self._pins_inside else out
 
     def _solve_rows(self, b, x0, Ax0):
         Ax = self._act(x0) if Ax0 is None else Ax0
@@ -439,47 +480,49 @@ class _CapacitanceStep(_BoxStep):
         m = free.shape[1]
         y = np.zeros((len(b), self._length))
         y[:, :m] = free
-        y[:, self._faces] -= np.einsum("ij,rj->ri", self._gain, free)
+        gains = zip(self._each(self._faces, b), self._each(self._gain, b))
+        for row, values, (faces, gain) in zip(y, free, gains):
+            row[faces] -= np.einsum("ij,j->i", gain, values)
         x = b.copy()
         x[:, self._free] = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m]
-        return x
+        return self.pin(x) if self._pins_inside else x
 
 
 class _MatrixStep(_BoxStep):
-    """Two-dimensional boxes, backed by the operator's CSR matrix.
+    """Two-dimensional boxes, backed by each operator's CSR matrix.
 
-    Each row is solved by CG (BiCGSTAB for the mirrored closure), whose own
-    first residual check is the warm-start test, with a sparse direct solve
-    as rescue.  ``cg``, ``bicgstab`` and ``spsolve`` are looked up in the
-    module at each call, not captured here; ``__init__`` has bound them.
+    Each row is solved with its own operator's matrix by CG (BiCGSTAB for
+    the mirrored closure), whose own first residual check is the
+    warm-start test, with a sparse direct solve as rescue.  ``cg``,
+    ``bicgstab`` and ``spsolve`` are looked up in the module at each call,
+    not captured here; ``__init__`` has bound them.
     """
 
-    def __init__(self, op: DispersalOperator, scale: float):
-        super().__init__(op, scale)
+    _per_operator = ("_pinned", "_A", "_M", "_mirror")
+
+    def __init__(self, ops: Sequence[DispersalOperator], scale: float):
+        super().__init__(ops, scale)
         import scipy.sparse as sparse
 
         _bind_scipy_solvers()
-        self._A = op.matrix()
-        self._M = sparse.identity(self._A.shape[0], format="csr") - scale * self._A
-        self._mirror = op.mirror
-
-    @cached_property
-    def _M_csc(self):
-        return self._M.tocsc()
+        self._A = [op.matrix() for op in ops]
+        self._M = [sparse.identity(A.shape[0], format="csr") - scale * A for A in self._A]
+        self._mirror = [op.mirror for op in ops]
 
     def _act(self, rows):
-        return (self._A @ rows.T).T
+        return np.stack([A @ row for A, row in zip(self._each(self._A, rows), rows)])
 
     def _solve_rows(self, b, x0, Ax0):
-        return np.stack([self._krylov(bi, xi) for bi, xi in zip(b, x0)]), None
+        systems = zip(self._each(self._M, b), self._each(self._mirror, b), b, x0)
+        return np.stack([self._krylov(*system) for system in systems]), None
 
-    def _krylov(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        krylov = bicgstab if self._mirror else cg
-        x, info = krylov(self._M, b, x0=x0, rtol=_SOLVE_RTOL, atol=0.0)
+    def _krylov(self, M, mirror: bool, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        krylov = bicgstab if mirror else cg
+        x, info = krylov(M, b, x0=x0, rtol=_SOLVE_RTOL, atol=0.0)
         if info == 0:
             return x
-        x = spsolve(self._M_csc, b)
-        residual = float(np.linalg.norm(b - self._M @ x))
+        x = spsolve(M.tocsc(), b)
+        residual = float(np.linalg.norm(b - M @ x))
         bound = _SOLVE_RTOL * float(np.linalg.norm(b))
         if residual > max(bound, 1e-13):
             raise SolverFailureError(
@@ -589,30 +632,37 @@ def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]
     initial state is always included as the first snapshot.  Raises
     :class:`BlowUpError` the moment the sup norm passes ``1e12``.
     """
-    nsteps = whole_steps(problem.end - problem.start, dt)
-    wanted = _snapshot_steps(problem.start, dt, nsteps, snapshot_times)
-    op = problem.operator
-    coords = op.grid.coordinates
-    step = linear_step(op, dt / 2.0)
-    evaluate = problem.reaction.evaluate
+    return _solve_together([problem], dt, snapshot_times)[0]
+
+
+def _solve_together(problems: Sequence[SemilinearProblem], dt: float, snapshot_times):
+    """:func:`solve` of problems that differ only in their operators, as rows of one array.
+
+    The first row to blow up raises at once.
+    """
+    first = problems[0]
+    nsteps = whole_steps(first.end - first.start, dt)
+    wanted = _snapshot_steps(first.start, dt, nsteps, snapshot_times)
+    grid = first.operator.grid
+    step = linear_step([problem.operator for problem in problems], dt / 2.0)
+    evaluate = first.reaction.evaluate
 
     def rate(t: float, rows: np.ndarray) -> np.ndarray:
-        return evaluate(t, coords, rows)
+        return evaluate(t, grid.coordinates, rows)
 
-    u = step.pin(problem.initial.values.reshape(1, -1).copy())
+    u = step.pin(np.stack([problem.initial.values for problem in problems]))
     companion = None
-    times = [problem.start]
-    states = [Field(op.grid, u[0].copy(), problem.start)]
+    times, states = [first.start], [u.copy()]
     for k in range(1, nsteps + 1):
-        t = problem.start + (k - 1) * dt
+        t, stamp = first.start + (k - 1) * dt, first.start + k * dt
         u, companion = step.imex_step(t, u, rate, companion, trapezoid=True)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOW_UP_THRESHOLD:
-            raise BlowUpError(f"field exceeded {BLOW_UP_THRESHOLD:.0e} at t={problem.start + k * dt!r}")
+            raise BlowUpError(f"field exceeded {BLOW_UP_THRESHOLD:.0e} at t={stamp!r}")
         if k in wanted:
-            stamp = problem.start + k * dt
             times.append(stamp)
-            states.append(Field(op.grid, u[0].copy(), stamp))
-    return Trajectory(tuple(times), tuple(states), nsteps, dt)
+            states.append(u.copy())
+    runs = [[Field(grid, s[i], t) for s, t in zip(states, times)] for i in range(len(problems))]
+    return [Trajectory(tuple(times), tuple(run), nsteps, dt) for run in runs]
 
 
 def check_comparison(lower: Trajectory, upper: Trajectory, tol: float) -> bool:
@@ -662,22 +712,15 @@ def solution_convergence_experiment(
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
     grid = local_op.grid
     u0 = initial_field(grid, initial_fn)
-
     snap_times = [k * dt for k in _uniform_snapshot_steps(whole_steps(t_final, dt), snapshots)]
-    reference = solve(SemilinearProblem(local_op, reaction, u0, 0.0, t_final), dt, snap_times)
+    problems = [SemilinearProblem(o, reaction, u0, 0.0, t_final) for o in (local_op, *nonlocal_ops)]
+    reference, *runs = _solve_together(problems, dt, snap_times)
 
     keep = ~grid.ghost_mask
-    observed_min = min(float(np.min(st.values[keep])) for st in reference.states)
-
-    def one_delta(op: DispersalOperator) -> tuple[float, float]:
-        run = solve(SemilinearProblem(op, reaction, u0.copy(), 0.0, t_final), dt, snap_times)
-        err = max(sup_distance(a, b) for a, b in zip(run.states, reference.states))
-        low = min(float(np.min(st.values[keep])) for st in run.states)
-        return err, low
-
-    results = list(map(one_delta, nonlocal_ops))
-    errors = [r[0] for r in results]
-    observed_min = min([observed_min] + [r[1] for r in results])
+    errors = [max(sup_distance(a, b) for a, b in zip(run.states, reference.states)) for run in runs]
+    observed_min = min(
+        float(np.min(state.values[keep])) for run in (reference, *runs) for state in run.states
+    )
     orders = empirical_orders(deltas, errors)
     rows = [(d, e, p) for d, e, p in zip(deltas, errors, orders)]
     meta = {

@@ -6,11 +6,11 @@ the linearization at zero has positive principal growth rate, the unique
 positive periodic state is found by iterating the nonlinear period map from
 a constant super-solution downward and from a small positive sub-solution
 upward; the two ordered iterations bracket the state and their agreement is
-a built-in uniqueness check.  The two brackets advance together as the two
-rows of one array, so each step makes one batched call where the two
-iterations would make two; a bracket that has converged is frozen while
-the other goes on, and iteration counts, order-breach records and errors
-are those of running the super bracket first and the sub bracket after.
+a built-in uniqueness check.  The brackets advance together as rows of one
+array (both of one problem, or both of every problem in a radius sweep),
+so each step makes one batched call; a bracket that has converged is
+frozen while the others go on, and iteration counts, order-breach records
+and errors are those of running the brackets one after another.
 
 Each time step treats dispersal by backward Euler and the reaction by a
 Heun predictor-corrector.  The backward-Euler resolvent has entrywise
@@ -45,7 +45,7 @@ from .grids import Field, sup_distance
 from .kernels import KernelProfile
 from .operators import BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
-from .spectral import PeriodMap, default_start, principal_value
+from .spectral import PeriodMap, _power_iteration, default_start, principal_value
 
 #: Sup-norm floor below which a positive-orbit iteration is declared collapsed.
 COLLAPSE_FLOOR = 1e-13
@@ -103,20 +103,21 @@ class KPPProblem:
     def _rate(self, t: float, u: np.ndarray) -> np.ndarray:
         return u * self.growth.evaluate(t, self.operator.grid.coordinates, u)
 
-    def one_period(self, rows: np.ndarray, marks: Sequence[int] = ()):
+    def one_period(self, rows: np.ndarray, marks: Sequence[int] = (), step=None):
         """Advance ``rows``, shape ``(rows, num_nodes)``, by one period.
 
-        Returns the advanced rows and a copy of row 0 taken before each
-        step index in ``marks``.  Each step's companion (the rows' spectrum
-        on periodic closures) is carried to the next step.
+        Returns the advanced rows and a copy of them taken before each step
+        index in ``marks``.  Each step's companion (the rows' spectrum on
+        periodic closures) is carried to the next step.  A ``step`` over
+        several operators on this grid replaces the problem's own.
         """
+        step = self._step if step is None else step
         taken, companion = [], None
         for k in range(self.steps_per_period):
             if k in marks:
-                taken.append(rows[0].copy())
-            rows, companion = self._step.imex_step(
-                k * self.dt, rows, self._rate, companion, trapezoid=False
-            )
+                taken.append(rows.copy())
+            t = k * self.dt
+            rows, companion = step.imex_step(t, rows, self._rate, companion, trapezoid=False)
         return rows, taken
 
 
@@ -187,52 +188,54 @@ def _small_positive_start(op: DispersalOperator, eps: float) -> np.ndarray:
 
 
 def _bracket(
-    problem: KPPProblem, starts: np.ndarray, tol: float, max_periods: int
+    problem: KPPProblem, starts: np.ndarray, tol: float, max_periods: int, step=None
 ) -> tuple[np.ndarray, list[int], list[float]]:
-    """Iterate the super bracket (row 0) and the sub bracket (row 1) together.
+    """Iterate super brackets (rows ``2p``) and sub brackets (rows ``2p + 1``) together.
 
-    Each row is the serial iteration of its own bracket: row 0 should not
-    increase and row 1 should not decrease, and the worst breach of that
-    order is recorded per row.  A row stops once a period moves it by less
-    than ``tol`` (converged) or leaves it below :data:`COLLAPSE_FLOOR`
-    (collapsed); only the rows still active are stepped.  A failure of the
-    super bracket is raised at once; one of the sub bracket is raised only
-    after the super bracket has converged, so the errors come out as if
-    the super bracket ran first.
+    Rows ``2p`` and ``2p + 1`` use operator ``p`` of ``step`` (``problem``'s
+    own by default).  Each row is the serial iteration of its own bracket:
+    a super row should not increase and a sub row should not decrease, and
+    the worst breach of that order is recorded per row.  A row stops once a
+    period moves it by less than ``tol`` (converged) or leaves it below
+    :data:`COLLAPSE_FLOOR` (collapsed); only the rows still active are
+    stepped.  Errors come out as if the brackets ran one after another: a
+    failed row stops the rows after it, and is raised once the rows before
+    it have converged.
     """
+    step = problem._step if step is None else step
     rows = starts.copy()
-    iterations = [0, 0]
-    worst = [0.0, 0.0]
-    failures: list[Exception | None] = [None, None]
-    active = [0, 1]
+    done: list = [None] * len(rows)  # the period a row converged in, or its error
+    worst = [0.0] * len(rows)
+    active = list(range(len(rows)))
+    picked = step.select([row // 2 for row in active])
     for iteration in range(1, max_periods + 1):
         u = rows[active]
-        image, _ = problem.one_period(u)
-        for before, after, row in zip(u, image, list(active)):
-            breach = float(np.max(after - before)) if row == 0 else float(np.max(before - after))
-            worst[row] = max(worst[row], breach)
-            gap = float(np.max(np.abs(after - before)))
+        image, _ = problem.one_period(u, step=picked)
+        for before, after, row in zip(u, image, active):
+            breach = np.max(after - before) if row % 2 == 0 else np.max(before - after)
+            worst[row] = max(worst[row], float(breach))
             rows[row] = after
             if float(np.max(np.abs(after))) < COLLAPSE_FLOOR:
-                failures[row] = CollapsedToZeroError(
+                done[row] = CollapsedToZeroError(
                     f"orbit iteration collapsed to zero after {iteration} periods "
                     "(the zero state is the only nonnegative periodic state here)"
                 )
-            elif gap < tol:
-                iterations[row] = iteration
-            else:
-                continue
-            active.remove(row)
-        if failures[0] is not None or not active:
+            elif float(np.max(np.abs(after - before))) < tol:
+                done[row] = iteration
+        failed = [row for row, outcome in enumerate(done) if isinstance(outcome, Exception)]
+        cut = min(failed, default=len(done))
+        going = [row for row in active if done[row] is None and row < cut]
+        if going != active:
+            active, picked = going, step.select([row // 2 for row in going])
+        if not active:
             break
-    for row in active:
-        failures[row] = NoConvergenceError(
+    if active:  # rows still active come before any failed row
+        raise NoConvergenceError(
             f"period-map iteration did not reach tol={tol!r} within {max_periods} periods"
         )
-    for failure in failures:
-        if failure is not None:
-            raise failure
-    return rows, iterations, worst
+    if failed:
+        raise done[failed[0]]
+    return rows, done, worst
 
 
 def positive_periodic_solution(
@@ -248,48 +251,59 @@ def positive_periodic_solution(
     then walks one more period from the downward limit to store
     ``snapshots_per_period`` evenly spaced states.
     """
+    return _periodic_solutions([problem], tol, max_periods, snapshots_per_period)[0]
+
+
+def _periodic_solutions(
+    problems: Sequence[KPPProblem], tol: float, max_periods: int, snapshots_per_period: int
+) -> list[PeriodicOrbit]:
+    """:func:`positive_periodic_solution` of problems that differ only in their operators.
+
+    Bracket failures of any problem are raised before disagreeing limits.
+    """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_periods < 1:
         raise ValidationError(f"max_periods must be at least 1, got {max_periods}")
-    steps = problem.steps_per_period
+    first = problems[0]
+    steps = first.steps_per_period
     marks = _uniform_snapshot_steps(steps, snapshots_per_period)[:-1]
     if steps % snapshots_per_period != 0:
         raise ValidationError(
             f"snapshot count {snapshots_per_period} must divide the {steps} steps per period"
         )
-    level = validate_saturation(problem)
-    op = problem.operator
-    starts = np.stack([np.full(op.grid.num_nodes, level), _small_positive_start(op, eps=1e-3)])
-    starts[:, op.constrained] = 0.0
-    (upper, lower), (super_iters, sub_iters), (viol_super, viol_sub) = _bracket(
-        problem, starts, tol, max_periods
-    )
-    agreement = float(np.max(np.abs(upper - lower)))
-    if agreement > 10.0 * tol:
-        raise NumericsError(
-            f"ordered-start limits disagree by {agreement:.3e} (> 10 * tol = {10 * tol:.1e}); "
-            "the periodic state is not uniquely resolved at this tolerance"
+    level = validate_saturation(first)
+    ops = [problem.operator for problem in problems]
+    ceiling = np.full(first.operator.grid.num_nodes, level)
+    starts = np.stack([row for op in ops for row in (ceiling, _small_positive_start(op, 1e-3))])
+    np.copyto(starts, 0.0, where=np.repeat([op.constrained for op in ops], 2, axis=0))
+    step = linear_step(ops, first.dt)
+    rows, iterations, worst = _bracket(first, starts, tol, max_periods, step)
+    uppers = rows[0::2]
+    agreements = [float(np.max(np.abs(upper - lower))) for upper, lower in zip(uppers, rows[1::2])]
+    for agreement in agreements:
+        if agreement > 10.0 * tol:
+            raise NumericsError(
+                f"ordered-start limits disagree by {agreement:.3e} (> 10 * tol = {10 * tol:.1e}); "
+                "the periodic state is not uniquely resolved at this tolerance"
+            )
+    wrapped, taken = first.one_period(uppers, marks, step=step)
+    times = tuple(k * first.dt for k in marks)
+    return [
+        PeriodicOrbit(
+            times=times,
+            states=tuple(Field(op.grid, snap[p], t) for t, snap in zip(times, taken)),
+            residual=float(np.max(np.abs(wrapped[p] - uppers[p]))),
+            saturation_bound=level,
+            super_iterations=iterations[2 * p],
+            sub_iterations=iterations[2 * p + 1],
+            monotone_violation_super=worst[2 * p],
+            monotone_violation_sub=worst[2 * p + 1],
+            start_agreement=agreements[p],
+            interior_min=min(float(np.min(snap[p][~op.constrained])) for snap in taken),
         )
-    (wrapped,), raw_states = problem.one_period(upper.reshape(1, -1), marks)
-    times = tuple(k * problem.dt for k in marks)
-    residual = float(np.max(np.abs(wrapped - upper)))
-    grid = op.grid
-    interior = ~op.constrained
-    interior_min = min(float(np.min(s[interior])) for s in raw_states)
-    states = tuple(Field(grid, s, t) for t, s in zip(times, raw_states))
-    return PeriodicOrbit(
-        times=times,
-        states=states,
-        residual=residual,
-        saturation_bound=level,
-        super_iterations=super_iters,
-        sub_iterations=sub_iters,
-        monotone_violation_super=viol_super,
-        monotone_violation_sub=viol_sub,
-        start_agreement=agreement,
-        interior_min=interior_min,
-    )
+        for p, op in enumerate(ops)
+    ]
 
 
 def advance_periods(problem: KPPProblem, values: np.ndarray, periods: int) -> np.ndarray:
@@ -319,34 +333,22 @@ def orbit_convergence_experiment(
     aborting the sweep.
     """
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
-    local_problem = KPPProblem(local_op, growth, dt)
-    local_ok, local_rate = verify_invasion_condition(local_problem)
-    if not local_ok:
+    problems = [KPPProblem(op, growth, dt) for op in (local_op, *nonlocal_ops)]
+    linearizations = [PeriodMap(p.operator, growth.linearization_at_zero, dt) for p in problems]
+    checks = _power_iteration(linearizations, 1e-9, 20000)
+    local_rate = checks[0].value
+    if local_rate <= 0.0:
         raise NumericsError(
             f"local linearized growth rate {local_rate!r} is not positive; "
             "no positive periodic reference state exists"
         )
-    reference = positive_periodic_solution(
-        local_problem, tol=tol, snapshots_per_period=snapshots_per_period
-    )
-
-    def one_delta(op: DispersalOperator):
-        problem = KPPProblem(op, growth, dt)
-        ok, rate = verify_invasion_condition(problem)
-        if not ok:
-            return (op.delta, nan, rate, False, None)
-        orbit = positive_periodic_solution(
-            problem, tol=tol, snapshots_per_period=snapshots_per_period
-        )
-        gap = max(
-            sup_distance(a, b) for a, b in zip(orbit.states, reference.states)
-        )
-        return (op.delta, gap, rate, True, orbit)
-
-    results = list(map(one_delta, nonlocal_ops))
-
-    rows = [(d, gap, rate, ok) for d, gap, rate, ok, _ in results]
-    orbits = [orbit for *_, orbit in results if orbit is not None] + [reference]
+    invadable = [p for p, check in zip(problems, checks) if check.value > 0.0]
+    orbits = _periodic_solutions(invadable, tol, 2000, snapshots_per_period)
+    radius_gaps = iter([max(map(sup_distance, o.states, orbits[0].states)) for o in orbits[1:]])
+    rows = [
+        (op.delta, next(radius_gaps) if check.value > 0.0 else nan, check.value, check.value > 0.0)
+        for op, check in zip(nonlocal_ops, checks[1:])
+    ]
     gaps = [gap for _, gap, *_ in rows]
     meta = {
         "bc": local_op.bc.value,

@@ -395,7 +395,8 @@ def sweep_operators(
     Checks ``deltas`` positive, strictly decreasing and ``h <= min(deltas)/8``
     (every kernel well resolved), builds one grid for the local reference
     and all radii, and returns the radii as floats, the local operator, and
-    a generator assembling each radius's operator, in order, when reached.
+    the list of every radius's operator in order, all assembled at once
+    (the sweeps advance them together).
     """
     deltas = [float(d) for d in deltas]
     if not deltas or any(d <= 0 for d in deltas):
@@ -408,7 +409,7 @@ def sweep_operators(
         )
     bc = parse_boundary_condition(bc)
     grid = nonlocal_grid(domain, h, bc, max(deltas))
-    nonlocal_ops = (assemble_nonlocal(grid, profile, delta, bc) for delta in deltas)
+    nonlocal_ops = [assemble_nonlocal(grid, profile, delta, bc) for delta in deltas]
     return deltas, assemble_local(grid, bc), nonlocal_ops
 
 

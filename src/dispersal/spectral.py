@@ -18,14 +18,15 @@ closures it forms the explicit half step, the warm-start test and the
 solve from one forward transform of the field and returns it with one
 inverse transform, two transforms per step.
 
-``lambda`` is extracted by plain power iteration with sup-norm ratios; the
-dominant eigenvector is a positive (Perron) vector, so no shifts or
-deflation are needed.
+``lambda`` is extracted by plain power iteration with sup-norm ratios (a
+radius sweep iterates its maps as rows of one array); the dominant
+eigenvector is a positive (Perron) vector, so no shifts or deflation are needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from math import log
 from typing import Sequence
 
@@ -48,42 +49,40 @@ from .reports import ConvergenceReport, empirical_orders
 
 @dataclass(eq=False)
 class PeriodMap:
-    """One-period solution operator of a linear time-periodic equation."""
+    """One-period solution operator of a linear time-periodic equation (built on first use)."""
 
     operator: DispersalOperator
     coefficient: TimePeriodicCoefficient
     dt: float
     steps: int = dataclass_field(init=False)
-    _step: LinearStep = dataclass_field(init=False, repr=False)
-    _factors: list = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         self.steps = whole_steps(self.period, self.dt)
-        self._step = linear_step(self.operator, self.dt / 2.0)
-        coords = self.operator.grid.coordinates
-        self._factors = []
-        for k in range(self.steps):
-            t0 = k * self.dt
-            mid = t0 + self.dt / 2.0
-            t1 = (k + 1) * self.dt
-            self._factors.append(
-                (
-                    np.exp(self.coefficient.integral(t0, mid, coords)),
-                    np.exp(self.coefficient.integral(mid, t1, coords)),
-                )
-            )
 
     @property
     def period(self) -> float:
         return self.coefficient.period
 
+    @cached_property
+    def _step(self) -> LinearStep:
+        return linear_step(self.operator, self.dt / 2.0)
+
+    @cached_property
+    def _factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        x, dt, integral = self.operator.grid.coordinates, self.dt, self.coefficient.integral
+        ends = [(k * dt, k * dt + dt / 2.0, (k + 1) * dt) for k in range(self.steps)]
+        return [(np.exp(integral(a, m, x)), np.exp(integral(m, b, x))) for a, m, b in ends]
+
     def advance(self, values: np.ndarray) -> np.ndarray:
         """Apply the map to a flat nodal array."""
         step = self._step
-        u = step.pin(np.array(values, dtype=float).reshape(1, -1))
+        return self._advance(step.pin(np.array(values, dtype=float).reshape(1, -1)), step)[0]
+
+    def _advance(self, rows: np.ndarray, step: LinearStep) -> np.ndarray:
+        """Apply the map to ``rows`` through ``step``, which may give each row its own operator."""
         for first, second in self._factors:
-            u = step.crank_nicolson(u * first) * second
-        return u[0]
+            rows = step.crank_nicolson(rows * first) * second
+        return rows
 
 
 def apply_period_map(period_map: PeriodMap, u0: Field) -> Field:
@@ -146,40 +145,59 @@ def principal_value(
     ``max |image - ratio * u|`` is itself below ``tol`` (the iterate has
     sup norm one), and the growth rate is ``log(ratio) / period``.
     """
+    starts = None if start is None else [start]
+    return _power_iteration([period_map], tol, max_iterations, starts)[0]
+
+
+def _power_iteration(maps: Sequence[PeriodMap], tol: float, max_iterations: int, starts=None):
+    """:func:`principal_value` of maps that differ only in their operators, one row each.
+
+    A settled row is frozen while the others go on; a failed row raises at once.
+    """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be at least 1, got {max_iterations}")
-    op = period_map.operator
-    if start is None:
-        start = default_start(op)
-    elif not same_grid(start.grid, op.grid):
+    ops = [pm.operator for pm in maps]
+    if starts is None:
+        starts = [default_start(op) for op in ops]
+    elif not all(same_grid(start.grid, op.grid) for start, op in zip(starts, ops)):
         raise ValidationError("grid mismatch: start field lives on a different grid")
-    u = np.array(start.values, dtype=float)
-    u[op.constrained] = 0.0
-    peak = float(np.max(np.abs(u)))
-    if peak == 0.0:
+    u = np.array([start.values for start in starts], dtype=float)
+    np.copyto(u, 0.0, where=np.stack([op.constrained for op in ops]))
+    peaks = np.max(np.abs(u), axis=1)
+    if not np.all(peaks):
         raise ValidationError("start field is identically zero")
-    u /= peak
-    previous_ratio = None
+    u /= peaks[:, None]
+    first = maps[0]
+    step = every = linear_step(ops, first.dt / 2.0)
+    results, previous = [None] * len(maps), [None] * len(maps)
+    active = list(range(len(maps)))
     for iteration in range(1, max_iterations + 1):
-        image = period_map.advance(u)
-        ratio = float(np.max(np.abs(image)))
-        if ratio == 0.0 or not np.isfinite(ratio):
-            raise NumericsError(f"period map produced a degenerate image (ratio {ratio!r})")
-        if previous_ratio is not None and abs(ratio - previous_ratio) < tol:
-            residual = float(np.max(np.abs(image - ratio * u)))
-            if residual < tol:
-                eigenfunction = Field(op.grid, image / ratio)
-                value = log(ratio) / period_map.period
-                flag = None
-                if op.kind == NONLOCAL:
-                    flag = principal_eigenvalue_criterion(period_map, value)
-                return SpectrumResult(value, eigenfunction, iteration, residual, flag)
-        previous_ratio = ratio
-        u = image / ratio
+        images = first._advance(u[active], step)
+        for row, image, ratio in zip(active, images, np.max(np.abs(images), axis=1).tolist()):
+            if ratio == 0.0 or not np.isfinite(ratio):
+                raise NumericsError(f"period map produced a degenerate image (ratio {ratio!r})")
+            if previous[row] is not None and abs(ratio - previous[row]) < tol:
+                residual = float(np.max(np.abs(image - ratio * u[row])))
+                if residual < tol:
+                    value = log(ratio) / first.period
+                    flag = None
+                    if ops[row].kind == NONLOCAL:
+                        flag = principal_eigenvalue_criterion(maps[row], value)
+                    eigenfunction = Field(ops[row].grid, image / ratio)
+                    results[row] = SpectrumResult(value, eigenfunction, iteration, residual, flag)
+                    continue
+            previous[row] = ratio
+            u[row] = image / ratio
+        going = [row for row in active if results[row] is None]
+        if not going:
+            return results
+        if going != active:
+            active, step = going, every.select(going)
     raise NoConvergenceError(
-        f"power iteration did not settle in {max_iterations} iterations; last ratio {previous_ratio!r}"
+        f"power iteration did not settle in {max_iterations} iterations; "
+        f"last ratio {previous[active[0]]!r}"
     )
 
 
@@ -240,18 +258,13 @@ def spectrum_convergence_experiment(
     their absolute gap, and the principal-eigenvalue existence flag.
     """
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
-    lambda_local = principal_value(PeriodMap(local_op, coefficient, dt), tol=tol).value
-
-    def one_delta(op: DispersalOperator):
-        result = principal_value(PeriodMap(op, coefficient, dt), tol=tol)
-        return result.value, result.is_principal_eigenvalue
-
-    results = list(map(one_delta, nonlocal_ops))
-
-    gaps = [abs(lam - lambda_local) for lam, _ in results]
+    maps = [PeriodMap(op, coefficient, dt) for op in (local_op, *nonlocal_ops)]
+    local, *results = _power_iteration(maps, tol, 20000)
+    lambda_local = local.value
+    gaps = [abs(result.value - lambda_local) for result in results]
     rows = [
-        (d, lam, lambda_local, gap, flag)
-        for d, (lam, flag), gap in zip(deltas, results, gaps)
+        (d, result.value, lambda_local, gap, result.is_principal_eigenvalue)
+        for d, result, gap in zip(deltas, results, gaps)
     ]
     meta = {
         "bc": local_op.bc.value,

@@ -20,6 +20,7 @@ from dispersal import (
     periodic_cell,
 )
 from dispersal.cli import main
+from dispersal.evolution import _uniform_snapshot_steps
 from dispersal.grids import initial_field
 from dispersal.operators import nonlocal_grid
 from dispersal.reports import read_csv_table
@@ -215,6 +216,78 @@ def test_converge_c_constant_orbit_gap_is_tolerance_level(tmp_path):
     assert header == ["delta", "sup_gap", "h2_delta_lambda", "h2_delta_ok"]
     assert all(float(r[1]) <= 1e-7 for r in rows)
     assert all(r[3] == "1" for r in rows)
+
+
+def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp_path):
+    # a = -0.2 + cos(8 pi x) is negative on most of the box: diffusion still
+    # finds the pockets where a > 0 and invades, the jump operators do not,
+    # so both radii get gapless rows and only the reference is bracketed.
+    cfg = write_config(
+        tmp_path,
+        "c.cfg",
+        bc="neumann",
+        lower="0",
+        upper="1",
+        h="1/64",
+        dt="1/16",
+        T="1",
+        deltas="0.4,0.2",
+        growth="logistic(space-cosine(-0.2,1,8))",
+        orbit_snapshots="16",
+    )
+    out = tmp_path / "out"
+    assert main(["converge-c", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv_table(out / "report.csv")
+    assert header == ["delta", "sup_gap", "h2_delta_lambda", "h2_delta_ok"]
+    assert [(r[0], r[1], r[3]) for r in rows] == [("0.4", "nan", "0"), ("0.2", "nan", "0")]
+    rates = [float(r[2]) for r in rows]
+    assert rates == pytest.approx([-0.05721590998712814, -0.059613634399548004], abs=1e-8)
+    meta = dict(
+        line[2:].split(": ", 1) for line in (out / "run.txt").read_text().splitlines()
+        if line.startswith("# ") and ": " in line
+    )
+    assert float(meta["local_rate"]) == pytest.approx(0.7254522458305319, abs=1e-8)
+    # the reference's own record: its sub bracket breaches its order
+    assert float(meta["max_monotone_violation"]) == pytest.approx(9.2085e-05, rel=1e-4)
+
+
+def test_two_dimensional_converge_a_follows_each_radius_sine_mode_oracle(tmp_path):
+    # sin(x) is an eigenvector of every periodic operator on the cell, so
+    # each run is the mode times a power of its symbol's trapezoidal factor,
+    # and each error is the largest gap between two such powers.
+    nodes, dt, steps = 64, 0.05, 10
+    cfg = write_config(
+        tmp_path,
+        "a2.cfg",
+        bc="periodic",
+        dimension="2",
+        period="2*pi",
+        h=f"2*pi/{nodes}",
+        dt=repr(dt),
+        t_final=repr(steps * dt),
+        deltas="1.6,0.8",
+        u0="sine-mode(1)",
+        snapshots="4",
+    )
+    out = tmp_path / "out"
+    assert main(["converge-a", "--config", str(cfg), "--out", str(out)]) == 0
+    h, s = 2.0 * np.pi / nodes, dt / 2.0
+    grid = build_grid(periodic_cell([2.0 * np.pi] * 2), h)
+
+    def factor(lam):
+        return (1.0 + s * lam) / (1.0 - s * lam)
+
+    local = factor((2.0 * np.cos(h) - 2.0) / h**2)
+    marks = _uniform_snapshot_steps(steps, 4)
+    header, rows = read_csv_table(out / "report.csv")
+    assert header == ["delta", "error", "empirical_order"] and len(rows) == 2
+    for row, delta in zip(rows, (1.6, 0.8)):
+        op = assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), delta, "periodic")
+        lam = sum(w * (np.cos(o[0] * h) - 1.0) for o, w in op.offsets)
+        expected = max(abs(factor(lam) ** k - local**k) for k in marks)
+        assert float(row[0]) == delta
+        assert abs(float(row[1]) - expected) <= 1e-12
+    assert float(rows[0][1]) > float(rows[1][1]) > 0.0
 
 
 def test_two_dimensional_snapshots_carry_both_coordinates(tmp_path):
