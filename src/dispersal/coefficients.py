@@ -179,23 +179,23 @@ def parse_coefficient(text: str, period: float) -> TimePeriodicCoefficient:
     return time_space_product(args[0], args[1], args[2], period)
 
 
-def time_average(a: TimePeriodicCoefficient, coords: Coords, panels: int = 512) -> np.ndarray:
-    """Per-node time average of ``a`` over one period (composite trapezoid)."""
-    times = np.linspace(0.0, a.period, panels + 1)
+def time_average(a: TimePeriodicCoefficient, coords: Coords) -> np.ndarray:
+    """Per-node time average of ``a`` over one period (512-panel composite trapezoid)."""
+    times = np.linspace(0.0, a.period, 513)
     total = 0.5 * (a.evaluate(times[0], coords) + a.evaluate(times[-1], coords))
     for t in times[1:-1]:
         total = total + a.evaluate(float(t), coords)
-    return total / panels
+    return total / 512
 
 
 def sup_difference(
-    a1: TimePeriodicCoefficient, a2: TimePeriodicCoefficient, coords: Coords, samples: int = 512
+    a1: TimePeriodicCoefficient, a2: TimePeriodicCoefficient, coords: Coords
 ) -> float:
-    """Max of ``|a1 - a2|`` over a (time samples) x (all nodes) lattice."""
+    """Max of ``|a1 - a2|`` over a lattice of 513 times (period ends included) by all nodes."""
     if a1.period != a2.period:
         raise ValidationError("coefficients must share a period to be compared")
     worst = 0.0
-    for t in np.linspace(0.0, a1.period, samples + 1):
+    for t in np.linspace(0.0, a1.period, 513):
         gap = np.max(np.abs(a1.evaluate(float(t), coords) - a2.evaluate(float(t), coords)))
         worst = max(worst, float(gap))
     return worst

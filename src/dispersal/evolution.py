@@ -359,48 +359,51 @@ class _BoxStep(LinearStep):
 class _CapacitanceStep(_BoxStep):
     """One-dimensional boxes: the FFT of the wrapped stencil plus a face correction.
 
-    On the ``m`` free (unpinned) nodes, which are contiguous, the action is
+    On the ``m`` box nodes (the grid without its ghost band) the action is
     the stencil's band, a diagonal and, for the mirrored closure, the
     entries ``(0, 1)`` and ``(m-1, m-2)``; it is applied by ``np.convolve``.
-    Zero-padded to a 5-smooth length ``L >= m``, the system ``M = I - sA``
-    sits in the block matrix ``[[M, 0], [P_pf, P_pp]]``, where
-    ``P = I - sC`` is the circulant of the stencil wrapped on ``L`` nodes
-    with self term ``-sum_o w_o``: the padding rows are ``P``'s own, so the
-    block matrix differs from ``P`` only in ``E``, its ``k`` rows ``R``
-    within stencil reach of a face (plus any row whose diagonal is not the
-    self term).  Writing ``x = P^-1 y`` leaves ``y = b`` off ``R`` and
-    ``y_R = b_R - G b`` on it, with the gain ``G = Q^-1 (E P^-1)_F`` and
-    the capacitance matrix ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is
-    one ``k x m`` product and one FFT pair, twice on the stiff steps that
-    need a refinement step (see ``__init__``); ``E P^-1`` takes ``k``
-    batched transforms at set-up.
+    An operator's free (unpinned) nodes form one contiguous block of them;
+    zero-padded to a 5-smooth length ``L >= m``, the system ``M = I - sA``
+    on that block sits in the block matrix ``[[M, 0], [P_pf, P_pp]]``,
+    where ``P = I - sC`` is the circulant of the stencil wrapped on ``L``
+    nodes with self term ``-sum_o w_o``: the padding rows (the two end
+    nodes that the local dirichlet closure pins among them) are ``P``'s
+    own, so the block matrix differs from ``P`` only in ``E``, its ``k``
+    rows ``R`` within stencil reach of a face.  Writing ``x = P^-1 y``
+    leaves ``y = b`` off ``R`` and ``y_R = b_R - G b`` on it, with the gain
+    ``G = Q^-1 (E P^-1)_F`` and the capacitance matrix
+    ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is one ``k x m`` product
+    and one FFT pair, twice on the stiff steps that need a refinement step
+    (see ``__init__``); ``E P^-1`` takes ``k`` batched transforms at set-up.
 
-    Several operators share ``L`` and the ``m`` nodes any of them leaves
-    free, so one FFT pair serves all rows; each has its own ``P``, face rows
-    and gain on its own contiguous block of free nodes (the two end nodes
-    that the local dirichlet closure pins join its padding).
+    ``m`` and ``L`` come from the grid alone, so one FFT pair serves every
+    operator's rows and a row is solved bitwise as its operator's step
+    alone would solve it; each operator has its own ``P``, face rows, gain
+    and refinement decision.
     """
 
-    _per_operator = ("_pinned", "_kernels", "_diagonal", "_mirror", "_eig", "_faces", "_gain")
+    _per_operator = (
+        "_pinned", "_kernels", "_diagonal", "_mirror", "_eig", "_faces", "_gain", "_refine"
+    )
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         super().__init__(ops, scale)
-        free = ~self._pinned
-        span = np.flatnonzero(np.any(free, axis=0))
-        lo, m = int(span[0]), span.size
-        self._free = slice(lo, lo + m)
+        grid = ops[0].grid
+        self._box = slice(grid.ghost_cells, grid.num_nodes - grid.ghost_cells)
+        m = grid.num_nodes - 2 * grid.ghost_cells
         self._length = length = _fft_length(m)
         cols = np.arange(length)
         columns = np.stack([op.wrapped_column((length,)) for op in ops])  # first columns of C
         self._eig = 1.0 - scale * np.fft.rfft(columns)
-        self._diagonal = np.stack([op.diagonal()[self._free] for op in ops])
+        self._diagonal = np.stack([op.diagonal()[self._box] for op in ops])
         self._mirror = np.array([op.mirror_weight if op.mirror else 0.0 for op in ops])
         self._kernels, self._faces, self._gain = [], [], []
-        tables = zip(ops, free[:, self._free], columns, self._eig, self._diagonal, self._mirror)
+        free = ~self._pinned[:, self._box]
+        tables = zip(ops, free, columns, self._eig, self._diagonal, self._mirror)
         for op, inside, column, eig, diagonal, mirror in tables:
             block = np.flatnonzero(inside)
             a, b = int(block[0]), int(block[-1]) + 1
-            if span[-1] - lo + 1 != m or b - a != block.size:
+            if b - a != block.size:
                 raise ValidationError("a one-dimensional box step needs contiguous free nodes")
             reach = max(abs(offset) for (offset,), _ in op.offsets)
             band = np.zeros(2 * reach + 1)  # band[reach + o] = w_o
@@ -409,9 +412,7 @@ class _CapacitanceStep(_BoxStep):
             self._kernels.append(band[::-1].copy())  # np.convolve flips its kernel
 
             nodes = np.arange(b - a)
-            faces = a + np.flatnonzero(
-                (nodes < reach) | (nodes >= b - a - reach) | (diagonal[a:b] != -op.total_weight())
-            )
+            faces = a + np.flatnonzero((nodes < reach) | (nodes >= b - a - reach))
             gap = cols - faces[:, None]
             face_rows = np.where(
                 (np.abs(gap) <= reach) & (cols >= a) & (cols < b),
@@ -428,26 +429,27 @@ class _CapacitanceStep(_BoxStep):
             self._faces.append(faces)
             self._gain.append(np.einsum("ij,jk->ik", _inverse(capacitance), EP[:, :m]))
             del gap, face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
-        self._pins_inside = bool(np.any(self._pinned[:, self._free]))
+        self._pins_inside = bool(np.any(self._pinned[:, self._box]))
 
         # The correction cancels modes of P that M lacks (the constant mode
         # under a hostile exterior); on stiff steps the cancellation loses
         # digits (relative residual 4e-10 at scale * sum(w) = 1.3e6), which
-        # one step of iterative refinement restores.  A probe solve decides:
-        # refine where one step removes most of a residual above 1e-13.
-        probe = np.zeros((len(ops), ops[0].grid.num_nodes))
-        probe[:, self._free] = 1.0 + np.cos(np.arange(m))
+        # one step of iterative refinement restores.  A probe solve decides
+        # for each operator: refine where one step removes most of a
+        # residual above 1e-13.
+        probe = np.zeros((len(ops), grid.num_nodes))
+        probe[:, self._box] = 1.0 + np.cos(np.arange(m))
         self.pin(probe)
         x = self._solve(probe)
         before = _row_norms(self._residual(probe, x))
         x += self._solve(self._residual(probe, x))
         after = _row_norms(self._residual(probe, x))
-        self._refine = bool(np.any((before > 1e-13 * _row_norms(probe)) & (after < before / 4.0)))
+        self._refine = (before > 1e-13 * _row_norms(probe)) & (after < before / 4.0)
 
     def _act(self, rows):
-        u = rows[:, self._free]
+        u = rows[:, self._box]
         out = np.zeros_like(rows)
-        band = out[:, self._free]
+        band = out[:, self._box]
         m = u.shape[1]
         for target, values, kernel in zip(band, u, self._each(self._kernels, u)):
             r = len(kernel) // 2
@@ -465,8 +467,8 @@ class _CapacitanceStep(_BoxStep):
         if all(kept):
             return x0, Ax
         x = self._solve(b)
-        if self._refine:
-            x += self._solve(self._residual(b, x))
+        if self._refine.any():
+            x += np.where(self._refine[:, None], self._solve(self._residual(b, x)), 0.0)
         if any(kept):
             x[keep] = x0[keep]
         return x, None
@@ -476,15 +478,15 @@ class _CapacitanceStep(_BoxStep):
 
     def _solve(self, b):
         """``(I - scale * A)^-1 b`` for rows ``b``: face correction, then one FFT pair."""
-        free = b[:, self._free]
-        m = free.shape[1]
+        box = b[:, self._box]
+        m = box.shape[1]
         y = np.zeros((len(b), self._length))
-        y[:, :m] = free
+        y[:, :m] = box
         gains = zip(self._each(self._faces, b), self._each(self._gain, b))
-        for row, values, (faces, gain) in zip(y, free, gains):
+        for row, values, (faces, gain) in zip(y, box, gains):
             row[faces] -= np.einsum("ij,j->i", gain, values)
         x = b.copy()
-        x[:, self._free] = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m]
+        x[:, self._box] = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m]
         return self.pin(x) if self._pins_inside else x
 
 
@@ -632,36 +634,36 @@ def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]
     initial state is always included as the first snapshot.  Raises
     :class:`BlowUpError` the moment the sup norm passes ``1e12``.
     """
-    return _solve_together([problem], dt, snapshot_times)[0]
+    return _solve_together(problem, [problem.operator], dt, snapshot_times)[0]
 
 
-def _solve_together(problems: Sequence[SemilinearProblem], dt: float, snapshot_times):
-    """:func:`solve` of problems that differ only in their operators, as rows of one array.
+def _solve_together(problem: SemilinearProblem, ops, dt: float, snapshot_times):
+    """:func:`solve` of ``problem`` with each of ``ops`` in its place, as rows of one array.
 
-    The first row to blow up raises at once.
+    The operators share the problem's grid and closure.  The first row to
+    blow up raises at once.
     """
-    first = problems[0]
-    nsteps = whole_steps(first.end - first.start, dt)
-    wanted = _snapshot_steps(first.start, dt, nsteps, snapshot_times)
-    grid = first.operator.grid
-    step = linear_step([problem.operator for problem in problems], dt / 2.0)
-    evaluate = first.reaction.evaluate
+    nsteps = whole_steps(problem.end - problem.start, dt)
+    wanted = _snapshot_steps(problem.start, dt, nsteps, snapshot_times)
+    grid = problem.operator.grid
+    step = linear_step(ops, dt / 2.0)
+    evaluate = problem.reaction.evaluate
 
     def rate(t: float, rows: np.ndarray) -> np.ndarray:
         return evaluate(t, grid.coordinates, rows)
 
-    u = step.pin(np.stack([problem.initial.values for problem in problems]))
+    u = step.pin(np.repeat(problem.initial.values[None], len(ops), axis=0))
     companion = None
-    times, states = [first.start], [u.copy()]
+    times, states = [problem.start], [u.copy()]
     for k in range(1, nsteps + 1):
-        t, stamp = first.start + (k - 1) * dt, first.start + k * dt
+        t, stamp = problem.start + (k - 1) * dt, problem.start + k * dt
         u, companion = step.imex_step(t, u, rate, companion, trapezoid=True)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOW_UP_THRESHOLD:
             raise BlowUpError(f"field exceeded {BLOW_UP_THRESHOLD:.0e} at t={stamp!r}")
         if k in wanted:
             times.append(stamp)
             states.append(u.copy())
-    runs = [[Field(grid, s[i], t) for s, t in zip(states, times)] for i in range(len(problems))]
+    runs = [[Field(grid, s[i], t) for s, t in zip(states, times)] for i in range(len(ops))]
     return [Trajectory(tuple(times), tuple(run), nsteps, dt) for run in runs]
 
 
@@ -713,8 +715,8 @@ def solution_convergence_experiment(
     grid = local_op.grid
     u0 = initial_field(grid, initial_fn)
     snap_times = [k * dt for k in _uniform_snapshot_steps(whole_steps(t_final, dt), snapshots)]
-    problems = [SemilinearProblem(o, reaction, u0, 0.0, t_final) for o in (local_op, *nonlocal_ops)]
-    reference, *runs = _solve_together(problems, dt, snap_times)
+    problem = SemilinearProblem(local_op, reaction, u0, 0.0, t_final)
+    reference, *runs = _solve_together(problem, [local_op, *nonlocal_ops], dt, snap_times)
 
     keep = ~grid.ghost_mask
     errors = [max(sup_distance(a, b) for a, b in zip(run.states, reference.states)) for run in runs]

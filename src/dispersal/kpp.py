@@ -7,7 +7,7 @@ positive periodic state is found by iterating the nonlinear period map from
 a constant super-solution downward and from a small positive sub-solution
 upward; the two ordered iterations bracket the state and their agreement is
 a built-in uniqueness check.  The brackets advance together as rows of one
-array (both of one problem, or both of every problem in a radius sweep),
+array (both for one operator, or both for each operator of a radius sweep),
 so each step makes one batched call; a bracket that has converged is
 frozen while the others go on, and iteration counts, order-breach records
 and errors are those of running the brackets one after another.
@@ -27,7 +27,6 @@ the warm-start tests use the spectra the step carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from math import nan
 from typing import Sequence
 
@@ -45,7 +44,7 @@ from .grids import Field, sup_distance
 from .kernels import KernelProfile
 from .operators import BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
-from .spectral import PeriodMap, _power_iteration, default_start, principal_value
+from .spectral import PeriodMap, _power_iteration, default_start
 
 #: Sup-norm floor below which a positive-orbit iteration is declared collapsed.
 COLLAPSE_FLOOR = 1e-13
@@ -96,22 +95,18 @@ class KPPProblem:
     def period(self) -> float:
         return self.growth.period
 
-    @cached_property
-    def _step(self) -> LinearStep:
-        return linear_step(self.operator, self.dt)
-
     def _rate(self, t: float, u: np.ndarray) -> np.ndarray:
         return u * self.growth.evaluate(t, self.operator.grid.coordinates, u)
 
-    def one_period(self, rows: np.ndarray, marks: Sequence[int] = (), step=None):
-        """Advance ``rows``, shape ``(rows, num_nodes)``, by one period.
+    def one_period(self, rows: np.ndarray, step: LinearStep, marks: Sequence[int] = ()):
+        """Advance ``rows``, shape ``(rows, num_nodes)``, by one period through ``step``.
 
+        ``step`` is a backward-Euler step of size ``dt`` (``linear_step(ops,
+        dt)``) over this problem's operator or other operators on its grid.
         Returns the advanced rows and a copy of them taken before each step
         index in ``marks``.  Each step's companion (the rows' spectrum on
-        periodic closures) is carried to the next step.  A ``step`` over
-        several operators on this grid replaces the problem's own.
+        periodic closures) is carried to the next step.
         """
-        step = self._step if step is None else step
         taken, companion = [], None
         for k in range(self.steps_per_period):
             if k in marks:
@@ -121,17 +116,17 @@ class KPPProblem:
         return rows, taken
 
 
-def validate_saturation(problem: KPPProblem, time_samples: int = 64) -> float:
+def validate_saturation(problem: KPPProblem) -> float:
     """Find the smallest doubling constant that the growth cannot sustain.
 
-    Checks ``f(t, x, M) < 0`` on a time-node lattice for ``M`` in
+    Checks ``f(t, x, M) < 0`` on a lattice of 64 times for ``M`` in
     ``1, 2, 4, ...`` and, on the winning ``M``, that ``f`` is strictly
     decreasing in ``u`` on ``[0, M]``.  Returns ``M``.
     """
     grid = problem.operator.grid
     coords = grid.coordinates
     keep = ~grid.ghost_mask
-    times = np.linspace(0.0, problem.period, time_samples, endpoint=False)
+    times = np.linspace(0.0, problem.period, 64, endpoint=False)
     growth = problem.growth
     level = 1.0
     for _ in range(40):
@@ -173,10 +168,10 @@ class PeriodicOrbit:
     interior_min: float
 
 
-def verify_invasion_condition(problem: KPPProblem, tol: float = 1e-9) -> tuple[bool, float]:
-    """Growth rate of the linearization at zero, and whether it is positive."""
+def verify_invasion_condition(problem: KPPProblem) -> tuple[bool, float]:
+    """Growth rate of the linearization at zero (to ``1e-9``), and whether it is positive."""
     period_map = PeriodMap(problem.operator, problem.growth.linearization_at_zero, problem.dt)
-    value = principal_value(period_map, tol=tol).value
+    value = _power_iteration(period_map, [problem.operator], 1e-9, 20000)[0].value
     return bool(value > 0.0), value
 
 
@@ -188,21 +183,20 @@ def _small_positive_start(op: DispersalOperator, eps: float) -> np.ndarray:
 
 
 def _bracket(
-    problem: KPPProblem, starts: np.ndarray, tol: float, max_periods: int, step=None
+    problem: KPPProblem, step: LinearStep, starts: np.ndarray, tol: float, max_periods: int
 ) -> tuple[np.ndarray, list[int], list[float]]:
     """Iterate super brackets (rows ``2p``) and sub brackets (rows ``2p + 1``) together.
 
-    Rows ``2p`` and ``2p + 1`` use operator ``p`` of ``step`` (``problem``'s
-    own by default).  Each row is the serial iteration of its own bracket:
-    a super row should not increase and a sub row should not decrease, and
-    the worst breach of that order is recorded per row.  A row stops once a
-    period moves it by less than ``tol`` (converged) or leaves it below
+    Rows ``2p`` and ``2p + 1`` use operator ``p`` of ``step``.  Each row is
+    the serial iteration of its own bracket: a super row should not
+    increase and a sub row should not decrease, and the worst breach of
+    that order is recorded per row.  A row stops once a period moves it by
+    less than ``tol`` (converged) or leaves it below
     :data:`COLLAPSE_FLOOR` (collapsed); only the rows still active are
     stepped.  Errors come out as if the brackets ran one after another: a
     failed row stops the rows after it, and is raised once the rows before
     it have converged.
     """
-    step = problem._step if step is None else step
     rows = starts.copy()
     done: list = [None] * len(rows)  # the period a row converged in, or its error
     worst = [0.0] * len(rows)
@@ -210,7 +204,7 @@ def _bracket(
     picked = step.select([row // 2 for row in active])
     for iteration in range(1, max_periods + 1):
         u = rows[active]
-        image, _ = problem.one_period(u, step=picked)
+        image, _ = problem.one_period(u, picked)
         for before, after, row in zip(u, image, active):
             breach = np.max(after - before) if row % 2 == 0 else np.max(before - after)
             worst[row] = max(worst[row], float(breach))
@@ -251,34 +245,34 @@ def positive_periodic_solution(
     then walks one more period from the downward limit to store
     ``snapshots_per_period`` evenly spaced states.
     """
-    return _periodic_solutions([problem], tol, max_periods, snapshots_per_period)[0]
+    ops = [problem.operator]
+    return _periodic_solutions(problem, ops, tol, max_periods, snapshots_per_period)[0]
 
 
 def _periodic_solutions(
-    problems: Sequence[KPPProblem], tol: float, max_periods: int, snapshots_per_period: int
+    problem: KPPProblem, ops, tol: float, max_periods: int, snapshots_per_period: int
 ) -> list[PeriodicOrbit]:
-    """:func:`positive_periodic_solution` of problems that differ only in their operators.
+    """:func:`positive_periodic_solution` of ``problem`` with each of ``ops`` in its place.
 
-    Bracket failures of any problem are raised before disagreeing limits.
+    The operators share the problem's grid and closure.  Bracket failures
+    of any operator are raised before disagreeing limits.
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_periods < 1:
         raise ValidationError(f"max_periods must be at least 1, got {max_periods}")
-    first = problems[0]
-    steps = first.steps_per_period
+    steps = problem.steps_per_period
     marks = _uniform_snapshot_steps(steps, snapshots_per_period)[:-1]
     if steps % snapshots_per_period != 0:
         raise ValidationError(
             f"snapshot count {snapshots_per_period} must divide the {steps} steps per period"
         )
-    level = validate_saturation(first)
-    ops = [problem.operator for problem in problems]
-    ceiling = np.full(first.operator.grid.num_nodes, level)
+    level = validate_saturation(problem)
+    ceiling = np.full(problem.operator.grid.num_nodes, level)
     starts = np.stack([row for op in ops for row in (ceiling, _small_positive_start(op, 1e-3))])
     np.copyto(starts, 0.0, where=np.repeat([op.constrained for op in ops], 2, axis=0))
-    step = linear_step(ops, first.dt)
-    rows, iterations, worst = _bracket(first, starts, tol, max_periods, step)
+    step = linear_step(ops, problem.dt)
+    rows, iterations, worst = _bracket(problem, step, starts, tol, max_periods)
     uppers = rows[0::2]
     agreements = [float(np.max(np.abs(upper - lower))) for upper, lower in zip(uppers, rows[1::2])]
     for agreement in agreements:
@@ -287,8 +281,8 @@ def _periodic_solutions(
                 f"ordered-start limits disagree by {agreement:.3e} (> 10 * tol = {10 * tol:.1e}); "
                 "the periodic state is not uniquely resolved at this tolerance"
             )
-    wrapped, taken = first.one_period(uppers, marks, step=step)
-    times = tuple(k * first.dt for k in marks)
+    wrapped, taken = problem.one_period(uppers, step, marks)
+    times = tuple(k * problem.dt for k in marks)
     return [
         PeriodicOrbit(
             times=times,
@@ -308,9 +302,10 @@ def _periodic_solutions(
 
 def advance_periods(problem: KPPProblem, values: np.ndarray, periods: int) -> np.ndarray:
     """Apply the nonlinear period map ``periods`` times (stability probes)."""
+    step = linear_step(problem.operator, problem.dt)
     u = np.array(values, dtype=float).reshape(1, -1)
     for _ in range(periods):
-        u = problem.one_period(u)[0]
+        u = problem.one_period(u, step)[0]
     return u[0]
 
 
@@ -333,17 +328,18 @@ def orbit_convergence_experiment(
     aborting the sweep.
     """
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
-    problems = [KPPProblem(op, growth, dt) for op in (local_op, *nonlocal_ops)]
-    linearizations = [PeriodMap(p.operator, growth.linearization_at_zero, dt) for p in problems]
-    checks = _power_iteration(linearizations, 1e-9, 20000)
+    ops = [local_op, *nonlocal_ops]
+    problem = KPPProblem(local_op, growth, dt)
+    linearization = PeriodMap(local_op, growth.linearization_at_zero, dt)
+    checks = _power_iteration(linearization, ops, 1e-9, 20000)
     local_rate = checks[0].value
     if local_rate <= 0.0:
         raise NumericsError(
             f"local linearized growth rate {local_rate!r} is not positive; "
             "no positive periodic reference state exists"
         )
-    invadable = [p for p, check in zip(problems, checks) if check.value > 0.0]
-    orbits = _periodic_solutions(invadable, tol, 2000, snapshots_per_period)
+    invadable = [op for op, check in zip(ops, checks) if check.value > 0.0]
+    orbits = _periodic_solutions(problem, invadable, tol, 2000, snapshots_per_period)
     radius_gaps = iter([max(map(sup_distance, o.states, orbits[0].states)) for o in orbits[1:]])
     rows = [
         (op.delta, next(radius_gaps) if check.value > 0.0 else nan, check.value, check.value > 0.0)

@@ -19,7 +19,7 @@ solve from one forward transform of the field and returns it with one
 inverse transform, two transforms per step.
 
 ``lambda`` is extracted by plain power iteration with sup-norm ratios (a
-radius sweep iterates its maps as rows of one array); the dominant
+radius sweep iterates one map over its operators, one row each); the dominant
 eigenvector is a positive (Perron) vector, so no shifts or deflation are needed.
 """
 
@@ -49,7 +49,7 @@ from .reports import ConvergenceReport, empirical_orders
 
 @dataclass(eq=False)
 class PeriodMap:
-    """One-period solution operator of a linear time-periodic equation (built on first use)."""
+    """One-period solution operator of a linear time-periodic equation."""
 
     operator: DispersalOperator
     coefficient: TimePeriodicCoefficient
@@ -64,10 +64,6 @@ class PeriodMap:
         return self.coefficient.period
 
     @cached_property
-    def _step(self) -> LinearStep:
-        return linear_step(self.operator, self.dt / 2.0)
-
-    @cached_property
     def _factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         x, dt, integral = self.operator.grid.coordinates, self.dt, self.coefficient.integral
         ends = [(k * dt, k * dt + dt / 2.0, (k + 1) * dt) for k in range(self.steps)]
@@ -75,7 +71,7 @@ class PeriodMap:
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         """Apply the map to a flat nodal array."""
-        step = self._step
+        step = linear_step(self.operator, self.dt / 2.0)
         return self._advance(step.pin(np.array(values, dtype=float).reshape(1, -1)), step)[0]
 
     def _advance(self, rows: np.ndarray, step: LinearStep) -> np.ndarray:
@@ -143,22 +139,27 @@ def principal_value(
     Ratios are sup norms of successive images; the iteration stops when two
     consecutive ratios differ by less than ``tol`` and the eigen-residual
     ``max |image - ratio * u|`` is itself below ``tol`` (the iterate has
-    sup norm one), and the growth rate is ``log(ratio) / period``.
+    sup norm one), and the growth rate is ``log(ratio) / period``.  A jump
+    operator's result carries :func:`principal_eigenvalue_criterion`.
     """
     starts = None if start is None else [start]
-    return _power_iteration([period_map], tol, max_iterations, starts)[0]
+    result = _power_iteration(period_map, [period_map.operator], tol, max_iterations, starts)[0]
+    if period_map.operator.kind == NONLOCAL:
+        result.is_principal_eigenvalue = principal_eigenvalue_criterion(period_map, result.value)
+    return result
 
 
-def _power_iteration(maps: Sequence[PeriodMap], tol: float, max_iterations: int, starts=None):
-    """:func:`principal_value` of maps that differ only in their operators, one row each.
+def _power_iteration(period_map: PeriodMap, ops, tol: float, max_iterations: int, starts=None):
+    """:func:`principal_value` of ``period_map`` with each of ``ops`` in its place, one row each.
 
-    A settled row is frozen while the others go on; a failed row raises at once.
+    The operators share the map's grid and closure.  A settled row is
+    frozen while the others go on; a failed row raises at once.  No row
+    gets the existence flag (``is_principal_eigenvalue`` is ``None``).
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be at least 1, got {max_iterations}")
-    ops = [pm.operator for pm in maps]
     if starts is None:
         starts = [default_start(op) for op in ops]
     elif not all(same_grid(start.grid, op.grid) for start, op in zip(starts, ops)):
@@ -169,24 +170,20 @@ def _power_iteration(maps: Sequence[PeriodMap], tol: float, max_iterations: int,
     if not np.all(peaks):
         raise ValidationError("start field is identically zero")
     u /= peaks[:, None]
-    first = maps[0]
-    step = every = linear_step(ops, first.dt / 2.0)
-    results, previous = [None] * len(maps), [None] * len(maps)
-    active = list(range(len(maps)))
+    step = every = linear_step(ops, period_map.dt / 2.0)
+    results, previous = [None] * len(ops), [None] * len(ops)
+    active = list(range(len(ops)))
     for iteration in range(1, max_iterations + 1):
-        images = first._advance(u[active], step)
+        images = period_map._advance(u[active], step)
         for row, image, ratio in zip(active, images, np.max(np.abs(images), axis=1).tolist()):
             if ratio == 0.0 or not np.isfinite(ratio):
                 raise NumericsError(f"period map produced a degenerate image (ratio {ratio!r})")
             if previous[row] is not None and abs(ratio - previous[row]) < tol:
                 residual = float(np.max(np.abs(image - ratio * u[row])))
                 if residual < tol:
-                    value = log(ratio) / first.period
-                    flag = None
-                    if ops[row].kind == NONLOCAL:
-                        flag = principal_eigenvalue_criterion(maps[row], value)
+                    value = log(ratio) / period_map.period
                     eigenfunction = Field(ops[row].grid, image / ratio)
-                    results[row] = SpectrumResult(value, eigenfunction, iteration, residual, flag)
+                    results[row] = SpectrumResult(value, eigenfunction, iteration, residual, None)
                     continue
             previous[row] = ratio
             u[row] = image / ratio
@@ -212,14 +209,17 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     closure that falls towards the faces; the time average is taken by a
     512-panel trapezoid rule.
     """
-    op = period_map.operator
+    return _existence_criterion(period_map.operator, period_map.coefficient, value)
+
+
+def _existence_criterion(op: DispersalOperator, a: TimePeriodicCoefficient, value: float) -> bool:
+    """:func:`principal_eigenvalue_criterion` for operator ``op`` and coefficient ``a``."""
     if op.kind != NONLOCAL:
         raise ValidationError("the existence criterion applies to the nonlocal kind only")
     grid = op.grid
-    averages = time_average(period_map.coefficient, grid.coordinates, panels=512)
+    averages = time_average(a, grid.coordinates)
     keep = ~grid.ghost_mask
-    threshold = float(np.max(op.diagonal()[keep] + averages[keep]))
-    return bool(value > threshold)
+    return bool(value > float(np.max(op.diagonal()[keep] + averages[keep])))
 
 
 def perturbation_check(map1: PeriodMap, map2: PeriodMap, tol: float) -> bool:
@@ -236,7 +236,7 @@ def perturbation_check(map1: PeriodMap, map2: PeriodMap, tol: float) -> bool:
     if map1.period != map2.period:
         raise ValidationError("mismatched maps: periods differ")
     coords = map1.operator.grid.coordinates
-    bound = sup_difference(map1.coefficient, map2.coefficient, coords, samples=512)
+    bound = sup_difference(map1.coefficient, map2.coefficient, coords)
     lam1 = principal_value(map1).value
     lam2 = principal_value(map2).value
     return abs(lam1 - lam2) <= bound + tol
@@ -258,13 +258,13 @@ def spectrum_convergence_experiment(
     their absolute gap, and the principal-eigenvalue existence flag.
     """
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
-    maps = [PeriodMap(op, coefficient, dt) for op in (local_op, *nonlocal_ops)]
-    local, *results = _power_iteration(maps, tol, 20000)
+    period_map = PeriodMap(local_op, coefficient, dt)
+    local, *results = _power_iteration(period_map, [local_op, *nonlocal_ops], tol, 20000)
     lambda_local = local.value
     gaps = [abs(result.value - lambda_local) for result in results]
     rows = [
-        (d, result.value, lambda_local, gap, result.is_principal_eigenvalue)
-        for d, result, gap in zip(deltas, results, gaps)
+        (d, result.value, lambda_local, gap, _existence_criterion(op, coefficient, result.value))
+        for d, op, result, gap in zip(deltas, nonlocal_ops, results, gaps)
     ]
     meta = {
         "bc": local_op.bc.value,

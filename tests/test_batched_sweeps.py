@@ -2,11 +2,11 @@
 
 A sweep advances the local reference and every radius as rows of one
 array, through one step that holds every operator.  Run alone, each
-problem must give the same numbers: bitwise on periodic cells, where the
-rows share one FFT length and every operation acts row by row, and within
-1e-12 relative on boxes, where the local dirichlet reference shares the
-free nodes and the FFT length of the radii (its pinned faces become
-padding of its circulant system).
+problem must give the same numbers bitwise on every closure: the rows
+share one FFT length, which one-dimensional boxes take from the grid's
+box nodes (the local dirichlet reference's pinned faces become padding of
+its circulant system, alone as in a sweep), and every operation acts row
+by row.
 """
 
 import math
@@ -34,7 +34,7 @@ from dispersal import (
     spectrum_convergence_experiment,
     sweep_operators,
 )
-from dispersal.evolution import _uniform_snapshot_steps
+from dispersal.evolution import _solve_together, _uniform_snapshot_steps
 from dispersal.grids import initial_field, sup_distance
 from dispersal.kpp import _periodic_solutions
 from dispersal.spectral import _power_iteration
@@ -68,14 +68,10 @@ def sweep(bc):
     return domain, h, deltas, [local_op, *nonlocal_ops], coefficient, u0
 
 
-def assert_same(bc, got, want):
-    """Bitwise on periodic cells; within 1e-12 of the larger magnitude (at least 1) on boxes."""
+def assert_same(got, want):
+    """Bitwise equal (NaN equal to NaN)."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    if bc == "periodic":
-        assert np.array_equal(got, want, equal_nan=True)
-    else:
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("bc", sorted(HABITATS))
@@ -91,31 +87,34 @@ def test_batched_solutions_equal_single_runs(bc):
         domain, bc, QUARTIC_1D, reaction, u0, 0.5, deltas, h, DT, snapshots=4
     )
     errors = [max(map(sup_distance, run.states, alone[0].states)) for run in alone[1:]]
-    assert_same(bc, report.column("error"), errors)
+    assert_same(report.column("error"), errors)
     keep = ~ops[0].grid.ghost_mask
     lows = [float(np.min(state.values[keep])) for run in alone for state in run.states]
-    assert_same(bc, report.meta["min_nodal_value"], min(lows))
+    assert_same(report.meta["min_nodal_value"], min(lows))
+    problem = SemilinearProblem(ops[0], reaction, initial, 0.0, 0.5)
+    for got, want in zip(_solve_together(problem, ops, DT, times), alone):
+        assert got.times == want.times and got.steps == want.steps
+        for state, expected in zip(got.states, want.states):
+            assert_same(state.values, expected.values)
 
 
 @pytest.mark.parametrize("bc", sorted(HABITATS))
 def test_batched_power_iteration_equals_single_maps(bc):
     domain, h, deltas, ops, coefficient, _ = sweep(bc)
     a = parse_coefficient(coefficient, 1.0)
-    maps = [PeriodMap(op, a, DT) for op in ops]
     alone = [principal_value(PeriodMap(op, a, DT)) for op in ops]
-    batched = _power_iteration(maps, 1e-9, 20000)
+    batched = _power_iteration(PeriodMap(ops[0], a, DT), ops, 1e-9, 20000)
     for got, want in zip(batched, alone):
         assert got.iterations == want.iterations
-        assert got.is_principal_eigenvalue == want.is_principal_eigenvalue
-        assert_same(bc, [got.value, got.residual], [want.value, want.residual])
-        assert_same(bc, got.eigenfunction.values, want.eigenfunction.values)
+        assert_same([got.value, got.residual], [want.value, want.residual])
+        assert_same(got.eigenfunction.values, want.eigenfunction.values)
     if bc == "dirichlet":  # rows settle at different iterations: frozen rows wait
         assert len({result.iterations for result in alone}) > 1
     report = spectrum_convergence_experiment(domain, bc, a, QUARTIC_1D, deltas, h, DT)
-    assert_same(bc, report.column("lambda_delta"), [r.value for r in alone[1:]])
-    assert_same(bc, report.column("lambda_r"), [alone[0].value] * len(deltas))
+    assert_same(report.column("lambda_delta"), [r.value for r in alone[1:]])
+    assert_same(report.column("lambda_r"), [alone[0].value] * len(deltas))
     gaps = [abs(r.value - alone[0].value) for r in alone[1:]]
-    assert_same(bc, report.column("abs_gap"), gaps)
+    assert_same(report.column("abs_gap"), gaps)
     assert report.column("pev_criterion") == [r.is_principal_eigenvalue for r in alone[1:]]
 
 
@@ -125,7 +124,7 @@ def test_batched_brackets_equal_single_problems(bc):
     growth = parse_growth(f"logistic({coefficient})", 1.0)
     problems = [KPPProblem(op, growth, DT) for op in ops]
     alone = [positive_periodic_solution(problem, snapshots_per_period=4) for problem in problems]
-    batched = _periodic_solutions(problems, 1e-8, 2000, 4)
+    batched = _periodic_solutions(problems[0], ops, 1e-8, 2000, 4)
     for got, want in zip(batched, alone):
         # both brackets of every problem settle at their own periods
         assert (got.super_iterations, got.sub_iterations) == (
@@ -136,18 +135,18 @@ def test_batched_brackets_equal_single_problems(bc):
         assert got.times == want.times and got.saturation_bound == want.saturation_bound
         scalars = ("monotone_violation_super", "monotone_violation_sub", "start_agreement")
         scalars += ("residual", "interior_min")
-        assert_same(bc, [getattr(got, s) for s in scalars], [getattr(want, s) for s in scalars])
+        assert_same([getattr(got, s) for s in scalars], [getattr(want, s) for s in scalars])
         for state, expected in zip(got.states, want.states):
-            assert_same(bc, state.values, expected.values)
+            assert_same(state.values, expected.values)
     report = orbit_convergence_experiment(
         domain, bc, growth, QUARTIC_1D, deltas, h, DT, snapshots_per_period=4
     )
     gaps = [max(map(sup_distance, orbit.states, alone[0].states)) for orbit in alone[1:]]
-    assert_same(bc, report.column("sup_gap"), gaps)
+    assert_same(report.column("sup_gap"), gaps)
     assert report.column("h2_delta_ok") == [True] * len(deltas)
     violations = [max(o.monotone_violation_super, o.monotone_violation_sub) for o in alone]
-    assert_same(bc, report.meta["max_monotone_violation"], max(violations))
-    assert_same(bc, report.meta["max_start_agreement"], max(o.start_agreement for o in alone))
+    assert_same(report.meta["max_monotone_violation"], max(violations))
+    assert_same(report.meta["max_start_agreement"], max(o.start_agreement for o in alone))
 
 
 def test_one_failing_map_raises_its_own_error_while_the_others_settle():
@@ -163,7 +162,7 @@ def test_one_failing_map_raises_its_own_error_while_the_others_settle():
     with pytest.raises(NoConvergenceError) as alone:
         principal_value(maps[1], max_iterations=14)
     with pytest.raises(NoConvergenceError) as batched:
-        _power_iteration(maps, 1e-9, 14)
+        _power_iteration(maps[0], ops, 1e-9, 14)
     assert str(batched.value) == str(alone.value)
     assert "did not settle in 14 iterations; last ratio" in str(alone.value)
 
@@ -181,7 +180,7 @@ def test_one_failing_bracket_raises_its_own_error_while_the_others_settle():
     with pytest.raises(NoConvergenceError) as alone:
         positive_periodic_solution(problems[0], max_periods=45, snapshots_per_period=4)
     with pytest.raises(NoConvergenceError) as batched:
-        _periodic_solutions(problems, 1e-8, 45, 4)
+        _periodic_solutions(problems[0], ops, 1e-8, 45, 4)
     assert str(batched.value) == str(alone.value) == (
         "period-map iteration did not reach tol=1e-08 within 45 periods"
     )

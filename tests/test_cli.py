@@ -422,6 +422,63 @@ def test_two_dimensional_nonlocal_neumann_box_run_keeps_a_constant(tmp_path):
         assert np.all(value == 1.0)
 
 
+@pytest.mark.parametrize("kind", ["nonlocal", "local"])
+def test_two_dimensional_kpp_orbit_of_a_flat_law_is_one(tmp_path, kind):
+    # u = 1 is the periodic state of the autonomous logistic law on a
+    # reflecting box; the brackets reach it by CG (nonlocal) and BiCGSTAB
+    # (the mirrored local closure), each to its 1e-8 tolerance.
+    keys = dict(delta="1/2") if kind == "nonlocal" else {}
+    cfg = write_config(
+        tmp_path,
+        "k2.cfg",
+        bc="neumann",
+        dimension="2",
+        lower="0",
+        upper="1",
+        h="1/8",
+        dt="1/8",
+        T="1",
+        kind=kind,
+        growth="logistic(const(1))",
+        orbit_snapshots="4",
+        **keys,
+    )
+    out = tmp_path / "out"
+    assert main(["kpp-orbit", "--config", str(cfg), "--out", str(out)]) == 0
+    record = (out / "run.txt").read_text()
+    rate = record.split("# linearized growth rate at zero: ", 1)[1].split("\n", 1)[0]
+    assert abs(float(rate) - 1.0) <= 1e-8
+    header, rows = read_csv_table(out / "orbit.csv")
+    assert header == ["t", "x", "y", "value"] and len(rows) == 4 * 9**2
+    assert max(abs(float(r[3]) - 1.0) for r in rows) <= 10 * 1e-8
+
+
+def test_two_dimensional_converge_b_of_a_constant_coefficient_has_no_gap(tmp_path):
+    # Constants are eigenvectors of every reflecting operator, so every
+    # rate is the coefficient, up to the power iteration's rounding.
+    cfg = write_config(
+        tmp_path,
+        "b2.cfg",
+        bc="neumann",
+        dimension="2",
+        lower="0",
+        upper="1",
+        h="1/32",
+        dt="1/8",
+        T="1",
+        deltas="1/2,1/4",
+        coefficient="const(0.3)",
+    )
+    out = tmp_path / "out"
+    assert main(["converge-b", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv_table(out / "report.csv")
+    assert header == ["delta", "lambda_delta", "lambda_r", "abs_gap", "pev_criterion"]
+    assert [float(r[0]) for r in rows] == [0.5, 0.25]
+    for _, lambda_delta, lambda_r, gap, flag in rows:
+        assert abs(float(lambda_delta) - 0.3) <= 1e-9 and abs(float(lambda_r) - 0.3) <= 1e-9
+        assert float(gap) <= 1e-9 and flag == "1"
+
+
 def _two_dimensional_dirichlet_box_config(tmp_path, **keys):
     return write_config(
         tmp_path,

@@ -34,6 +34,7 @@ from dispersal import (
     principal_value,
     solution_convergence_experiment,
     solve,
+    sweep_operators,
 )
 from dispersal import evolution
 from dispersal.evolution import half_spectrum_weights, implicit_solver
@@ -203,7 +204,7 @@ BOX_STEP_CASES = {
     "delta/h = 4, pinned ghost bands": ("dirichlet", "nonlocal", 1.0 / 64, 4.0 / 64, 65, 7),
     "prime free count, pinned": ("dirichlet", "nonlocal", 1.0 / 256, 0.1, 257, 13),
     "mirrored local closure": ("neumann", "local", 1.0 / 100, None, 101, 7),
-    "pinned local faces": ("dirichlet", "local", 1.0 / 256, None, 255, 1),
+    "pinned local faces": ("dirichlet", "local", 1.0 / 256, None, 255, 15),
     "face bands overlap, reflecting": ("neumann", "nonlocal", 0.1, 0.65, 11, 1),
     "face bands overlap, pinned": ("dirichlet", "nonlocal", 0.1, 0.65, 11, 1),
 }
@@ -250,6 +251,23 @@ def test_stiff_pinned_box_solves_stay_exact(case, scale):
     x = implicit_solver(op, scale)(b, np.zeros_like(b))
     residual = b - x + scale * (op.matrix() @ x)
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_a_batched_box_step_solves_each_row_as_its_operator_alone():
+    # At this step size only the local reference needs the refinement
+    # step, which the probe decides per operator; the local faces, pinned
+    # among the box nodes, are padding of its circulant alone as in a batch.
+    _, local_op, nonlocal_ops = sweep_operators(
+        box(0.0, 1.0), "dirichlet", QUARTIC_1D, [0.5, 0.25], 1.0 / 64
+    )
+    ops = [local_op, *nonlocal_ops]
+    step = evolution.linear_step(ops, 1.0)
+    assert step._refine.tolist() == [True, False, False]
+    rows = step.pin(np.random.default_rng(5).uniform(-1.0, 1.0, (3, local_op.grid.num_nodes)))
+    for op, row, got in zip(ops, rows, step.crank_nicolson(rows)):
+        alone = evolution.linear_step(op, 1.0)
+        assert alone._length == step._length
+        assert np.array_equal(got, alone.crank_nicolson(row[None])[0])
 
 
 def test_one_dimensional_box_step_keeps_a_settled_row_beside_a_moving_one():
@@ -387,7 +405,7 @@ def test_periodic_steps_transform_each_field_once_each_way(monkeypatch, dim):
     op = periodic_jump_operator(dim, 16)
     wave = field_from_function(op.grid, lambda x, *rest: 1.0 + 0.5 * np.sin(x))
     kpp = KPPProblem(op, parse_growth("logistic(tx-product(1,0.5,1))", 1.0), 0.25)
-    step, rate = kpp._step, kpp._rate  # one backward-Euler step of the brackets
+    step, rate = evolution.linear_step(op, kpp.dt), kpp._rate  # backward Euler, as the brackets
     rows = np.stack([np.full(op.grid.num_nodes, 2.0), wave.values])
     rows, companion = step.imex_step(0.0, rows, rate, trapezoid=False)
     period_map = PeriodMap(op, parse_coefficient("tx-product(1,0.5,1)", 1.0), 0.25)
@@ -401,7 +419,7 @@ def test_periodic_steps_transform_each_field_once_each_way(monkeypatch, dim):
     step.imex_step(0.25, rows, rate, companion, trapezoid=False)  # both brackets, batched
     assert len(calls) <= 4
     calls.clear()
-    kpp.one_period(rows)  # four steps and the start's transform
+    kpp.one_period(rows, step)  # four steps and the start's transform
     assert len(calls) <= 4 * kpp.steps_per_period + 1
     calls.clear()
     period_map.advance(wave.values)  # four steps

@@ -29,7 +29,7 @@ from dispersal import (
     verify_invasion_condition,
 )
 from dispersal import kpp
-from dispersal.evolution import implicit_solver
+from dispersal.evolution import implicit_solver, linear_step
 from dispersal.kpp import (
     COLLAPSE_FLOOR,
     _bracket,
@@ -332,9 +332,10 @@ def test_flat_unit_orbit_stays_exactly_one(kind):
     # warm start is kept, so both rows of a paired step stay 1 bitwise.
     problem = neumann_problem("logistic(const(1))", dt=1.0 / 32, kind=kind)
     ones = np.ones((2, problem.operator.grid.num_nodes))
+    step = linear_step(problem.operator, problem.dt)
     assert np.array_equal(advance_periods(problem, ones[0], 3), ones[0])
-    assert np.array_equal(problem.one_period(ones)[0], ones)
-    rows, iterations, worst = _bracket(problem, ones, 1e-8, 5)
+    assert np.array_equal(problem.one_period(ones, step)[0], ones)
+    rows, iterations, worst = _bracket(problem, step, ones, 1e-8, 5)
     assert np.array_equal(rows, ones)
     assert iterations == [1, 1] and worst == [0.0, 0.0]
 
