@@ -326,22 +326,14 @@ def _run_converge_c(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     return _sweep(cfg, out_dir, domain, "periodic-state gap sweep", experiment)
 
 
+#: Each subcommand's runner and its help line.
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "spectrum": _run_spectrum,
-    "kpp-orbit": _run_kpp_orbit,
-    "converge-a": _run_converge_a,
-    "converge-b": _run_converge_b,
-    "converge-c": _run_converge_c,
-}
-
-_HELP = {
-    "simulate": "run one initial-value problem and store field snapshots",
-    "spectrum": "compute the principal growth rate of one periodic problem",
-    "kpp-orbit": "compute the positive periodic state of one growth problem",
-    "converge-a": "sweep kernel radii and compare solutions with the Laplacian run",
-    "converge-b": "sweep kernel radii and compare growth rates with the Laplacian",
-    "converge-c": "sweep kernel radii and compare periodic states with the Laplacian",
+    "simulate": (_run_simulate, "run one initial-value problem and store field snapshots"),
+    "spectrum": (_run_spectrum, "compute the principal growth rate of one periodic problem"),
+    "kpp-orbit": (_run_kpp_orbit, "compute the positive periodic state of one growth problem"),
+    "converge-a": (_run_converge_a, "sweep kernel radii and compare solutions with the Laplacian run"),
+    "converge-b": (_run_converge_b, "sweep kernel radii and compare growth rates with the Laplacian"),
+    "converge-c": (_run_converge_c, "sweep kernel radii and compare periodic states with the Laplacian"),
 }
 
 
@@ -351,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical laboratory for rescaled jump dispersal versus diffusion",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, runner in _RUNNERS.items():
-        sub = subparsers.add_parser(name, help=_HELP[name])
+    for name, (_, help_line) in _RUNNERS.items():
+        sub = subparsers.add_parser(name, help=help_line)
         sub.add_argument("--config", required=True, help="flat key = value configuration file")
         sub.add_argument("--out", help="output directory (default: config key 'out', else '.')")
     return parser
@@ -372,7 +364,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) if args.out is not None else Path(out_key)
         cfg.resolved["out"] = str(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outcome = _RUNNERS[args.command](cfg, out_dir)
+        outcome = _RUNNERS[args.command][0](cfg, out_dir)
         (out_dir / "run.txt").write_text(
             format_resolved(cfg.resolved, outcome), encoding="ascii"
         )

@@ -22,17 +22,19 @@ _MISSING = object()
 
 
 def parse_number(text: str) -> float:
-    """Parse a float, allowing restricted arithmetic with ``pi``."""
+    """Parse a finite float, allowing restricted arithmetic with ``pi``."""
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError:
-        raise ValidationError(f"cannot parse number {text!r}") from None
-    return _eval_node(tree.body, text)
+        try:
+            tree = ast.parse(text, mode="eval")
+        except SyntaxError:
+            raise ValidationError(f"cannot parse number {text!r}") from None
+        value = _eval_node(tree.body, text)
+    if not math.isfinite(value):
+        raise ValidationError(f"number {text!r} is not finite")
+    return value
 
 
 def _eval_node(node: ast.AST, source: str) -> float:
@@ -125,15 +127,11 @@ class ExperimentConfig:
         self.resolved[key] = str(value)
         return value
 
-    def get_number_list(self, key: str, default=_MISSING) -> list[float]:
-        raw = self._fetch(key, default)
-        if raw is None:
-            values = [float(v) for v in default]
-        else:
-            parts = [p for p in raw.split(",") if p.strip()]
-            if not parts:
-                raise ValidationError(f"{self.source}: config key {key!r} holds an empty list")
-            values = [parse_number(p) for p in parts]
+    def get_number_list(self, key: str) -> list[float]:
+        parts = [p for p in self._fetch(key, _MISSING).split(",") if p.strip()]
+        if not parts:
+            raise ValidationError(f"{self.source}: config key {key!r} holds an empty list")
+        values = [parse_number(p) for p in parts]
         self.resolved[key] = ",".join(repr(v) for v in values)
         return values
 

@@ -94,16 +94,15 @@ def _axis_cells(edge: float, h: float, what: str) -> int:
 class Grid:
     """Uniform tensor grid over a domain, possibly with a ghost band.
 
-    ``shape`` counts nodes per axis including ghosts; ``axes`` hold the
-    per-axis node coordinates.  Flattened node data (coordinates, ghost
-    mask) are laid out in C order over the tensor product.
+    ``shape`` counts nodes per axis including ghosts.  Flattened node data
+    (coordinates, ghost mask) are laid out in C order over the tensor
+    product.
     """
 
     domain: Domain
     h: float
     ghost_cells: int
     shape: tuple[int, ...]
-    axes: tuple[np.ndarray, ...]
 
     # Flat per-node arrays, computed once at build time.
     coordinates: tuple[np.ndarray, ...] = dataclass_field(repr=False, default=())
@@ -174,7 +173,7 @@ def build_grid(domain: Domain, h: float, ghost_width: float = 0.0) -> Grid:
         ghost_mask = ghost.ravel()
     else:
         ghost_mask = np.zeros(int(np.prod(shape)), dtype=bool)
-    return Grid(domain, float(h), ghost_cells, shape, axes, coordinates, ghost_mask)
+    return Grid(domain, float(h), ghost_cells, shape, coordinates, ghost_mask)
 
 
 @dataclass
@@ -210,8 +209,8 @@ def initial_field(grid: Grid, fn) -> Field:
     return field
 
 
-def constant_field(grid: Grid, value: float, time: float = 0.0) -> Field:
-    return Field(grid, np.full(grid.num_nodes, float(value)), time)
+def constant_field(grid: Grid, value: float) -> Field:
+    return Field(grid, np.full(grid.num_nodes, float(value)))
 
 
 def sup_norm(f: Field) -> float:

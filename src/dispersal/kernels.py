@@ -166,19 +166,17 @@ def scaled_kernel(profile: KernelProfile, delta: float, displacement) -> np.ndar
     return scale * evaluate_k0(profile, z)
 
 
-def kernel_mass(profile: KernelProfile, panels: int | None = None) -> float:
+def kernel_mass(profile: KernelProfile) -> float:
     """Total mass of the normalized profile under the module quadrature."""
-    panels = profile.panels if panels is None else panels
-    return profile.normalization * _unnormalized_mass(profile.family, profile.dimension, panels)
+    return profile.normalization * _unnormalized_mass(profile.family, profile.dimension, profile.panels)
 
 
-def second_moment(profile: KernelProfile, panels: int | None = None) -> float:
+def second_moment(profile: KernelProfile) -> float:
     """Second moment along one axis of the normalized profile."""
-    panels = profile.panels if panels is None else panels
-    return _normalized_second_moment(profile, panels)
+    return _normalized_second_moment(profile, profile.panels)
 
 
-def moment_constant(profile: KernelProfile, panels: int | None = None) -> float:
+def moment_constant(profile: KernelProfile) -> float:
     """Recompute the reciprocal half second moment of ``profile``.
 
     Raises
@@ -186,16 +184,15 @@ def moment_constant(profile: KernelProfile, panels: int | None = None) -> float:
     QuadratureFailureError
         If the recomputed mass of the profile deviates from one by more
         than ``1e-8``, which signals that either the stored normalization
-        or the requested quadrature resolution is untrustworthy.
+        or the profile's quadrature resolution is untrustworthy.
     """
-    panels = profile.panels if panels is None else panels
-    mass = kernel_mass(profile, panels)
+    mass = kernel_mass(profile)
     if abs(mass - 1.0) > 1e-8:
         raise QuadratureFailureError(
             f"kernel mass {mass!r} deviates from 1 by {abs(mass - 1.0):.3e} "
-            f"(family={profile.family}, dimension={profile.dimension}, panels={panels})"
+            f"(family={profile.family}, dimension={profile.dimension}, panels={profile.panels})"
         )
-    return 2.0 / _normalized_second_moment(profile, panels)
+    return 2.0 / second_moment(profile)
 
 
 def dispersal_rate(moment_constant_value: float, delta: float) -> float:

@@ -175,13 +175,6 @@ def verify_invasion_condition(problem: KPPProblem) -> tuple[bool, float]:
     return bool(value > 0.0), value
 
 
-def _small_positive_start(op: DispersalOperator, eps: float) -> np.ndarray:
-    if op.bc is BoundaryCondition.DIRICHLET:
-        start = default_start(op)  # interior sine bump, zero on pinned nodes
-        return eps * start.values
-    return np.full(op.grid.num_nodes, eps)
-
-
 def _bracket(
     problem: KPPProblem, step: LinearStep, starts: np.ndarray, tol: float, max_periods: int
 ) -> tuple[np.ndarray, list[int], list[float]]:
@@ -197,11 +190,11 @@ def _bracket(
     failed row stops the rows after it, and is raised once the rows before
     it have converged.
     """
-    rows = starts.copy()
+    active = list(range(len(starts)))
+    picked = step.select([row // 2 for row in active])
+    rows = picked.pin(starts.copy())
     done: list = [None] * len(rows)  # the period a row converged in, or its error
     worst = [0.0] * len(rows)
-    active = list(range(len(rows)))
-    picked = step.select([row // 2 for row in active])
     for iteration in range(1, max_periods + 1):
         u = rows[active]
         image, _ = problem.one_period(u, picked)
@@ -269,8 +262,7 @@ def _periodic_solutions(
         )
     level = validate_saturation(problem)
     ceiling = np.full(problem.operator.grid.num_nodes, level)
-    starts = np.stack([row for op in ops for row in (ceiling, _small_positive_start(op, 1e-3))])
-    np.copyto(starts, 0.0, where=np.repeat([op.constrained for op in ops], 2, axis=0))
+    starts = np.stack([row for op in ops for row in (ceiling, 1e-3 * default_start(op).values)])
     step = linear_step(ops, problem.dt)
     rows, iterations, worst = _bracket(problem, step, starts, tol, max_periods)
     uppers = rows[0::2]

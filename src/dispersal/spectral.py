@@ -164,13 +164,12 @@ def _power_iteration(period_map: PeriodMap, ops, tol: float, max_iterations: int
         starts = [default_start(op) for op in ops]
     elif not all(same_grid(start.grid, op.grid) for start, op in zip(starts, ops)):
         raise ValidationError("grid mismatch: start field lives on a different grid")
-    u = np.array([start.values for start in starts], dtype=float)
-    np.copyto(u, 0.0, where=np.stack([op.constrained for op in ops]))
+    step = every = linear_step(ops, period_map.dt / 2.0)
+    u = step.pin(np.array([start.values for start in starts], dtype=float))
     peaks = np.max(np.abs(u), axis=1)
     if not np.all(peaks):
         raise ValidationError("start field is identically zero")
     u /= peaks[:, None]
-    step = every = linear_step(ops, period_map.dt / 2.0)
     results, previous = [None] * len(ops), [None] * len(ops)
     active = list(range(len(ops)))
     for iteration in range(1, max_iterations + 1):

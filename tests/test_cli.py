@@ -197,6 +197,14 @@ def test_converge_b_space_free_gap_is_roundoff(tmp_path):
     assert all(r[4] == "1" for r in rows)
 
 
+def _record_meta(out):
+    """The ``# key: value`` outcome lines of a run's record, as strings."""
+    return dict(
+        line[2:].split(": ", 1) for line in (out / "run.txt").read_text().splitlines()
+        if line.startswith("# ") and ": " in line
+    )
+
+
 def test_converge_c_constant_orbit_gap_is_tolerance_level(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -242,10 +250,7 @@ def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp
     assert [(r[0], r[1], r[3]) for r in rows] == [("0.4", "nan", "0"), ("0.2", "nan", "0")]
     rates = [float(r[2]) for r in rows]
     assert rates == pytest.approx([-0.05721590998712814, -0.059613634399548004], abs=1e-8)
-    meta = dict(
-        line[2:].split(": ", 1) for line in (out / "run.txt").read_text().splitlines()
-        if line.startswith("# ") and ": " in line
-    )
+    meta = _record_meta(out)
     assert float(meta["local_rate"]) == pytest.approx(0.7254522458305319, abs=1e-8)
     # the reference's own record: its sub bracket breaches its order
     assert float(meta["max_monotone_violation"]) == pytest.approx(9.2085e-05, rel=1e-4)
@@ -479,6 +484,75 @@ def test_two_dimensional_converge_b_of_a_constant_coefficient_has_no_gap(tmp_pat
         assert float(gap) <= 1e-9 and flag == "1"
 
 
+TWO_DIMENSIONAL_NEUMANN_SWEEP_KEYS = dict(
+    bc="neumann",
+    dimension="2",
+    lower="0",
+    upper="1",
+    h="1/16",
+    dt="1/8",
+    deltas="1,1/2",
+)
+
+
+def test_two_dimensional_converge_a_of_a_constant_has_no_error(tmp_path, monkeypatch):
+    # Every reflecting operator keeps a constant constant, so each radius
+    # and the reference follow one logistic ODE; the nonlocal runs solve
+    # by CG and the mirrored local reference by BiCGSTAB.
+    calls = {"cg": 0, "bicgstab": 0}
+    for name in calls:
+        solver = getattr(evolution, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, name, counted)
+    cfg = write_config(
+        tmp_path,
+        "a2.cfg",
+        t_final="1/2",
+        u0="const(0.5)",
+        reaction="logistic(const(1))",
+        snapshots="4",
+        **TWO_DIMENSIONAL_NEUMANN_SWEEP_KEYS,
+    )
+    out = tmp_path / "out"
+    assert main(["converge-a", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv_table(out / "report.csv")
+    assert header == ["delta", "error", "empirical_order"]
+    assert [float(r[0]) for r in rows] == [1.0, 0.5]
+    assert all(float(r[1]) <= 1e-9 for r in rows)
+    assert float(_record_meta(out)["min_nodal_value"]) == 0.5
+    assert calls["cg"] > 0 and calls["bicgstab"] > 0
+
+
+def test_two_dimensional_converge_c_of_a_flat_law_has_no_gap(tmp_path):
+    # u = 1 is the periodic state of the autonomous logistic law for every
+    # reflecting operator; each bracket reaches it to its 1e-8 tolerance.
+    tol = 1e-8
+    cfg = write_config(
+        tmp_path,
+        "c2.cfg",
+        T="1",
+        growth="logistic(const(1))",
+        orbit_snapshots="4",
+        **TWO_DIMENSIONAL_NEUMANN_SWEEP_KEYS,
+    )
+    out = tmp_path / "out"
+    assert main(["converge-c", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv_table(out / "report.csv")
+    assert header == ["delta", "sup_gap", "h2_delta_lambda", "h2_delta_ok"]
+    assert [float(r[0]) for r in rows] == [1.0, 0.5]
+    for _, gap, rate, flag in rows:
+        assert float(gap) <= 10 * tol
+        assert abs(float(rate) - 1.0) <= 1e-8 and flag == "1"
+    meta = _record_meta(out)
+    assert abs(float(meta["local_rate"]) - 1.0) <= 1e-8
+    assert float(meta["max_monotone_violation"]) <= 1e-10
+    assert abs(float(meta["min_interior_value"]) - 1.0) <= 10 * tol
+
+
 def _two_dimensional_dirichlet_box_config(tmp_path, **keys):
     return write_config(
         tmp_path,
@@ -609,6 +683,17 @@ def test_impossible_counts_and_tolerances_exit_2(tmp_path, capsys, command, keys
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "run.txt").exists()
+
+
+def test_a_non_finite_tolerance_exits_2_before_any_work(tmp_path, capsys):
+    # tol = inf would stop the power iteration after two iterations and
+    # write an unconverged rate as the result.
+    sample = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "spectrum_pinned_zero.cfg"
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(sample.read_text(encoding="ascii") + "tol = inf\n", encoding="ascii")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "number 'inf' is not finite" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_experiment_key_must_match_the_subcommand(tmp_path, capsys):

@@ -40,6 +40,11 @@ def test_plain_and_arithmetic_numbers_parse_exactly():
         ("abs(1)", "only digits, pi"),
         ("1/0", "division by zero"),
         ("1/(2-2)", "division by zero"),
+        ("nan", "not finite"),
+        ("inf", "not finite"),
+        ("-inf", "not finite"),
+        ("1e999", "not finite"),
+        ("1e308*10", "not finite"),
     ],
 )
 def test_malformed_numbers_are_rejected(bad, message):

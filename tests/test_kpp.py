@@ -20,6 +20,7 @@ from dispersal import (
     box,
     build_grid,
     constant_coefficient,
+    default_start,
     kernel_profile,
     orbit_convergence_experiment,
     parse_growth,
@@ -33,7 +34,6 @@ from dispersal.evolution import implicit_solver, linear_step
 from dispersal.kpp import (
     COLLAPSE_FLOOR,
     _bracket,
-    _small_positive_start,
     advance_periods,
 )
 
@@ -75,7 +75,7 @@ def bracket_starts(problem):
     op = problem.operator
     upper = np.full(op.grid.num_nodes, validate_saturation(problem))
     upper[op.constrained] = 0.0
-    return upper, _small_positive_start(op, eps=1e-3)
+    return upper, 1e-3 * default_start(op).values
 
 
 def serial_step(problem):
