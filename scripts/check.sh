@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Acceptance check: the Tier-1 suite, then every sample config rerun into
 # scripts/results by run_all.sh (which prints each sample's wall_s and the
-# package's src_lines to stderr).  Exits non-zero if a test or a sample
-# fails, or if any committed output under scripts/results changed.
+# package's src_lines to stderr), then a short benchmark smoke run.  Exits
+# non-zero if a test or a sample fails, if any committed output under
+# scripts/results changed, or if a benchmark workload reports an incorrect
+# output or a failed run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}" python -m pytest -q --continue-on-collection-errors
@@ -12,4 +14,21 @@ if [ -n "${changed}" ]; then
     printf 'scripts/results differs from the committed outputs:\n%s\n' "${changed}" >&2
     exit 1
 fi
-echo "check passed: Tier-1 green, scripts/results unchanged"
+
+# Run perfbench/run.py with the given options; fail unless it prints
+# $1 JSON result lines, each with "correct": true and "failed": 0.
+bench_smoke() {
+    local lines="$1" out
+    shift
+    out="$(python3 perfbench/run.py "$@")"
+    printf '%s\n' "${out}"
+    printf '%s\n' "${out}" | python3 -c '
+import json, sys
+results = [json.loads(line) for line in sys.stdin if line.startswith("{")]
+ok = len(results) == int(sys.argv[1]) and all(r["correct"] and r["failed"] == 0 for r in results)
+sys.exit(0 if ok else "benchmark smoke failed: an incorrect output or a failed run")
+' "${lines}"
+}
+bench_smoke 2 --workload all --seed 3 --seconds 1
+bench_smoke 1 --workload sweeps-1d --seed 3 --trace 1
+echo "check passed: Tier-1 green, scripts/results unchanged, benchmark smoke correct"

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import parse_coefficient, split_call
+from .coefficients import parse_call, parse_coefficient
 from .config import ExperimentConfig, format_resolved, load_config
 from .errors import NumericsError, ValidationError
 from .evolution import (
@@ -71,7 +71,7 @@ from .operators import (
 )
 from .spectral import PeriodMap, principal_value, spectrum_convergence_experiment
 
-_U0_CATALOG = "const(c), cosine-mode(m), sine-mode(m), poly-bump"
+_U0_ARITY = {"const": 1, "cosine-mode": 1, "sine-mode": 1, "poly-bump": 0}
 
 
 def _habitat(cfg: ExperimentConfig):
@@ -122,8 +122,8 @@ def _build_operator(cfg: ExperimentConfig, bc: BoundaryCondition, domain, h: flo
 
 def _initial_function(text: str, domain):
     """Build an initial-data sampler from its catalog entry."""
-    text = text.strip()
-    if text == "poly-bump":
+    name, args = parse_call(text, "u0", _U0_ARITY)
+    if name == "poly-bump":
         if domain.kind != BOX:
             raise ValidationError("u0 'poly-bump' needs a box domain")
         corners = tuple(zip(domain.lower, domain.upper))
@@ -135,16 +135,7 @@ def _initial_function(text: str, domain):
             return out
 
         return bump
-    name, inner = split_call(text)
-    parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
-    if name not in ("const", "cosine-mode", "sine-mode"):
-        raise ValidationError(f"unknown u0 {name!r}; catalog: {_U0_CATALOG}")
-    if len(parts) != 1:
-        raise ValidationError(f"u0 {name} takes one parameter, got {len(parts)}")
-    try:
-        value = float(parts[0])
-    except ValueError:
-        raise ValidationError(f"bad numeric parameter in u0 {text!r}") from None
+    value = args[0]
     if name == "const":
         return lambda *cols: np.full_like(np.asarray(cols[0], dtype=float), value)
     wave = np.cos if name == "cosine-mode" else np.sin

@@ -9,7 +9,8 @@ Evaluation reduces the time argument modulo the period first (an exact
 floating-point operation), so periodicity ``a(t + T, x) == a(t, x)`` holds
 bitwise whenever ``t + T`` is itself exactly representable.
 
-Catalog entries (the names accepted by :func:`parse_coefficient`):
+Catalog entries (the names accepted by :func:`parse_coefficient`; each
+parameter is a number in the config grammar, so ``2*pi`` is allowed):
 
 ================  =============================================
 ``const(c)``           ``c``
@@ -30,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import parse_number
 from .errors import ValidationError
 
 Coords = tuple
@@ -145,8 +147,6 @@ def shift_coefficient(a: TimePeriodicCoefficient, c: float) -> TimePeriodicCoeff
 
 _CALL = re.compile(r"^\s*([a-z][a-z-]*)\s*\((.*)\)\s*$", re.DOTALL)
 
-_ARITY = {"const": 1, "time-sine": 2, "space-cosine": 3, "tx-product": 3}
-
 
 def split_call(text: str) -> tuple[str, str]:
     """Split ``name(inner)`` into its parts, or raise."""
@@ -156,36 +156,37 @@ def split_call(text: str) -> tuple[str, str]:
     return match.group(1), match.group(2)
 
 
+def parse_call(text: str, what: str, arities: dict[str, int]) -> tuple[str, list[float]]:
+    """Read a ``what``'s catalog entry ``name(p, ...)`` or bare ``name``: ``arities`` maps each
+    catalog name to its parameter count, and each ``p`` is read by ``config.parse_number``."""
+    name, inner = split_call(text) if "(" in text else (text.strip(), "")
+    if name not in arities:
+        raise ValidationError(f"unknown {what} {name!r}; catalog: {', '.join(sorted(arities))}")
+    parts = inner.split(",") if inner.strip() else []
+    if len(parts) != arities[name]:
+        raise ValidationError(f"{what} {name} takes {arities[name]} parameter(s), got {len(parts)}")
+    return name, [parse_number(p) for p in parts]
+
+
+#: Catalog name -> (parameter count, builder called with the parameters and the period).
+_CATALOG = {
+    "const": (1, constant_coefficient),
+    "time-sine": (2, time_sine),
+    "space-cosine": (3, space_cosine),
+    "tx-product": (3, time_space_product),
+}
+_ARITY = {name: arity for name, (arity, _) in _CATALOG.items()}
+
+
 def parse_coefficient(text: str, period: float) -> TimePeriodicCoefficient:
     """Build a catalog coefficient from its textual form, e.g. ``tx-product(1,0.5,1)``."""
-    name, inner = split_call(text)
-    if name not in _ARITY:
-        raise ValidationError(
-            f"unknown coefficient {name!r}; catalog: {', '.join(sorted(_ARITY))}"
-        )
-    parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
-    if len(parts) != _ARITY[name]:
-        raise ValidationError(f"coefficient {name} takes {_ARITY[name]} parameters, got {len(parts)}")
-    try:
-        args = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ValidationError(f"bad numeric parameter in {text!r}: {exc}") from None
-    if name == "const":
-        return constant_coefficient(args[0], period)
-    if name == "time-sine":
-        return time_sine(args[0], args[1], period)
-    if name == "space-cosine":
-        return space_cosine(args[0], args[1], args[2], period)
-    return time_space_product(args[0], args[1], args[2], period)
+    name, args = parse_call(text, "coefficient", _ARITY)
+    return _CATALOG[name][1](*args, period)
 
 
 def time_average(a: TimePeriodicCoefficient, coords: Coords) -> np.ndarray:
-    """Per-node time average of ``a`` over one period (512-panel composite trapezoid)."""
-    times = np.linspace(0.0, a.period, 513)
-    total = 0.5 * (a.evaluate(times[0], coords) + a.evaluate(times[-1], coords))
-    for t in times[1:-1]:
-        total = total + a.evaluate(float(t), coords)
-    return total / 512
+    """Per-node time average of ``a`` over one period, from its exact integral."""
+    return a.integral(0.0, a.period, coords) / a.period
 
 
 def sup_difference(

@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from pathlib import Path
 
 from .errors import ValidationError
 
 _MISSING = object()
+
+#: The operations a number may use, by syntax node type.
+_OPERATIONS = {
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+}
 
 
 def parse_number(text: str) -> float:
@@ -28,38 +35,37 @@ def parse_number(text: str) -> float:
         value = float(text)
     except ValueError:
         try:
-            tree = ast.parse(text, mode="eval")
+            value = _eval_node(ast.parse(text, mode="eval").body, text)
         except SyntaxError:
             raise ValidationError(f"cannot parse number {text!r}") from None
-        value = _eval_node(tree.body, text)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ValidationError(f"number {text!r} is not finite") from None
     if not math.isfinite(value):
         raise ValidationError(f"number {text!r} is not finite")
     return value
 
 
 def _eval_node(node: ast.AST, source: str) -> float:
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
-    if isinstance(node, ast.Name) and node.id == "pi":
-        return math.pi
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        value = _eval_node(node.operand, source)
-        return value if isinstance(node.op, ast.UAdd) else -value
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+    """Evaluate one node of a number expression; every value it yields must be finite."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)
+    elif isinstance(node, ast.Name) and node.id == "pi":
+        value = math.pi
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATIONS:
+        value = _OPERATIONS[type(node.op)](_eval_node(node.operand, source))
+    elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATIONS:
         left = _eval_node(node.left, source)
         right = _eval_node(node.right, source)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if right == 0.0:
+        if isinstance(node.op, ast.Div) and right == 0.0:
             raise ValidationError(f"division by zero in number {source!r}")
-        return left / right
-    raise ValidationError(
-        f"cannot parse number {source!r}: only digits, pi, + - * / and parentheses are allowed"
-    )
+        value = _OPERATIONS[type(node.op)](left, right)
+    else:
+        raise ValidationError(
+            f"cannot parse number {source!r}: only digits, pi, + - * / and parentheses are allowed"
+        )
+    if not math.isfinite(value):
+        raise ValidationError(f"number {source!r} is not finite")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

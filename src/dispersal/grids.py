@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -104,9 +105,8 @@ class Grid:
     ghost_cells: int
     shape: tuple[int, ...]
 
-    # Flat per-node arrays, computed once at build time.
+    # Flat per-node coordinate columns, computed once at build time.
     coordinates: tuple[np.ndarray, ...] = dataclass_field(repr=False, default=())
-    ghost_mask: np.ndarray = dataclass_field(repr=False, default=None)
 
     @property
     def dimension(self) -> int:
@@ -118,6 +118,21 @@ class Grid:
 
     def signature(self) -> tuple:
         return (self.domain, self.h, self.ghost_cells, self.shape)
+
+    def inside(self, depth: int) -> np.ndarray:
+        """Flat mask of the nodes at least ``depth`` cells inside every box face.
+
+        ``~inside(0)`` is the ghost band, ``~inside(1)`` adds the faces; periodic cells have none.
+        """
+        g = self.ghost_cells + depth if self.domain.kind == BOX else 0
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[tuple(slice(g, n - g) for n in self.shape)] = True
+        return mask.ravel()
+
+    @cached_property
+    def ghost_mask(self) -> np.ndarray:
+        """Flat mask of the ghost band (the nodes outside the box)."""
+        return ~self.inside(0)
 
     def boundary_distance(self) -> np.ndarray:
         """Distance from each node to the box boundary (negative outside).
@@ -162,18 +177,7 @@ def build_grid(domain: Domain, h: float, ghost_width: float = 0.0) -> Grid:
         )
     mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
     coordinates = tuple(m.ravel() for m in mesh)
-    if ghost_cells > 0:
-        ghost = np.zeros(shape, dtype=bool)
-        for axis, n in enumerate(shape):
-            idx = [slice(None)] * len(shape)
-            idx[axis] = slice(0, ghost_cells)
-            ghost[tuple(idx)] = True
-            idx[axis] = slice(n - ghost_cells, n)
-            ghost[tuple(idx)] = True
-        ghost_mask = ghost.ravel()
-    else:
-        ghost_mask = np.zeros(int(np.prod(shape)), dtype=bool)
-    return Grid(domain, float(h), ghost_cells, shape, coordinates, ghost_mask)
+    return Grid(domain, float(h), ghost_cells, shape, coordinates)
 
 
 @dataclass

@@ -270,21 +270,6 @@ def _require_domain(grid: Grid, bc: BoundaryCondition) -> None:
         )
 
 
-def _box_boundary_mask(grid: Grid) -> np.ndarray:
-    """Nodes on the box boundary (the physical faces, not the ghosts)."""
-    g = grid.ghost_cells
-    mask = np.zeros(grid.shape, dtype=bool)
-    dim = len(grid.shape)
-    for axis, n in enumerate(grid.shape):
-        idx = [slice(None)] * dim
-        idx[axis] = g
-        mask[tuple(idx)] = True
-        idx[axis] = n - 1 - g
-        mask[tuple(idx)] = True
-    flat = mask.ravel()
-    return flat & ~grid.ghost_mask
-
-
 def assemble_nonlocal(
     grid: Grid, profile: KernelProfile, delta: float, bc: BoundaryCondition
 ) -> DispersalOperator:
@@ -341,7 +326,7 @@ def assemble_nonlocal(
         bc=bc,
         grid=grid,
         offsets=tuple(offsets),
-        constrained=grid.ghost_mask.copy(),
+        constrained=~grid.inside(0),
         delta=float(delta),
         nu=float(nu),
     )
@@ -365,15 +350,12 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
         for sign in (-1, 1):
             offset = tuple(sign if a == axis else 0 for a in range(grid.dimension))
             offsets.append((offset, weight))
-    constrained = grid.ghost_mask.copy()
-    if bc is BoundaryCondition.DIRICHLET:
-        constrained |= _box_boundary_mask(grid)
     return DispersalOperator(
         kind=LOCAL,
         bc=bc,
         grid=grid,
         offsets=tuple(offsets),
-        constrained=constrained,
+        constrained=~grid.inside(1 if bc is BoundaryCondition.DIRICHLET else 0),
         mirror=(bc is BoundaryCondition.NEUMANN),
     )
 

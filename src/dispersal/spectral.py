@@ -205,8 +205,8 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     The jump rate is read from the operator's diagonal (the constant
     ``-sum_o w_o`` on periodic closures), so the test uses the rate the
     discrete operator carries, including the in-box rate of the neumann
-    closure that falls towards the faces; the time average is taken by a
-    512-panel trapezoid rule.
+    closure that falls towards the faces; the time average comes from the
+    coefficient's exact integral over one period.
     """
     return _existence_criterion(period_map.operator, period_map.coefficient, value)
 

@@ -696,6 +696,24 @@ def test_a_non_finite_tolerance_exits_2_before_any_work(tmp_path, capsys):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("simulate", dict(SIMULATE_KEYS, u0="const(nan)")),
+        (
+            "spectrum",
+            dict(bc="periodic", period="2*pi", h="2*pi/64", dt="0.05", T="1", delta="0.5",
+                 coefficient="const(inf)"),
+        ),
+    ],
+)
+def test_a_non_finite_catalog_parameter_exits_2_before_writing(tmp_path, capsys, command, keys):
+    cfg = write_config(tmp_path, "x.cfg", **keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_experiment_key_must_match_the_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, "x.cfg", experiment="spectrum", **SIMULATE_KEYS)
     assert main(["simulate", "--config", str(cfg)]) == 2
@@ -716,7 +734,8 @@ def test_bad_boundary_condition_and_u0_exit_2(tmp_path, capsys):
     keys = dict(SIMULATE_KEYS, u0="spike(1)")
     cfg = write_config(tmp_path, "y.cfg", **keys)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown u0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown u0" in err and "poly-bump" in err
 
 
 def test_non_invadable_growth_exits_3(tmp_path, capsys):

@@ -107,6 +107,13 @@ def test_time_average_of_pure_oscillation_vanishes():
     np.testing.assert_allclose(time_average(b, COORDS), 2.0, atol=1e-12)
 
 
+def test_time_average_is_the_exact_integral_over_one_period():
+    a = parse_coefficient("tx-product(1.5,0.5,1)", period=2.0)
+    avg = time_average(a, COORDS)
+    assert avg.shape == COORDS[0].shape
+    assert np.all(avg == 1.5)
+
+
 def test_shift_adds_a_constant_everywhere():
     a = parse_coefficient("time-sine(0.3,1.0)", period=1.0)
     shifted = shift_coefficient(a, -2.5)
@@ -129,6 +136,16 @@ def test_sup_difference_requires_matching_periods():
     b = constant_coefficient(1.0, period=2.0)
     with pytest.raises(ValidationError):
         sup_difference(a, b, COORDS)
+
+
+def test_parameters_use_the_config_number_grammar():
+    a = parse_coefficient("space-cosine(1,0.5,2*pi)", 1.0)
+    b = parse_coefficient("space-cosine(1,0.5,6.283185307179586)", 1.0)
+    for t in (0.0, 0.3):
+        assert a.evaluate(t, COORDS).tobytes() == b.evaluate(t, COORDS).tobytes()
+    for text in ("const(nan)", "tx-product(1,inf,1)"):
+        with pytest.raises(ValidationError, match="not finite"):
+            parse_coefficient(text, 1.0)
 
 
 def test_parse_rejects_malformed_entries():

@@ -45,6 +45,12 @@ def test_plain_and_arithmetic_numbers_parse_exactly():
         ("-inf", "not finite"),
         ("1e999", "not finite"),
         ("1e308*10", "not finite"),
+        # every intermediate value must be finite, not just the result
+        ("1/1e999", "not finite"),
+        ("1/(1e308*10)", "not finite"),
+        ("pi/1e999", "not finite"),
+        pytest.param("1" + "0" * 400 + "*1", "not finite", id="integer-beyond-float-range"),
+        ("True", "only digits, pi"),
     ],
 )
 def test_malformed_numbers_are_rejected(bad, message):

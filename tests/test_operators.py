@@ -230,6 +230,34 @@ def test_local_dirichlet_pins_the_boundary():
     assert np.max(np.abs(out[1:-1] + math.pi**2 * u[1:-1])) < 0.01
 
 
+def edge_ring(shape, g):
+    """Flat C-order mask of the nodes fewer than ``g`` index steps from an array edge."""
+    n0, n1 = shape
+    return np.array(
+        [i < g or i >= n0 - g or j < g or j >= n1 - g for i in range(n0) for j in range(n1)]
+    )
+
+
+def test_2d_ghost_ring_and_pinned_sets():
+    domain = box((0.0, 0.0), (1.0, 2.0))
+    grid = build_grid(domain, 0.25, ghost_width=0.5)
+    assert grid.shape == (5 + 4, 9 + 4)
+    ghost = edge_ring(grid.shape, 2)
+    assert np.array_equal(grid.ghost_mask, ghost)
+    # the local hostile closure pins the ghost ring and the box faces
+    pinned = assemble_local(grid, "dirichlet").constrained
+    assert np.array_equal(pinned, edge_ring(grid.shape, 3))
+    x, y = grid.coordinates
+    on_faces = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 2.0)
+    assert np.array_equal(pinned & ~ghost, on_faces & ~ghost)
+    # the jump operator pins only its ghost ring, the reflecting closure nothing
+    wide = build_grid(domain, 0.25, ghost_width=1.0)
+    jump = assemble_nonlocal(wide, kernel_profile(QUARTIC, 2), 1.0, "dirichlet")
+    assert np.array_equal(jump.constrained, edge_ring(wide.shape, 4))
+    assert np.array_equal(wide.ghost_mask, edge_ring(wide.shape, 4))
+    assert not assemble_local(build_grid(domain, 0.25), "neumann").constrained.any()
+
+
 # --------------------------------------------------------------------- #
 # Fourier multiplier oracles                                             #
 # --------------------------------------------------------------------- #
