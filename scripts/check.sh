@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Acceptance check: the Tier-1 suite, then every sample config rerun into
 # scripts/results by run_all.sh (which prints each sample's wall_s and the
-# package's src_lines to stderr), then a short benchmark smoke run.  Exits
-# non-zero if a test or a sample fails, if any committed output under
-# scripts/results changed, or if a benchmark workload reports an incorrect
-# output or a failed run.
+# package's src_lines to stderr), then the benchmark's range check of the
+# kpp invasion and saturation checks, then a short benchmark smoke run.
+# Exits non-zero if a test or a sample fails, if any committed output under
+# scripts/results changed, if the range check finds a problem, or if a
+# benchmark workload reports an incorrect output or a failed run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}" python -m pytest -q --continue-on-collection-errors
@@ -14,6 +15,7 @@ if [ -n "${changed}" ]; then
     printf 'scripts/results differs from the committed outputs:\n%s\n' "${changed}" >&2
     exit 1
 fi
+python3 perfbench/workloads.py --verify-range
 
 # Run perfbench/run.py with the given options; fail unless it prints
 # $1 JSON result lines, each with "correct": true and "failed": 0.
@@ -31,4 +33,4 @@ sys.exit(0 if ok else "benchmark smoke failed: an incorrect output or a failed r
 }
 bench_smoke 2 --workload all --seed 3 --seconds 1
 bench_smoke 1 --workload sweeps-1d --seed 3 --trace 1
-echo "check passed: Tier-1 green, scripts/results unchanged, benchmark smoke correct"
+echo "check passed: Tier-1 green, scripts/results unchanged, range check and benchmark smoke correct"

@@ -66,10 +66,8 @@ from .kernels import (
     second_moment,
 )
 from .kpp import (
-    GrowthTerm,
     KPPProblem,
     PeriodicOrbit,
-    logistic_growth,
     orbit_convergence_experiment,
     parse_growth,
     positive_periodic_solution,

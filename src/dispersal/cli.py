@@ -252,13 +252,16 @@ def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     ]
 
 
-def _sweep(cfg: ExperimentConfig, out_dir: Path, domain, label: str, experiment) -> list[str]:
-    """Finish a sweep run: read ``kernel`` and ``deltas``, reject stray keys,
-    run ``experiment(profile, deltas)``, write its report and list its meta."""
+def _sweep_keys(cfg: ExperimentConfig, domain):
+    """Read the sweep keys ``kernel`` and ``deltas``, then reject stray keys."""
     profile = _profile(cfg, domain)
     deltas = cfg.get_number_list("deltas")
     cfg.reject_unknown_keys()
-    report = experiment(profile, deltas)
+    return profile, deltas
+
+
+def _report_lines(report, out_dir: Path, label: str) -> list[str]:
+    """Write ``report.csv`` and list the report's meta."""
     report.to_csv(out_dir / "report.csv")
     lines = [f"{label}: one row per kernel radius ({len(report.rows)} rows)"]
     for key, value in sorted(report.meta.items()):
@@ -275,15 +278,14 @@ def _run_converge_a(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     reaction_text = cfg.get_str("reaction", default="zero")
     u0_text = cfg.get_str("u0")
     snapshots = _count(cfg, "snapshots", 8)
+    profile, deltas = _sweep_keys(cfg, domain)
 
-    def experiment(profile, deltas):
-        reaction = parse_reaction(reaction_text, period)
-        u0 = _initial_function(u0_text, domain)
-        return solution_convergence_experiment(
-            domain, bc, profile, reaction, u0, t_final, deltas, h, dt, snapshots=snapshots
-        )
-
-    return _sweep(cfg, out_dir, domain, "solution distance sweep", experiment)
+    reaction = parse_reaction(reaction_text, period)
+    u0 = _initial_function(u0_text, domain)
+    report = solution_convergence_experiment(
+        domain, bc, profile, reaction, u0, t_final, deltas, h, dt, snapshots=snapshots
+    )
+    return _report_lines(report, out_dir, "solution distance sweep")
 
 
 def _run_converge_b(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
@@ -291,14 +293,13 @@ def _run_converge_b(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     period = cfg.get_number("T")
     coefficient_text = cfg.get_str("coefficient")
     tol = cfg.get_number("tol", default=1e-9)
+    profile, deltas = _sweep_keys(cfg, domain)
 
-    def experiment(profile, deltas):
-        coefficient = parse_coefficient(coefficient_text, period)
-        return spectrum_convergence_experiment(
-            domain, bc, coefficient, profile, deltas, h, dt, tol=tol
-        )
-
-    return _sweep(cfg, out_dir, domain, "growth-rate gap sweep", experiment)
+    coefficient = parse_coefficient(coefficient_text, period)
+    report = spectrum_convergence_experiment(
+        domain, bc, coefficient, profile, deltas, h, dt, tol=tol
+    )
+    return _report_lines(report, out_dir, "growth-rate gap sweep")
 
 
 def _run_converge_c(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
@@ -307,14 +308,13 @@ def _run_converge_c(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     growth_text = cfg.get_str("growth")
     tol = cfg.get_number("tol", default=1e-8)
     snapshots = _count(cfg, "orbit_snapshots", 32)
+    profile, deltas = _sweep_keys(cfg, domain)
 
-    def experiment(profile, deltas):
-        growth = parse_growth(growth_text, period)
-        return orbit_convergence_experiment(
-            domain, bc, growth, profile, deltas, h, dt, tol=tol, snapshots_per_period=snapshots
-        )
-
-    return _sweep(cfg, out_dir, domain, "periodic-state gap sweep", experiment)
+    growth = parse_growth(growth_text, period)
+    report = orbit_convergence_experiment(
+        domain, bc, growth, profile, deltas, h, dt, tol=tol, snapshots_per_period=snapshots
+    )
+    return _report_lines(report, out_dir, "periodic-state gap sweep")
 
 
 #: Each subcommand's runner and its help line.

@@ -208,15 +208,11 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     closure that falls towards the faces; the time average comes from the
     coefficient's exact integral over one period.
     """
-    return _existence_criterion(period_map.operator, period_map.coefficient, value)
-
-
-def _existence_criterion(op: DispersalOperator, a: TimePeriodicCoefficient, value: float) -> bool:
-    """:func:`principal_eigenvalue_criterion` for operator ``op`` and coefficient ``a``."""
+    op = period_map.operator
     if op.kind != NONLOCAL:
         raise ValidationError("the existence criterion applies to the nonlocal kind only")
     grid = op.grid
-    averages = time_average(a, grid.coordinates)
+    averages = time_average(period_map.coefficient, grid.coordinates)
     keep = ~grid.ghost_mask
     return bool(value > float(np.max(op.diagonal()[keep] + averages[keep])))
 
@@ -261,9 +257,10 @@ def spectrum_convergence_experiment(
     local, *results = _power_iteration(period_map, [local_op, *nonlocal_ops], tol, 20000)
     lambda_local = local.value
     gaps = [abs(result.value - lambda_local) for result in results]
+    own_maps = [PeriodMap(op, coefficient, dt) for op in nonlocal_ops]
     rows = [
-        (d, result.value, lambda_local, gap, _existence_criterion(op, coefficient, result.value))
-        for d, op, result, gap in zip(deltas, nonlocal_ops, results, gaps)
+        (d, result.value, lambda_local, gap, principal_eigenvalue_criterion(own_map, result.value))
+        for d, own_map, result, gap in zip(deltas, own_maps, results, gaps)
     ]
     meta = {
         "bc": local_op.bc.value,

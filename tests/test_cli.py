@@ -756,6 +756,16 @@ def test_non_invadable_growth_exits_3(tmp_path, capsys):
     assert "not invadable" in err and "no positive periodic state" in err
 
 
+@pytest.mark.parametrize("command, keys", [("kpp-orbit", KPP_ORBIT_KEYS), ("converge-c", CONVERGE_C_KEYS)])
+def test_a_growth_that_never_saturates_exits_2_before_any_work(tmp_path, capsys, command, keys):
+    # a = 1e13 lies above every level of the saturation search, so the run
+    # stops when its problem is built, before the invasion check.
+    cfg = write_config(tmp_path, "x.cfg", **dict(keys, growth="logistic(const(1e13))"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "does not saturate" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
     keys = dict(
         SIMULATE_KEYS, dt="0.01", t_final="0.5", reaction="linear(const(100))", snapshots="1"

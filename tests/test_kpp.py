@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from dispersal import (
     QUARTIC,
     CollapsedToZeroError,
-    GrowthTerm,
     KPPProblem,
     NoConvergenceError,
     NumericsError,
@@ -90,7 +89,7 @@ def serial_step(problem):
     pinned = op.constrained
 
     def rate(t, u):
-        return u * problem.growth.evaluate(t, op.grid.coordinates, u)
+        return u * (problem.growth.evaluate(t, op.grid.coordinates) - u)
 
     def step(t, u):
         fn = rate(t, u)
@@ -160,30 +159,17 @@ def test_negative_carrying_level_cannot_invade():
 
 def test_doubling_search_finds_the_first_strictly_negative_level():
     # f = 1 - u vanishes at u = 1, so the search must move on to 2.
-    assert validate_saturation(neumann_problem("logistic(const(1))")) == 2.0
+    problem = neumann_problem("logistic(const(1))")
+    assert validate_saturation(problem) == problem.saturation_bound == 2.0
 
 
 def test_non_saturating_growth_is_rejected():
+    # a = 2**40 is not below any doubling level the search tries, so the
+    # problem is refused when it is built.
     grid = build_grid(box(0.0, 1.0), 1.0 / 32)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.3, "neumann")
-    stuck = GrowthTerm(
-        evaluate=lambda t, coords, u: np.full_like(u, 0.5),
-        partial_u=lambda t, coords, u: np.zeros_like(u),
-        linearization_at_zero=constant_coefficient(0.5, period=1.0),
-        period=1.0,
-        description="synthetic-flat",
-    )
     with pytest.raises(ValidationError, match="does not saturate"):
-        validate_saturation(KPPProblem(op, stuck, 0.05))
-    creeping = GrowthTerm(
-        evaluate=lambda t, coords, u: np.full_like(u, -1.0),
-        partial_u=lambda t, coords, u: np.full_like(u, 0.1),
-        linearization_at_zero=constant_coefficient(-1.0, period=1.0),
-        period=1.0,
-        description="synthetic-creeping",
-    )
-    with pytest.raises(ValidationError, match="strictly decreasing in u"):
-        validate_saturation(KPPProblem(op, creeping, 0.05))
+        KPPProblem(op, constant_coefficient(2.0**40), 0.05)
 
 
 def test_unknown_growth_text_is_rejected():
