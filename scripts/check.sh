@@ -2,7 +2,8 @@
 # Acceptance check: the Tier-1 suite, then every sample config rerun into
 # scripts/results by run_all.sh (which prints each sample's wall_s and the
 # package's src_lines to stderr), then the benchmark's range check of the
-# kpp invasion and saturation checks, then a short benchmark smoke run.
+# kpp invasion and saturation checks, then a short benchmark smoke run of
+# both workloads, untraced and traced.
 # Exits non-zero if a test or a sample fails, if any committed output under
 # scripts/results changed, if the range check finds a problem, or if a
 # benchmark workload reports an incorrect output or a failed run.
@@ -32,5 +33,5 @@ sys.exit(0 if ok else "benchmark smoke failed: an incorrect output or a failed r
 ' "${lines}"
 }
 bench_smoke 2 --workload all --seed 3 --seconds 1
-bench_smoke 1 --workload sweeps-1d --seed 3 --trace 1
+bench_smoke 2 --workload all --seed 3 --trace 1
 echo "check passed: Tier-1 green, scripts/results unchanged, range check and benchmark smoke correct"

@@ -91,18 +91,16 @@ class ReactionTerm:
     """Reaction ``F(t, x, u)``.
 
     ``evaluate`` receives the time, the grid coordinate columns and the
-    nodal values; ``period`` is 0 for autonomous reactions.
+    nodal values.
     """
 
     evaluate: Callable
-    period: float
     description: str
 
 
 def zero_reaction() -> ReactionTerm:
     return ReactionTerm(
         evaluate=lambda t, coords, u: np.zeros_like(u),
-        period=0.0,
         description="zero",
     )
 
@@ -111,7 +109,6 @@ def linear_reaction(a: TimePeriodicCoefficient) -> ReactionTerm:
     """``F = a(t, x) u`` — the linearization driving the spectral theory."""
     return ReactionTerm(
         evaluate=lambda t, coords, u: a.evaluate(t, coords) * u,
-        period=a.period,
         description=f"linear({a.description})",
     )
 
@@ -120,7 +117,6 @@ def logistic_reaction(a: TimePeriodicCoefficient) -> ReactionTerm:
     """``F = u (a(t, x) - u)`` — saturating growth with carrying level ``a``."""
     return ReactionTerm(
         evaluate=lambda t, coords, u: u * (a.evaluate(t, coords) - u),
-        period=a.period,
         description=f"logistic({a.description})",
     )
 
@@ -361,17 +357,19 @@ class _CapacitanceStep(_BoxStep):
 
     On the ``m`` box nodes (the grid without its ghost band) the action is
     the stencil's band, a diagonal and, for the mirrored closure, the
-    entries ``(0, 1)`` and ``(m-1, m-2)``; it is applied by ``np.convolve``.
-    An operator's free (unpinned) nodes form one contiguous block of them;
-    zero-padded to a 5-smooth length ``L >= m``, the system ``M = I - sA``
-    on that block sits in the block matrix ``[[M, 0], [P_pf, P_pp]]``,
-    where ``P = I - sC`` is the circulant of the stencil wrapped on ``L``
-    nodes with self term ``-sum_o w_o``: the padding rows (the two end
-    nodes that the local dirichlet closure pins among them) are ``P``'s
-    own, so the block matrix differs from ``P`` only in ``E``, its ``k``
-    rows ``R`` within stencil reach of a face.  Writing ``x = P^-1 y``
-    leaves ``y = b`` off ``R`` and ``y_R = b_R - G b`` on it, with the gain
-    ``G = Q^-1 (E P^-1)_F`` and the capacitance matrix
+    entries ``(0, 1)`` and ``(m-1, m-2)``; ``_act`` applies it by
+    ``np.convolve``, apart from the operator's entries, as the independent
+    check of the solve.  An operator's free (unpinned) nodes form one
+    contiguous block of them; zero-padded to a 5-smooth length ``L >= m``,
+    the system ``M = I - sA`` on that block sits in the block matrix
+    ``[[M, 0], [P_pf, P_pp]]``, where ``P = I - sC`` is the circulant of the
+    stencil wrapped on ``L`` nodes with self term ``-sum_o w_o``: the
+    padding rows (the two end nodes that the local dirichlet closure pins
+    among them) are ``P``'s own, so the block matrix differs from ``P`` only
+    in ``E``, its ``k`` rows ``R`` within stencil reach of a face, where
+    ``M`` is read from :meth:`DispersalOperator.matrix_rows`.  Writing
+    ``x = P^-1 y`` leaves ``y = b`` off ``R`` and ``y_R = b_R - G b`` on it,
+    with the gain ``G = Q^-1 (E P^-1)_F`` and the capacitance matrix
     ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is one ``k x m`` product
     and one FFT pair, twice on the stiff steps that need a refinement step
     (see ``__init__``); ``E P^-1`` takes ``k`` batched transforms at set-up.
@@ -399,8 +397,7 @@ class _CapacitanceStep(_BoxStep):
         self._mirror = np.array([op.mirror_weight if op.mirror else 0.0 for op in ops])
         self._kernels, self._faces, self._gain = [], [], []
         free = ~self._pinned[:, self._box]
-        tables = zip(ops, free, columns, self._eig, self._diagonal, self._mirror)
-        for op, inside, column, eig, diagonal, mirror in tables:
+        for op, inside, column, eig in zip(ops, free, columns, self._eig):
             block = np.flatnonzero(inside)
             a, b = int(block[0]), int(block[-1]) + 1
             if b - a != block.size:
@@ -413,22 +410,14 @@ class _CapacitanceStep(_BoxStep):
 
             nodes = np.arange(b - a)
             faces = a + np.flatnonzero((nodes < reach) | (nodes >= b - a - reach))
-            gap = cols - faces[:, None]
-            face_rows = np.where(
-                (np.abs(gap) <= reach) & (cols >= a) & (cols < b),
-                band[np.clip(gap + reach, 0, 2 * reach)],
-                0.0,
-            )
-            face_rows[np.arange(faces.size), faces] = diagonal[faces]
-            if mirror:
-                face_rows[faces == a, a + 1] += mirror
-                face_rows[faces == b - 1, b - 2] += mirror
+            face_rows = np.zeros((faces.size, length))
+            face_rows[:, :m] = op.matrix_rows(faces + grid.ghost_cells)[:, self._box]
             E = scale * (column[(faces[:, None] - cols) % length] - face_rows)
             EP = np.fft.irfft(np.fft.rfft(E) / np.conj(eig), length)  # rows of E P^-1
             capacitance = np.eye(faces.size) + EP[:, faces]
             self._faces.append(faces)
             self._gain.append(np.einsum("ij,jk->ik", _inverse(capacitance), EP[:, :m]))
-            del gap, face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
+            del face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
         self._pins_inside = bool(np.any(self._pinned[:, self._box]))
 
         # The correction cancels modes of P that M lacks (the constant mode

@@ -8,20 +8,23 @@ over a fixed stencil of integer grid offsets ``o`` with nonnegative weights
 ``w_o``.  Writing the action as differences (rather than as a matrix row
 times a vector) makes constant fields annihilate bitwise under reflecting
 (neumann) and wrapping (periodic) closures, which several structural tests
-rely on; it is the reference action.  The time steppers use a faster one
-with the same result up to rounding (see :mod:`dispersal.evolution`).  On a
-wrapping habitat the action is a circular convolution, so it is diagonal in
-Fourier space: periodic closures act (and are solved) through their Fourier
-symbol (:meth:`DispersalOperator.symbol`) in O(n) memory and never assemble
-a matrix.  On a one-dimensional box the action is a band: the stencil
+rely on; it is the reference action.  It reads the one walk that places the
+stencil on the grid, as the matrix entries do.  The time steppers use a
+faster action with the same result up to rounding (see
+:mod:`dispersal.evolution`).  On a wrapping habitat the action is a
+circular convolution, so it is diagonal in Fourier space: periodic closures
+act (and are solved) through their Fourier symbol
+(:meth:`DispersalOperator.symbol`) in O(n) memory and never assemble a
+matrix.  On a one-dimensional box the action is a band: the stencil
 convolved over the free nodes, a diagonal (:meth:`DispersalOperator.diagonal`,
 read from the stencil) and the two mirror entries of the reflecting local
-closure, which the time steppers apply and solve without a matrix.  Only
-two-dimensional boxes are backed by a compressed-sparse-row matrix
-(constants map to values at rounding level), built by
-:meth:`DispersalOperator.matrix`, which also serves dumps and checks; that
-method is the only place the module imports ``scipy.sparse``, so a periodic
-or one-dimensional run never loads scipy.
+closure, which the time steppers apply and solve without a matrix; the face
+rows of that solve are :meth:`DispersalOperator.matrix_rows`, the matrix
+entries placed by numpy alone.  Only two-dimensional boxes are backed by a
+compressed-sparse-row matrix (constants map to values at rounding level),
+built by :meth:`DispersalOperator.matrix`, which also serves dumps and
+checks; that method is the only place the module imports ``scipy.sparse``,
+so a periodic or one-dimensional run never loads scipy.
 
 The nonlocal kind quadratures the jump integral at the grid nodes with
 uniform weights ``h**N`` and then scales every weight by one common factor,
@@ -113,23 +116,11 @@ class DispersalOperator:
             raise ValidationError(
                 f"operator expects {self.grid.num_nodes} nodal values, got shape {values.shape}"
             )
-        shape = self.grid.shape
-        u = np.where(self.constrained, 0.0, values).reshape(shape)
+        u = np.where(self.constrained, 0.0, values)
         out = np.zeros_like(u)
-        for offset, weight in self.offsets:
-            if self.bc is BoundaryCondition.PERIODIC:
-                shifted = np.roll(u, tuple(-o for o in offset), axis=tuple(range(len(shape))))
-                out += weight * (shifted - u)
-            else:
-                rows, targets = _box_slices(offset, shape)
-                out[rows] += weight * (u[targets] - u[rows])
-        if self.mirror:
-            # Reflecting closure: the missing exterior neighbor of a face
-            # node is its interior neighbor, so the inward difference
-            # enters twice.
-            for face, inward in _mirror_faces(shape):
-                out[face] += self.mirror_weight * (u[inward] - u[face])
-        return np.where(self.constrained, 0.0, out.ravel())
+        for rows, cols, weight in self._entry_batches():
+            out[rows] += weight * (u[cols] - u[rows])
+        return np.where(self.constrained, 0.0, out)
 
     @property
     def mirror_weight(self) -> float:
@@ -189,7 +180,12 @@ class DispersalOperator:
     # ------------------------------------------------------------------ #
 
     def _entry_batches(self):
-        """Yield (rows, cols, weight) for every stencil interaction, pinned nodes included."""
+        """Yield ``(rows, cols, weight)`` for every stencil interaction, pinned nodes included.
+
+        The one placement of the stencil, read by :meth:`apply`, :meth:`diagonal`
+        and the matrix entries: wrapped on cells, clipped at box faces, and for
+        the reflecting local closure each face layer coupled once more inward.
+        """
         shape = self.grid.shape
         index = np.arange(self.grid.num_nodes).reshape(shape)
         for offset, weight in self.offsets:
@@ -197,60 +193,50 @@ class DispersalOperator:
                 cols = np.roll(index, tuple(-o for o in offset), axis=tuple(range(len(shape))))
                 yield index.ravel(), cols.ravel(), weight
             else:
-                rows, targets = _box_slices(offset, shape)
+                rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
+                targets = tuple(slice(r.start + o, r.stop + o) for r, o in zip(rows, offset))
                 yield index[rows].ravel(), index[targets].ravel(), weight
         if self.mirror:
-            for face, inward in _mirror_faces(shape):
-                yield index[face].ravel(), index[inward].ravel(), self.mirror_weight
+            for axis, n in enumerate(shape):
+                for face, inward in ((0, 1), (n - 1, n - 2)):
+                    face_nodes, inward_nodes = index.take(face, axis), index.take(inward, axis)
+                    yield face_nodes.ravel(), inward_nodes.ravel(), self.mirror_weight
+
+    def _matrix_entries(self):
+        """Yield ``(rows, cols, values)``: the nonzero diagonal, then the couplings of free nodes."""
+        diagonal = self.diagonal()
+        nodes = np.flatnonzero(diagonal)
+        yield nodes, nodes, diagonal[nodes]
+        free = ~self.constrained
+        for rows, cols, weight in self._entry_batches():
+            keep = free[rows] & free[cols]
+            yield rows[keep], cols[keep], np.full(np.count_nonzero(keep), weight)
 
     def matrix(self) -> sparse.csr_matrix:
         """CSR form of the action (cached); the module's only use of scipy.
 
-        The off-diagonal entries are the stencil's, less any with a pinned
-        end; the diagonal is :meth:`diagonal`.  The time steppers build it
-        for two-dimensional boxes only.
+        One conversion of :meth:`_matrix_entries`, whose duplicates it sums.
+        The time steppers build it for two-dimensional boxes only.
         """
         if self._matrix is None:
             import scipy.sparse as sparse
 
             n = self.grid.num_nodes
-            free = ~self.constrained
-            rows_all, cols_all, vals_all = [], [], []
-            for rows, cols, weight in self._entry_batches():
-                keep = free[rows] & free[cols]
-                rows, cols = rows[keep], cols[keep]
-                rows_all.append(rows)
-                cols_all.append(cols)
-                vals_all.append(np.full(rows.size, weight))
-            coupling = sparse.coo_matrix(
-                (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-                shape=(n, n),
-            ).tocsr()
-            self._matrix = (coupling + sparse.diags(self.diagonal())).tocsr()
+            rows, cols, values = (np.concatenate(part) for part in zip(*self._matrix_entries()))
+            self._matrix = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
         return self._matrix
 
-
-def _box_slices(offset: Offset, shape: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
-    """Slices of the nodes whose ``offset`` neighbor is in the box, and of those neighbors.
-
-    ``apply`` and the matrix entries clip the stencil at the box faces by this one rule.
-    """
-    rows, targets = [], []
-    for o, n in zip(offset, shape):
-        a, b = max(0, -o), n - max(0, o)
-        rows.append(slice(a, b))
-        targets.append(slice(a + o, b + o))
-    return tuple(rows), tuple(targets)
-
-
-def _mirror_faces(shape: tuple[int, ...]):
-    """Yield ``(face, inward)`` index tuples: each box face layer and the layer inside it."""
-    for axis, n in enumerate(shape):
-        for face, inward in ((0, 1), (n - 1, n - 2)):
-            at = [slice(None)] * len(shape)
-            inside = [slice(None)] * len(shape)
-            at[axis], inside[axis] = face, inward
-            yield tuple(at), tuple(inside)
+    def matrix_rows(self, nodes) -> np.ndarray:
+        """Dense rows ``nodes`` of :meth:`matrix`, placed from the same entries by numpy alone."""
+        nodes = np.asarray(nodes)
+        position = np.full(self.grid.num_nodes, -1)
+        position[nodes] = np.arange(nodes.size)
+        out = np.zeros((nodes.size, self.grid.num_nodes))
+        for rows, cols, values in self._matrix_entries():
+            at = position[rows]
+            keep = at >= 0
+            out[at[keep], cols[keep]] += values[keep]  # a batch holds each entry once
+        return out
 
 
 # ---------------------------------------------------------------------- #

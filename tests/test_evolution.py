@@ -253,6 +253,23 @@ def test_stiff_pinned_box_solves_stay_exact(case, scale):
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 10.0])
+@pytest.mark.parametrize("case", list(BOX_STEP_CASES))
+def test_one_dimensional_box_step_acts_as_the_matrix(case, scale):
+    # The step applies its own band action (np.convolve, the diagonal and
+    # the mirror terms), placed apart from the operator's entry walk that
+    # builds the matrix; a trapezoidal step must satisfy the matrix's own
+    # relation (I - sA) y = (I + sA) x.
+    op = box_step_operator(*BOX_STEP_CASES[case][:4])
+    step = evolution.linear_step(op, scale)
+    rows = step.pin(np.random.default_rng(17).uniform(-1.0, 1.0, (2, op.grid.num_nodes)))
+    A = op.matrix()
+    for x, y in zip(rows, step.crank_nicolson(rows)):
+        target = x + scale * (A @ x)
+        gap = y - scale * (A @ y) - target
+        assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(target)
+
+
 def test_a_batched_box_step_solves_each_row_as_its_operator_alone():
     # At this step size only the local reference needs the refinement
     # step, which the probe decides per operator; the local faces, pinned
@@ -470,7 +487,7 @@ def test_a_source_term_leaves_pinned_nodes_at_zero(dim, kind):
         op = assemble_local(grid, "dirichlet")
     else:
         op = assemble_nonlocal(grid, QUARTIC_1D, 0.25, "dirichlet")
-    source = ReactionTerm(lambda t, coords, u: np.ones_like(u), 0.0, "source")
+    source = ReactionTerm(lambda t, coords, u: np.ones_like(u), "source")
     problem = SemilinearProblem(op, source, constant_field(grid, 0.0), 0.0, 0.5)
     run = solve(problem, 0.1, [0.5])
     final = run.states[-1].values
