@@ -22,6 +22,7 @@ run() {
 }
 
 run simulate   configs/simulate_periodic_wave.cfg
+run simulate   configs/simulate_box_2d.cfg
 run spectrum   configs/spectrum_pinned_zero.cfg
 run kpp-orbit  configs/kpp_orbit_seasonal.cfg
 run converge-a configs/converge_a_neumann.cfg

@@ -5,40 +5,36 @@ Both operator kinds are realized as sums of offset differences
     (A u)_i  =  sum_o  w_o * (u_{i+o} - u_i)
 
 over a fixed stencil of integer grid offsets ``o`` with nonnegative weights
-``w_o``.  Writing the action as differences (rather than as a matrix row
-times a vector) makes constant fields annihilate bitwise under reflecting
-(neumann) and wrapping (periodic) closures, which several structural tests
-rely on; it is the reference action.  It reads the one walk that places the
-stencil on the grid, as the matrix entries do.  The time steppers use a
-faster action with the same result up to rounding (see
-:mod:`dispersal.evolution`).  On a wrapping habitat the action is a
-circular convolution, so it is diagonal in Fourier space: periodic closures
-act (and are solved) through their Fourier symbol
-(:meth:`DispersalOperator.symbol`) in O(n) memory and never assemble a
-matrix.  On a one-dimensional box the action is a band: the stencil
-convolved over the free nodes, a diagonal (:meth:`DispersalOperator.diagonal`,
-read from the stencil) and the two mirror entries of the reflecting local
-closure, which the time steppers apply and solve without a matrix; the face
-rows of that solve are :meth:`DispersalOperator.matrix_rows`, the matrix
-entries placed by numpy alone.  Only two-dimensional boxes are backed by a
-compressed-sparse-row matrix (constants map to values at rounding level),
-built by :meth:`DispersalOperator.matrix`, which also serves dumps and
-checks; that method is the only place the module imports ``scipy.sparse``,
-so a periodic or one-dimensional run never loads scipy.
+``w_o``.  The stencil is placed on the grid in one place, a table: for each
+node and each offset (plus the node itself and the reflecting local
+closure's mirror entries), the node reached, wrapped on cells, and whether
+it lies in the habitat.  Its columns run in flat-shift order, so a box row
+lists its targets in column order and only cell rows within reach of an
+edge need sorting.  Four methods read it: the reference action
+(:meth:`DispersalOperator.apply`, in difference form, so that constants
+annihilate bitwise under reflecting and wrapping closures), the diagonal,
+the compressed-sparse-row :meth:`DispersalOperator.matrix` (compressed row
+by row; the module's only import of ``scipy.sparse``) and its dense rows
+:meth:`DispersalOperator.matrix_rows`.  The time steppers act faster, with
+the same result up to rounding (see :mod:`dispersal.evolution`): periodic
+closures through their Fourier symbol (:meth:`DispersalOperator.symbol`) in
+O(n) memory, one-dimensional boxes through the band (the stencil convolved
+over the free nodes, the diagonal and the mirror entries) with face rows
+from ``matrix_rows``.  Only two-dimensional boxes use the matrix, so a
+periodic or one-dimensional run never loads scipy.
 
 The nonlocal kind quadratures the jump integral at the grid nodes with
-uniform weights ``h**N`` and then scales every weight by one common factor,
-so that the stencil's discrete second moment ``sum_o w_o (o_0 h)**2`` equals
-the continuum value 2 (the moment-matched quadrature of Tian & Du, SIAM J.
-Numer. Anal. 52, 2014).  Plain nodal weights miss that moment by an amount
-that grows as ``delta/h`` shrinks, so at a fixed spacing the operator would
-tend to a Laplacian with the wrong rate as the radius closes; matching the
-moment makes it agree with ``u''`` on quadratics at every resolved radius.
-Scaling by one factor keeps the assembled matrix exactly symmetric and its
-off-diagonal entries nonnegative.  The boundary closure
-follows the habitat type: hostile exterior (``dirichlet``, jumps into a
-zero-valued ghost band are pure loss), reflecting budget (``neumann``,
-integration restricted to the closed box), or wrapping (``periodic``).
+uniform weights ``h**N``, all scaled by one factor so that the stencil's
+second moment ``sum_o w_o (o_0 h)**2`` is the continuum value 2 (the
+moment-matched quadrature of Tian & Du, SIAM J. Numer. Anal. 52, 2014).
+Plain nodal weights miss that moment by more as ``delta/h`` shrinks, so the
+operator would tend to a Laplacian with the wrong rate; matched, it agrees
+with ``u''`` on quadratics at every resolved radius, and one common factor
+keeps the matrix exactly symmetric with nonnegative off-diagonal entries.
+The boundary closure follows the habitat type: hostile exterior
+(``dirichlet``, jumps into a zero-valued ghost band are pure loss),
+reflecting budget (``neumann``, integration restricted to the closed box),
+or wrapping (``periodic``).
 """
 
 from __future__ import annotations
@@ -110,16 +106,17 @@ class DispersalOperator:
     # ------------------------------------------------------------------ #
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Offset-difference action on a flat nodal array."""
+        """Offset-difference action on a flat nodal array, summed in entry order."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.grid.num_nodes,):
             raise ValidationError(
                 f"operator expects {self.grid.num_nodes} nodal values, got shape {values.shape}"
             )
         u = np.where(self.constrained, 0.0, values)
+        targets, inside, weights, entries, _ = self._table()
         out = np.zeros_like(u)
-        for rows, cols, weight in self._entry_batches():
-            out[rows] += weight * (u[cols] - u[rows])
+        for weight, cols, within in zip(weights[entries], targets.T[entries], inside.T[entries]):
+            np.add(out, weight * (u.take(cols) - u), out=out, where=within)
         return np.where(self.constrained, 0.0, out)
 
     @property
@@ -128,20 +125,19 @@ class DispersalOperator:
         return 1.0 / (self.grid.h * self.grid.h)
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal of the action: minus each node's total jump rate.
-
-        Read from the stencil, never from a matrix: the constant
-        ``-sum_o w_o`` on periodic closures; on boxes each unpinned node's
-        in-box weights, summed in offset order (``0.0`` on pinned nodes).
-        :meth:`matrix` takes its diagonal from here.
-        """
+        """Diagonal of the action, from the stencil table: ``-sum_o w_o`` on every cell node."""
         if self.bc is BoundaryCondition.PERIODIC:
             return np.full(self.grid.num_nodes, -self.total_weight())
-        loss = np.zeros(self.grid.num_nodes)
-        for rows, _, weight in self._entry_batches():
-            loss[rows] += weight
-        loss[self.constrained] = 0.0
-        return 0.0 - loss
+        _, inside, weights, entries, _ = self._table()
+        return self._diagonal(inside, weights, entries, self.constrained)
+
+    def _diagonal(self, inside, weights, entries, pinned) -> np.ndarray:
+        """Minus each table row's in-habitat weights in entry order; ``0.0`` where ``pinned``."""
+        flags = inside[:, entries]
+        partial = ~flags.all(axis=1)
+        loss = np.full(len(inside), self.total_weight())  # the same sum, where all are in
+        loss[partial] = np.cumsum(np.where(flags[partial], weights[entries], 0.0), axis=1)[:, -1]
+        return 0.0 - np.where(pinned, 0.0, loss)
 
     def total_weight(self) -> float:
         """Jump rate of a node whose whole stencil lies in the habitat: ``sum_o w_o``.
@@ -179,63 +175,86 @@ class DispersalOperator:
     # matrix form                                                         #
     # ------------------------------------------------------------------ #
 
-    def _entry_batches(self):
-        """Yield ``(rows, cols, weight)`` for every stencil interaction, pinned nodes included.
+    def _table(self, nodes=None):
+        """Stencil table of the rows ``nodes`` (all by default), broadcast per axis.
 
-        The one placement of the stencil, read by :meth:`apply`, :meth:`diagonal`
-        and the matrix entries: wrapped on cells, clipped at box faces, and for
-        the reflecting local closure each face layer coupled once more inward.
+        Returns ``(targets, inside, weights, entries, self_column)``.  Columns
+        (the node itself, the offsets, and per face and axis a mirror column
+        coupling the face layer once more inward) are stably sorted by flat
+        shift; row ``k`` holds the node each reaches from ``nodes[k]`` and if
+        it is in the habitat (a mirror column only on its face).  ``entries``
+        lists the offsets', then the mirror columns: the summing order.
         """
-        shape = self.grid.shape
-        index = np.arange(self.grid.num_nodes).reshape(shape)
-        for offset, weight in self.offsets:
-            if self.bc is BoundaryCondition.PERIODIC:
-                cols = np.roll(index, tuple(-o for o in offset), axis=tuple(range(len(shape))))
-                yield index.ravel(), cols.ravel(), weight
-            else:
-                rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
-                targets = tuple(slice(r.start + o, r.stop + o) for r, o in zip(rows, offset))
-                yield index[rows].ravel(), index[targets].ravel(), weight
-        if self.mirror:
-            for axis, n in enumerate(shape):
-                for face, inward in ((0, 1), (n - 1, n - 2)):
-                    face_nodes, inward_nodes = index.take(face, axis), index.take(inward, axis)
-                    yield face_nodes.ravel(), inward_nodes.ravel(), self.mirror_weight
+        shape, dim = self.grid.shape, self.grid.dimension
+        faces = [tuple(s * e) for e in np.eye(dim, dtype=int) if self.mirror for s in (1, -1)]
+        shifts = [(0,) * dim] + [offset for offset, _ in self.offsets] + faces
+        weights = [0.0] + [weight for _, weight in self.offsets] + [self.mirror_weight] * len(faces)
+        strides = [math.prod(shape[axis + 1 :]) for axis in range(dim)]
+        order = np.argsort(np.array(shifts) @ strides, kind="stable")
+        dtype = np.int32 if self.grid.num_nodes * order.size <= np.iinfo(np.int32).max else np.int64
+        shifts, weights = np.array(shifts, dtype=dtype)[order], np.array(weights)[order]
+        mirror = order > len(self.offsets)  # the mirror columns come last in entry order
+        index = np.ix_(*map(np.arange, shape)) if nodes is None else np.unravel_index(nodes, shape)
+        targets, inside = dtype(0), True
+        for axis, (n, stride) in enumerate(zip(shape, strides)):
+            node, shift = np.arange(n, dtype=dtype)[:, None], shifts[:, axis]
+            reached = node + shift
+            within = (self.bc is BoundaryCondition.PERIODIC) | ((reached >= 0) & (reached < n))
+            within = np.where(mirror & (shift != 0), node == np.where(shift > 0, 0, n - 1), within)
+            targets = targets + (reached % n)[index[axis]] * stride
+            inside = inside & within[index[axis]]
+        position = np.argsort(order)  # the column of each entry
+        targets, inside = targets.reshape(-1, order.size), inside.reshape(-1, order.size)
+        return targets, inside, weights, position[1:], position[0]
 
-    def _matrix_entries(self):
-        """Yield ``(rows, cols, values)``: the nonzero diagonal, then the couplings of free nodes."""
-        diagonal = self.diagonal()
-        nodes = np.flatnonzero(diagonal)
-        yield nodes, nodes, diagonal[nodes]
-        free = ~self.constrained
-        for rows, cols, weight in self._entry_batches():
-            keep = free[rows] & free[cols]
-            yield rows[keep], cols[keep], np.full(np.count_nonzero(keep), weight)
+    def _entries(self, nodes=None):
+        """Matrix entries of the table rows ``nodes``: ``(targets, values, keep)``.
+
+        The self column holds the diagonal, kept if nonzero; the other
+        entries are kept in the habitat with neither end pinned.
+        """
+        targets, inside, weights, entries, self_column = self._table(nodes)
+        pinned = self.constrained if nodes is None else self.constrained[nodes]
+        diagonal = self._diagonal(inside, weights, entries, pinned)
+        values = np.tile(weights, (len(targets), 1))
+        values[:, self_column] = diagonal
+        keep = inside.copy()
+        if self.constrained.any():
+            keep &= ~(pinned[:, None] | self.constrained.take(targets))
+        keep[:, self_column] = diagonal != 0.0
+        return targets, values, keep
 
     def matrix(self) -> sparse.csr_matrix:
-        """CSR form of the action (cached); the module's only use of scipy.
+        """CSR form of the action (cached), compressed row by row from :meth:`_entries`.
 
-        One conversion of :meth:`_matrix_entries`, whose duplicates it sums.
-        The time steppers build it for two-dimensional boxes only.
+        Only rows whose stencil wraps (cell rows near an edge) are sorted;
+        duplicates (a face row's mirror entry, the offsets ``+-n/2`` of a
+        cell two reaches wide) are summed last.  The module's only use of
+        scipy; the steppers build it for two-dimensional boxes only.
         """
         if self._matrix is None:
             import scipy.sparse as sparse
 
-            n = self.grid.num_nodes
-            rows, cols, values = (np.concatenate(part) for part in zip(*self._matrix_entries()))
-            self._matrix = sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
+            targets, values, keep = self._entries()
+            n = len(targets)
+            rows = np.flatnonzero((np.diff(targets, axis=1) < 0).any(axis=1))
+            order = np.argsort(targets[rows], axis=1, kind="stable")
+            order += (rows * targets.shape[1])[:, None]  # flat positions in the table
+            for table in (targets, values, keep):
+                table[rows] = table.reshape(-1).take(order)
+            indptr = np.zeros(n + 1, dtype=targets.dtype)
+            np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+            kept = slice(None) if keep.all() else keep.ravel()  # no copy when all are kept
+            data, indices = values.ravel()[kept], targets.ravel()[kept]
+            self._matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+            self._matrix.sum_duplicates()
         return self._matrix
 
     def matrix_rows(self, nodes) -> np.ndarray:
-        """Dense rows ``nodes`` of :meth:`matrix`, placed from the same entries by numpy alone."""
-        nodes = np.asarray(nodes)
-        position = np.full(self.grid.num_nodes, -1)
-        position[nodes] = np.arange(nodes.size)
-        out = np.zeros((nodes.size, self.grid.num_nodes))
-        for rows, cols, values in self._matrix_entries():
-            at = position[rows]
-            keep = at >= 0
-            out[at[keep], cols[keep]] += values[keep]  # a batch holds each entry once
+        """Dense rows ``nodes`` of :meth:`matrix`, from their table rows by numpy alone."""
+        targets, values, keep = self._entries(nodes)
+        out = np.zeros((len(targets), self.grid.num_nodes))
+        np.add.at(out, (np.nonzero(keep)[0], targets[keep]), values[keep])
         return out
 
 
@@ -330,12 +349,9 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
     g = grid.ghost_cells
     if any(n - 2 * g < 3 for n in grid.shape):
         raise ValidationError(f"too few nodes for a second-difference stencil: shape {grid.shape}")
-    weight = 1.0 / (grid.h * grid.h)
-    offsets: list[tuple[Offset, float]] = []
-    for axis in range(grid.dimension):
-        for sign in (-1, 1):
-            offset = tuple(sign if a == axis else 0 for a in range(grid.dimension))
-            offsets.append((offset, weight))
+    dim, weight = grid.dimension, 1.0 / (grid.h * grid.h)
+    units = [tuple(int(a == axis) for a in range(dim)) for axis in range(dim)]
+    offsets = [(tuple(sign * u for u in unit), weight) for unit in units for sign in (-1, 1)]
     return DispersalOperator(
         kind=LOCAL,
         bc=bc,
@@ -417,8 +433,8 @@ def consistency_error(
 
 def dump_coo(op: DispersalOperator, path) -> None:
     """Write the matrix as ``row col value`` lines, sorted by row then column."""
-    m = op.matrix().tocoo()
-    order = np.lexsort((m.col, m.row))
+    m = op.matrix()
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     with open(path, "w", encoding="ascii") as handle:
-        for r, c, v in zip(m.row[order], m.col[order], m.data[order]):
+        for r, c, v in zip(rows, m.indices, m.data):
             handle.write(f"{int(r)} {int(c)} {float(v)!r}\n")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.special import j0
 
@@ -84,7 +85,7 @@ def test_nonlocal_sign_structure_and_row_width():
 @pytest.mark.parametrize("kind", ["nonlocal", "local"])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
 def test_matrix_and_offset_action_agree(bc, kind, dim):
-    # The action and the matrix read one placement walk, but the action
+    # The action and the matrix read one stencil table, but the action
     # keeps the difference form and zeroes pinned values and rows itself;
     # every column pins that against the assembled entries, which the
     # numpy-only rows must match bitwise.
@@ -168,6 +169,113 @@ def test_box_diagonal_is_read_from_the_stencil_bitwise(closure, kind, dim):
     assembled = op.matrix().diagonal()
     assert diagonal.tobytes() == assembled.tobytes()
     assert np.any(diagonal == -op.total_weight())  # nodes with the whole stencil
+
+
+STENCIL_CASES = [
+    f"{bc}-{kind}-{dim}d"
+    for bc in ("dirichlet", "neumann", "periodic")
+    for kind in ("nonlocal", "local")
+    for dim in (1, 2)
+] + ["half-period-1d", "half-period-2d", "dirichlet-band-2d"]
+
+
+def stencil_case(name):
+    """The operator of one ``STENCIL_CASES`` entry.
+
+    The closure x kind x dimension cases come from :func:`periodic_operator`
+    and :func:`box_operator`.  The half-period cells have kernels half a
+    period wide, just inside the assembly's tolerance above it, so the
+    offsets ``+-n/2`` along an axis keep a positive weight and reach one
+    node twice.  The last is a rectangular 2D hostile box whose ghost band
+    is six cells wide.
+    """
+    if name.startswith("half-period"):
+        dim = int(name[-2])
+        grid = build_grid(periodic_cell([1.0] * dim), 1.0 / (16 if dim == 1 else 8))
+        return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), 0.5 + 4e-13, "periodic")
+    if name == "dirichlet-band-2d":
+        grid = build_grid(box([0.0, 0.0], [1.0, 1.5]), 1.0 / 20, ghost_width=0.3)
+        return assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), 0.3, "dirichlet")
+    bc, kind, dim = name.split("-")
+    dim = int(dim[0])
+    if bc == "periodic":
+        return periodic_operator(kind, dim, 16 if dim == 2 else 64)
+    return box_operator(bc, kind, dim)
+
+
+def reference_batches(op):
+    """Yield ``(rows, cols, weight)`` per stencil entry, placed apart from the operator.
+
+    Each offset by ``np.roll`` of the node numbers on cells and by slices
+    clipped at the faces on boxes; then, for the reflecting local closure,
+    each face layer coupled once more to the layer inside it.
+    """
+    shape = op.grid.shape
+    index = np.arange(op.grid.num_nodes).reshape(shape)
+    for offset, weight in op.offsets:
+        if op.bc is BoundaryCondition.PERIODIC:
+            cols = np.roll(index, [-o for o in offset], axis=tuple(range(len(shape))))
+            yield index.ravel(), cols.ravel(), weight
+        else:
+            rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
+            cols = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
+            yield index[rows].ravel(), index[cols].ravel(), weight
+    if op.mirror:
+        for axis, n in enumerate(shape):
+            for face, inward in ((0, 1), (n - 1, n - 2)):
+                rows, cols = np.take(index, face, axis), np.take(index, inward, axis)
+                yield rows.ravel(), cols.ravel(), op.mirror_weight
+
+
+def reference_operator(op, u):
+    """``(matrix, diagonal, action on u)`` built from :func:`reference_batches` alone."""
+    n = op.grid.num_nodes
+    free = ~op.constrained
+    v = np.where(op.constrained, 0.0, u)
+    loss, action = np.zeros(n), np.zeros(n)
+    rows, cols, values = [], [], []
+    for r, c, weight in reference_batches(op):
+        loss[r] += weight
+        action[r] += weight * (v[c] - v[r])
+        keep = free[r] & free[c]
+        rows.append(r[keep])
+        cols.append(c[keep])
+        values.append(np.full(np.count_nonzero(keep), weight))
+    loss[op.constrained] = 0.0
+    diagonal = 0.0 - loss
+    nodes = np.flatnonzero(diagonal)
+    rows, cols = np.concatenate([nodes] + rows), np.concatenate([nodes] + cols)
+    values = np.concatenate([diagonal[nodes]] + values)
+    matrix = sparse.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+    return matrix, diagonal, np.where(op.constrained, 0.0, action)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", STENCIL_CASES)
+def test_table_readers_match_an_independent_placement_bitwise(case):
+    op = stencil_case(case)
+    u = np.random.default_rng(3).standard_normal(op.grid.num_nodes)
+    matrix, diagonal, action = reference_operator(op, u)
+    m = op.matrix()
+    for part in ("data", "indices", "indptr"):
+        assert same_bits(getattr(m, part), getattr(matrix, part)), part
+    assert same_bits(op.diagonal(), diagonal)
+    assert same_bits(op.apply(u), action)
+    if case.startswith("half-period"):  # each pair of offsets that meet was merged
+        assert m.nnz == op.grid.num_nodes * (len(op.offsets) + 1 - op.grid.dimension)
+
+
+@pytest.mark.parametrize("case", STENCIL_CASES[:12])
+def test_matrix_rows_of_a_scattered_subset_are_the_matrix_rows_bitwise(case):
+    op = stencil_case(case)
+    n = op.grid.num_nodes
+    nodes = np.random.default_rng(7).permutation(n)[: max(5, n // 6)]  # unsorted, scattered
+    assert not np.all(np.diff(nodes) > 0)
+    rows = op.matrix_rows(nodes)
+    assert same_bits(rows, op.matrix().toarray()[nodes])
 
 
 def test_only_periodic_closures_have_a_symbol():

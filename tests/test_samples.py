@@ -1,4 +1,4 @@
-"""The six sample configs reproduce their committed outputs in ``scripts/results``.
+"""The seven sample configs reproduce their committed outputs in ``scripts/results``.
 
 Outputs are compared number by number, not byte by byte: floats drift in
 their last digits across numpy/scipy builds.  Each sample gets the
@@ -22,6 +22,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SAMPLES = [
     ("simulate", "simulate_periodic_wave", 1e-10),
+    ("simulate", "simulate_box_2d", 1e-10),
     ("spectrum", "spectrum_pinned_zero", 1e-9),
     ("kpp-orbit", "kpp_orbit_seasonal", 1e-8),
     ("converge-a", "converge_a_neumann", 1e-10),
