@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Acceptance check: the Tier-1 suite, then every sample config rerun into
 # scripts/results by run_all.sh (which prints each sample's wall_s and the
-# package's src_lines to stderr), then the benchmark's range check of the
+# src_lines and test_lines counts to stderr), then the benchmark's range check of the
 # kpp invasion and saturation checks, then a short benchmark smoke run of
 # both workloads, untraced and traced.
 # Exits non-zero if a test or a sample fails, if any committed output under

@@ -4,7 +4,8 @@
 # installed copy is never run by mistake.  Each sample's wall seconds,
 # interpreter start and import included, go to stderr as
 # "wall_s <name> <seconds>", followed by "src_lines <n>", the line count of
-# the package's sources.
+# the package's sources, and "test_lines <n>", that of the test modules, so
+# that code moved from one to the other shows as a move.
 set -euo pipefail
 cd "$(dirname "$0")"
 export PYTHONPATH="../src${PYTHONPATH:+:${PYTHONPATH}}"
@@ -35,3 +36,4 @@ for dir in results/converge_*; do
 done
 
 wc -l ../src/dispersal/*.py | awk 'END { printf "src_lines %d\n", $1 > "/dev/stderr" }'
+wc -l ../tests/*.py | awk 'END { printf "test_lines %d\n", $1 > "/dev/stderr" }'

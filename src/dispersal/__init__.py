@@ -11,7 +11,6 @@ from .coefficients import (
     TimePeriodicCoefficient,
     constant_coefficient,
     parse_coefficient,
-    shift_coefficient,
     space_cosine,
     time_average,
     time_sine,
@@ -31,7 +30,6 @@ from .evolution import (
     ReactionTerm,
     SemilinearProblem,
     Trajectory,
-    check_comparison,
     linear_reaction,
     logistic_reaction,
     parse_reaction,
@@ -45,10 +43,8 @@ from .grids import (
     Grid,
     box,
     build_grid,
-    constant_field,
     field_from_function,
     periodic_cell,
-    read_field_csv,
     sup_distance,
     sup_norm,
     write_field_csv,
@@ -81,8 +77,6 @@ from .operators import (
     DispersalOperator,
     assemble_local,
     assemble_nonlocal,
-    consistency_error,
-    dump_coo,
     parse_boundary_condition,
     sweep_operators,
 )
@@ -90,9 +84,7 @@ from .reports import ConvergenceReport, empirical_orders, read_csv_table, sweep_
 from .spectral import (
     PeriodMap,
     SpectrumResult,
-    apply_period_map,
     default_start,
-    perturbation_check,
     principal_eigenvalue_criterion,
     principal_value,
     spectrum_convergence_experiment,

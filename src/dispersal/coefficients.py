@@ -134,17 +134,6 @@ def time_space_product(c0: float, c1: float, k: float, period: float) -> TimePer
     return TimePeriodicCoefficient(period, evaluate, integral, f"tx-product({c0!r},{c1!r},{k!r})")
 
 
-def shift_coefficient(a: TimePeriodicCoefficient, c: float) -> TimePeriodicCoefficient:
-    """The coefficient ``a + c`` with the same period."""
-    c = float(c)
-    return TimePeriodicCoefficient(
-        period=a.period,
-        evaluate=lambda t, coords: a.evaluate(t, coords) + c,
-        integral=lambda t0, t1, coords: a.integral(t0, t1, coords) + c * (t1 - t0),
-        description=f"{a.description}+{c!r}",
-    )
-
-
 _CALL = re.compile(r"^\s*([a-z][a-z-]*)\s*\((.*)\)\s*$", re.DOTALL)
 
 
@@ -187,16 +176,3 @@ def parse_coefficient(text: str, period: float) -> TimePeriodicCoefficient:
 def time_average(a: TimePeriodicCoefficient, coords: Coords) -> np.ndarray:
     """Per-node time average of ``a`` over one period, from its exact integral."""
     return a.integral(0.0, a.period, coords) / a.period
-
-
-def sup_difference(
-    a1: TimePeriodicCoefficient, a2: TimePeriodicCoefficient, coords: Coords
-) -> float:
-    """Max of ``|a1 - a2|`` over a lattice of 513 times (period ends included) by all nodes."""
-    if a1.period != a2.period:
-        raise ValidationError("coefficients must share a period to be compared")
-    worst = 0.0
-    for t in np.linspace(0.0, a1.period, 513):
-        gap = np.max(np.abs(a1.evaluate(float(t), coords) - a2.evaluate(float(t), coords)))
-        worst = max(worst, float(gap))
-    return worst

@@ -1,4 +1,4 @@
-"""Time integration of semilinear dispersal equations and order comparison.
+"""Time integration of semilinear dispersal equations and their radius sweep.
 
 The stepper treats the stiff linear dispersal part implicitly by the
 trapezoidal rule and the reaction explicitly by a Heun predictor-corrector,
@@ -654,23 +654,6 @@ def _solve_together(problem: SemilinearProblem, ops, dt: float, snapshot_times):
             states.append(u.copy())
     runs = [[Field(grid, s[i], t) for s, t in zip(states, times)] for i in range(len(ops))]
     return [Trajectory(tuple(times), tuple(run), nsteps, dt) for run in runs]
-
-
-def check_comparison(lower: Trajectory, upper: Trajectory, tol: float) -> bool:
-    """True iff ``lower <= upper + tol`` nodewise at every shared snapshot."""
-    if tol < 0.0:
-        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
-    if len(lower.states) != len(upper.states):
-        raise ValidationError("shape mismatch: trajectories hold different snapshot counts")
-    for lo, up in zip(lower.states, upper.states):
-        if not same_grid(lo.grid, up.grid):
-            raise ValidationError("shape mismatch: trajectories live on different grids")
-        if abs(lo.time - up.time) > 1e-9:
-            raise ValidationError("shape mismatch: snapshot times differ")
-        keep = ~lo.grid.ghost_mask
-        if np.any(lo.values[keep] > up.values[keep] + tol):
-            return False
-    return True
 
 
 def _uniform_snapshot_steps(nsteps: int, count: int) -> list[int]:

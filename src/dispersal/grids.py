@@ -134,18 +134,6 @@ class Grid:
         """Flat mask of the ghost band (the nodes outside the box)."""
         return ~self.inside(0)
 
-    def boundary_distance(self) -> np.ndarray:
-        """Distance from each node to the box boundary (negative outside).
-
-        Periodic cells have no boundary; every node reports ``+inf``.
-        """
-        if self.domain.kind != BOX:
-            return np.full(self.num_nodes, math.inf)
-        dist = np.full(self.num_nodes, math.inf)
-        for lo, up, x in zip(self.domain.lower, self.domain.upper, self.coordinates):
-            dist = np.minimum(dist, np.minimum(x - lo, up - x))
-        return dist
-
 
 def same_grid(a: Grid, b: Grid) -> bool:
     return a is b or a.signature() == b.signature()
@@ -213,10 +201,6 @@ def initial_field(grid: Grid, fn) -> Field:
     return field
 
 
-def constant_field(grid: Grid, value: float) -> Field:
-    return Field(grid, np.full(grid.num_nodes, float(value)))
-
-
 def sup_norm(f: Field) -> float:
     """Max absolute nodal value over non-ghost nodes."""
     keep = ~f.grid.ghost_mask
@@ -264,22 +248,3 @@ def _repr_column(column: np.ndarray) -> list[str]:
     bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     text = [repr(v) for v in bits.view(np.float64).tolist()]
     return [text[i] for i in inverse.tolist()]
-
-
-def read_field_csv(grid: Grid, path, time: float = 0.0) -> Field:
-    """Load a field written by :func:`write_field_csv` back onto ``grid``.
-
-    Ghost nodes (absent from the file) are restored as zeros.
-    """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    keep = ~grid.ghost_mask
-    if data.shape != (int(keep.sum()), grid.dimension + 1):
-        raise ValidationError(
-            f"file {path} holds {data.shape} values; grid expects {int(keep.sum())} non-ghost rows"
-        )
-    for axis in range(grid.dimension):
-        if np.max(np.abs(data[:, axis] - grid.coordinates[axis][keep])) > 1e-12:
-            raise ValidationError(f"file {path} was written on a different grid (axis {axis} mismatch)")
-    values = np.zeros(grid.num_nodes)
-    values[keep] = data[:, -1]
-    return Field(grid, values, time)

@@ -276,15 +276,6 @@ def _periodic_solutions(
     ]
 
 
-def advance_periods(problem: KPPProblem, values: np.ndarray, periods: int) -> np.ndarray:
-    """Apply the nonlinear period map ``periods`` times (stability probes)."""
-    step = linear_step(problem.operator, problem.dt)
-    u = np.array(values, dtype=float).reshape(1, -1)
-    for _ in range(periods):
-        u = problem.one_period(u, step)[0]
-    return u[0]
-
-
 def orbit_convergence_experiment(
     domain,
     bc: BoundaryCondition,

@@ -10,15 +10,14 @@ node and each offset (plus the node itself and the reflecting local
 closure's mirror entries), the node reached, wrapped on cells, and whether
 it lies in the habitat.  Its columns run in flat-shift order, so a box row
 lists its targets in column order and only cell rows within reach of an
-edge need sorting.  Four methods read it: the reference action
-(:meth:`DispersalOperator.apply`, in difference form, so that constants
-annihilate bitwise under reflecting and wrapping closures), the diagonal,
-the compressed-sparse-row :meth:`DispersalOperator.matrix` (compressed row
-by row; the module's only import of ``scipy.sparse``) and its dense rows
-:meth:`DispersalOperator.matrix_rows`.  The time steppers act faster, with
-the same result up to rounding (see :mod:`dispersal.evolution`): periodic
-closures through their Fourier symbol (:meth:`DispersalOperator.symbol`) in
-O(n) memory, one-dimensional boxes through the band (the stencil convolved
+edge need sorting.  Three methods read it: the diagonal, the
+compressed-sparse-row :meth:`DispersalOperator.matrix` (compressed row by
+row; the module's only import of ``scipy.sparse``) and its dense rows
+:meth:`DispersalOperator.matrix_rows`.  There is no reference action here:
+the tests place the offset-difference action apart from the table.  The
+time steppers act (see :mod:`dispersal.evolution`) on periodic closures
+through their Fourier symbol (:meth:`DispersalOperator.symbol`) in O(n)
+memory, on one-dimensional boxes through the band (the stencil convolved
 over the free nodes, the diagonal and the mirror entries) with face rows
 from ``matrix_rows``.  Only two-dimensional boxes use the matrix, so a
 periodic or one-dimensional run never loads scipy.
@@ -48,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .grids import BOX, PERIODIC_CELL, Domain, Field, Grid, build_grid, same_grid
+from .grids import BOX, PERIODIC_CELL, Domain, Grid, build_grid
 from .kernels import KernelProfile, dispersal_rate, scaled_kernel
 
 if TYPE_CHECKING:
@@ -100,24 +99,6 @@ class DispersalOperator:
     mirror: bool = False
     _matrix: sparse.csr_matrix | None = dataclass_field(default=None, init=False, repr=False)
     _symbol: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
-
-    # ------------------------------------------------------------------ #
-    # application                                                         #
-    # ------------------------------------------------------------------ #
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Offset-difference action on a flat nodal array, summed in entry order."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.grid.num_nodes,):
-            raise ValidationError(
-                f"operator expects {self.grid.num_nodes} nodal values, got shape {values.shape}"
-            )
-        u = np.where(self.constrained, 0.0, values)
-        targets, inside, weights, entries, _ = self._table()
-        out = np.zeros_like(u)
-        for weight, cols, within in zip(weights[entries], targets.T[entries], inside.T[entries]):
-            np.add(out, weight * (u.take(cols) - u), out=out, where=within)
-        return np.where(self.constrained, 0.0, out)
 
     @property
     def mirror_weight(self) -> float:
@@ -395,46 +376,3 @@ def sweep_operators(
     grid = nonlocal_grid(domain, h, bc, max(deltas))
     nonlocal_ops = [assemble_nonlocal(grid, profile, delta, bc) for delta in deltas]
     return deltas, assemble_local(grid, bc), nonlocal_ops
-
-
-# ---------------------------------------------------------------------- #
-# consistency and dumps                                                   #
-# ---------------------------------------------------------------------- #
-
-
-def consistency_error(
-    nonlocal_op: DispersalOperator, local_op: DispersalOperator, test_field: Field
-) -> float:
-    """Sup difference of the two actions away from the boundary collar.
-
-    Nodes within ``delta`` of the box boundary are excluded: there the jump
-    operator feels the closure (a mass-deficit layer of its own scale) and
-    the two kinds legitimately differ at order one.
-    """
-    if nonlocal_op.kind != NONLOCAL or local_op.kind != LOCAL:
-        raise ValidationError("mismatched operators: expected (nonlocal, local) in that order")
-    if nonlocal_op.bc is not local_op.bc:
-        raise ValidationError("mismatched operators: boundary conditions differ")
-    if not same_grid(nonlocal_op.grid, local_op.grid):
-        raise ValidationError("mismatched operators: grids differ")
-    if not same_grid(test_field.grid, nonlocal_op.grid):
-        raise ValidationError("grid mismatch: test field lives on a different grid")
-    grid = nonlocal_op.grid
-    gap = nonlocal_op.apply(test_field.values) - local_op.apply(test_field.values)
-    keep = ~grid.ghost_mask
-    if grid.domain.kind == BOX:
-        keep &= grid.boundary_distance() > nonlocal_op.delta
-    if not np.any(keep):
-        raise ValidationError(
-            f"no nodes lie farther than delta={nonlocal_op.delta!r} from the boundary"
-        )
-    return float(np.max(np.abs(gap[keep])))
-
-
-def dump_coo(op: DispersalOperator, path) -> None:
-    """Write the matrix as ``row col value`` lines, sorted by row then column."""
-    m = op.matrix()
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    with open(path, "w", encoding="ascii") as handle:
-        for r, c, v in zip(rows, m.indices, m.data):
-            handle.write(f"{int(r)} {int(c)} {float(v)!r}\n")

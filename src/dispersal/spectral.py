@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import TimePeriodicCoefficient, sup_difference, time_average
+from .coefficients import TimePeriodicCoefficient, time_average
 from .errors import NoConvergenceError, NumericsError, ValidationError
 from .evolution import LinearStep, linear_step, whole_steps
 from .grids import Field, field_from_function, same_grid
@@ -79,13 +79,6 @@ class PeriodMap:
         for first, second in self._factors:
             rows = step.crank_nicolson(rows * first) * second
         return rows
-
-
-def apply_period_map(period_map: PeriodMap, u0: Field) -> Field:
-    """Integrate the linear problem over one period from ``u0``."""
-    if not same_grid(u0.grid, period_map.operator.grid):
-        raise ValidationError("grid mismatch: field does not live on the map's grid")
-    return Field(u0.grid, period_map.advance(u0.values), u0.time + period_map.period)
 
 
 @dataclass
@@ -215,26 +208,6 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     averages = time_average(period_map.coefficient, grid.coordinates)
     keep = ~grid.ghost_mask
     return bool(value > float(np.max(op.diagonal()[keep] + averages[keep])))
-
-
-def perturbation_check(map1: PeriodMap, map2: PeriodMap, tol: float) -> bool:
-    """Verify the growth-rate gap is bounded by the coefficient gap.
-
-    Computes both principal values and the sup distance of the coefficients
-    over a 512-sample time lattice on all nodes, and checks
-    ``|lambda1 - lambda2| <= sup-distance + tol``.
-    """
-    if map1.operator.kind != map2.operator.kind or map1.operator.bc is not map2.operator.bc:
-        raise ValidationError("mismatched maps: operator kind or boundary condition differ")
-    if not same_grid(map1.operator.grid, map2.operator.grid):
-        raise ValidationError("mismatched maps: grids differ")
-    if map1.period != map2.period:
-        raise ValidationError("mismatched maps: periods differ")
-    coords = map1.operator.grid.coordinates
-    bound = sup_difference(map1.coefficient, map2.coefficient, coords)
-    lam1 = principal_value(map1).value
-    lam2 = principal_value(map2).value
-    return abs(lam1 - lam2) <= bound + tol
 
 
 def spectrum_convergence_experiment(

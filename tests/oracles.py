@@ -1,0 +1,231 @@
+"""Test-only reference code: what the suite checks the package against.
+
+None of this runs in the CLI.  The offset-difference action is placed
+apart from the operator's stencil table (``np.roll`` of the node numbers
+on cells, face slices on boxes), so a test that pins the matrix, the
+Fourier symbol or a solve against it catches a placement fault in the
+table.  The other oracles are the consistency probe (criterion 3), the
+perturbation bound (criterion 7) and the comparison check (criterion 9),
+with the small helpers only tests call.  Each raises
+:class:`dispersal.ValidationError` on mismatched inputs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from dispersal.coefficients import TimePeriodicCoefficient
+from dispersal.errors import ValidationError
+from dispersal.evolution import Trajectory, linear_step
+from dispersal.grids import BOX, Field, Grid, same_grid
+from dispersal.kpp import KPPProblem
+from dispersal.operators import LOCAL, NONLOCAL, BoundaryCondition, DispersalOperator
+from dispersal.spectral import PeriodMap, principal_value
+
+
+# ---------------------------------------------------------------------- #
+# the reference action                                                    #
+# ---------------------------------------------------------------------- #
+
+
+def reference_batches(op: DispersalOperator):
+    """Yield ``(rows, cols, weight)`` per stencil entry, placed apart from the operator.
+
+    Each offset by ``np.roll`` of the node numbers on cells and by slices
+    clipped at the faces on boxes; then, for the reflecting local closure,
+    each face layer coupled once more to the layer inside it.
+    """
+    shape = op.grid.shape
+    index = np.arange(op.grid.num_nodes).reshape(shape)
+    for offset, weight in op.offsets:
+        if op.bc is BoundaryCondition.PERIODIC:
+            cols = np.roll(index, [-o for o in offset], axis=tuple(range(len(shape))))
+            yield index.ravel(), cols.ravel(), weight
+        else:
+            rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
+            cols = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
+            yield index[rows].ravel(), index[cols].ravel(), weight
+    if op.mirror:
+        for axis, n in enumerate(shape):
+            for face, inward in ((0, 1), (n - 1, n - 2)):
+                rows, cols = np.take(index, face, axis), np.take(index, inward, axis)
+                yield rows.ravel(), cols.ravel(), op.mirror_weight
+
+
+def difference_action(op: DispersalOperator, values) -> np.ndarray:
+    """``sum_o w_o (u_{i+o} - u_i)`` on a flat nodal array, from :func:`reference_batches`.
+
+    Pinned values are read as zero and pinned rows are zero.  Each node
+    sums its terms in the order of the offsets, then the mirror entries,
+    so constants annihilate bitwise under reflecting and wrapping closures.
+    """
+    u = np.where(op.constrained, 0.0, np.asarray(values, dtype=float))
+    action = np.zeros(op.grid.num_nodes)
+    for rows, cols, weight in reference_batches(op):
+        action[rows] += weight * (u[cols] - u[rows])
+    return np.where(op.constrained, 0.0, action)
+
+
+# ---------------------------------------------------------------------- #
+# consistency with the Laplacian (criterion 3)                            #
+# ---------------------------------------------------------------------- #
+
+
+def boundary_distance(grid: Grid) -> np.ndarray:
+    """Distance from each node to the box boundary (negative outside).
+
+    Periodic cells have no boundary; every node reports ``+inf``.
+    """
+    if grid.domain.kind != BOX:
+        return np.full(grid.num_nodes, math.inf)
+    dist = np.full(grid.num_nodes, math.inf)
+    for lo, up, x in zip(grid.domain.lower, grid.domain.upper, grid.coordinates):
+        dist = np.minimum(dist, np.minimum(x - lo, up - x))
+    return dist
+
+
+def consistency_error(
+    nonlocal_op: DispersalOperator, local_op: DispersalOperator, test_field: Field
+) -> float:
+    """Sup difference of the two actions away from the boundary collar.
+
+    Nodes within ``delta`` of the box boundary are excluded: there the jump
+    operator feels the closure (a mass-deficit layer of its own scale) and
+    the two kinds legitimately differ at order one.
+    """
+    if nonlocal_op.kind != NONLOCAL or local_op.kind != LOCAL:
+        raise ValidationError("mismatched operators: expected (nonlocal, local) in that order")
+    if nonlocal_op.bc is not local_op.bc:
+        raise ValidationError("mismatched operators: boundary conditions differ")
+    if not same_grid(nonlocal_op.grid, local_op.grid):
+        raise ValidationError("mismatched operators: grids differ")
+    if not same_grid(test_field.grid, nonlocal_op.grid):
+        raise ValidationError("grid mismatch: test field lives on a different grid")
+    grid = nonlocal_op.grid
+    u = test_field.values
+    gap = difference_action(nonlocal_op, u) - difference_action(local_op, u)
+    keep = ~grid.ghost_mask
+    if grid.domain.kind == BOX:
+        keep &= boundary_distance(grid) > nonlocal_op.delta
+    if not np.any(keep):
+        raise ValidationError(
+            f"no nodes lie farther than delta={nonlocal_op.delta!r} from the boundary"
+        )
+    return float(np.max(np.abs(gap[keep])))
+
+
+# ---------------------------------------------------------------------- #
+# growth rates under shifted coefficients (criterion 7)                   #
+# ---------------------------------------------------------------------- #
+
+
+def shift_coefficient(a: TimePeriodicCoefficient, c: float) -> TimePeriodicCoefficient:
+    """The coefficient ``a + c`` with the same period."""
+    c = float(c)
+    return TimePeriodicCoefficient(
+        period=a.period,
+        evaluate=lambda t, coords: a.evaluate(t, coords) + c,
+        integral=lambda t0, t1, coords: a.integral(t0, t1, coords) + c * (t1 - t0),
+        description=f"{a.description}+{c!r}",
+    )
+
+
+def sup_difference(
+    a1: TimePeriodicCoefficient, a2: TimePeriodicCoefficient, coords
+) -> float:
+    """Max of ``|a1 - a2|`` over a lattice of 513 times (period ends included) by all nodes."""
+    if a1.period != a2.period:
+        raise ValidationError("coefficients must share a period to be compared")
+    worst = 0.0
+    for t in np.linspace(0.0, a1.period, 513):
+        gap = np.max(np.abs(a1.evaluate(float(t), coords) - a2.evaluate(float(t), coords)))
+        worst = max(worst, float(gap))
+    return worst
+
+
+def perturbation_check(map1: PeriodMap, map2: PeriodMap, tol: float) -> bool:
+    """Verify the growth-rate gap is bounded by the coefficient gap.
+
+    Computes both principal values and the sup distance of the coefficients
+    over a 512-sample time lattice on all nodes, and checks
+    ``|lambda1 - lambda2| <= sup-distance + tol``.
+    """
+    if map1.operator.kind != map2.operator.kind or map1.operator.bc is not map2.operator.bc:
+        raise ValidationError("mismatched maps: operator kind or boundary condition differ")
+    if not same_grid(map1.operator.grid, map2.operator.grid):
+        raise ValidationError("mismatched maps: grids differ")
+    if map1.period != map2.period:
+        raise ValidationError("mismatched maps: periods differ")
+    coords = map1.operator.grid.coordinates
+    bound = sup_difference(map1.coefficient, map2.coefficient, coords)
+    lam1 = principal_value(map1).value
+    lam2 = principal_value(map2).value
+    return abs(lam1 - lam2) <= bound + tol
+
+
+# ---------------------------------------------------------------------- #
+# order preservation (criterion 9)                                        #
+# ---------------------------------------------------------------------- #
+
+
+def check_comparison(lower: Trajectory, upper: Trajectory, tol: float) -> bool:
+    """True iff ``lower <= upper + tol`` nodewise at every shared snapshot."""
+    if tol < 0.0:
+        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
+    if len(lower.states) != len(upper.states):
+        raise ValidationError("shape mismatch: trajectories hold different snapshot counts")
+    for lo, up in zip(lower.states, upper.states):
+        if not same_grid(lo.grid, up.grid):
+            raise ValidationError("shape mismatch: trajectories live on different grids")
+        if abs(lo.time - up.time) > 1e-9:
+            raise ValidationError("shape mismatch: snapshot times differ")
+        keep = ~lo.grid.ghost_mask
+        if np.any(lo.values[keep] > up.values[keep] + tol):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------- #
+# fields and period maps                                                  #
+# ---------------------------------------------------------------------- #
+
+
+def constant_field(grid: Grid, value: float) -> Field:
+    return Field(grid, np.full(grid.num_nodes, float(value)))
+
+
+def read_field_csv(grid: Grid, path, time: float = 0.0) -> Field:
+    """Load a field written by :func:`dispersal.grids.write_field_csv` back onto ``grid``.
+
+    Ghost nodes (absent from the file) are restored as zeros.
+    """
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    keep = ~grid.ghost_mask
+    if data.shape != (int(keep.sum()), grid.dimension + 1):
+        raise ValidationError(
+            f"file {path} holds {data.shape} values; grid expects {int(keep.sum())} non-ghost rows"
+        )
+    for axis in range(grid.dimension):
+        if np.max(np.abs(data[:, axis] - grid.coordinates[axis][keep])) > 1e-12:
+            raise ValidationError(f"file {path} was written on a different grid (axis {axis} mismatch)")
+    values = np.zeros(grid.num_nodes)
+    values[keep] = data[:, -1]
+    return Field(grid, values, time)
+
+
+def apply_period_map(period_map: PeriodMap, u0: Field) -> Field:
+    """Integrate the linear problem over one period from ``u0``."""
+    if not same_grid(u0.grid, period_map.operator.grid):
+        raise ValidationError("grid mismatch: field does not live on the map's grid")
+    return Field(u0.grid, period_map.advance(u0.values), u0.time + period_map.period)
+
+
+def advance_periods(problem: KPPProblem, values: np.ndarray, periods: int) -> np.ndarray:
+    """Apply the nonlinear period map ``periods`` times (stability probes)."""
+    step = linear_step(problem.operator, problem.dt)
+    u = np.array(values, dtype=float).reshape(1, -1)
+    for _ in range(periods):
+        u = problem.one_period(u, step)[0]
+    return u[0]

@@ -10,10 +10,9 @@ from dispersal import (
     ValidationError,
     constant_coefficient,
     parse_coefficient,
-    shift_coefficient,
     time_average,
 )
-from dispersal.coefficients import sup_difference
+from oracles import shift_coefficient, sup_difference
 
 COORDS = (np.linspace(0.0, 2.0 * math.pi, 9),)
 

@@ -12,14 +12,13 @@ from dispersal import (
     ValidationError,
     box,
     build_grid,
-    constant_field,
     field_from_function,
     periodic_cell,
-    read_field_csv,
     sup_distance,
     sup_norm,
     write_field_csv,
 )
+from oracles import constant_field, read_field_csv
 
 
 def test_interval_node_count_and_coordinates():

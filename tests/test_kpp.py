@@ -33,8 +33,8 @@ from dispersal.evolution import implicit_solver, linear_step
 from dispersal.kpp import (
     COLLAPSE_FLOOR,
     _bracket,
-    advance_periods,
 )
+from oracles import advance_periods
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 

@@ -18,9 +18,6 @@ from dispersal import (
     assemble_nonlocal,
     box,
     build_grid,
-    consistency_error,
-    constant_field,
-    dump_coo,
     field_from_function,
     kernel_profile,
     periodic_cell,
@@ -28,6 +25,7 @@ from dispersal import (
     sweep_operators,
 )
 from dispersal import operators
+from oracles import consistency_error, constant_field, difference_action, reference_batches
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 MOLLIFIER_1D = kernel_profile(MOLLIFIER, 1)
@@ -49,14 +47,14 @@ def test_constants_are_annihilated_bitwise(bc, kind):
         op = assemble_nonlocal(grid, QUARTIC_1D, 0.1, bc)
     else:
         op = assemble_local(grid, bc)
-    out = op.apply(np.full(grid.num_nodes, 3.7))
+    out = difference_action(op, np.full(grid.num_nodes, 3.7))
     assert np.all(out == 0.0)  # exact zeros, not merely small
 
 
 def test_constant_annihilation_at_4096_nodes():
     grid = build_grid(periodic_cell(1.0), 1.0 / 4096)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.05, "periodic")
-    assert np.all(op.apply(np.ones(4096)) == 0.0)
+    assert np.all(difference_action(op, np.ones(4096)) == 0.0)
 
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
@@ -85,10 +83,10 @@ def test_nonlocal_sign_structure_and_row_width():
 @pytest.mark.parametrize("kind", ["nonlocal", "local"])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
 def test_matrix_and_offset_action_agree(bc, kind, dim):
-    # The action and the matrix read one stencil table, but the action
-    # keeps the difference form and zeroes pinned values and rows itself;
-    # every column pins that against the assembled entries, which the
-    # numpy-only rows must match bitwise.
+    # The action is placed apart from the stencil table (np.roll on cells,
+    # face slices on boxes) and zeroes pinned values and rows itself; every
+    # column pins it against the assembled entries, which the numpy-only
+    # rows must match bitwise.
     h = 1.0 / 16
     if bc == "periodic":
         domain = periodic_cell([1.0] * dim)
@@ -107,7 +105,7 @@ def test_matrix_and_offset_action_agree(bc, kind, dim):
     unit = np.zeros(op.grid.num_nodes)
     for j, column in enumerate(columns):
         unit[j] = 1.0
-        assert np.array_equal(op.apply(unit), column), j
+        assert np.array_equal(difference_action(op, unit), column), j
         unit[j] = 0.0
 
 
@@ -126,7 +124,7 @@ def test_periodic_symbol_action_matches_the_offset_action(kind, dim, nodes):
     op = periodic_operator(kind, dim, nodes)
     shape = op.grid.shape
     u = np.random.default_rng(11).standard_normal(op.grid.num_nodes)
-    reference = op.apply(u)
+    reference = difference_action(op, u)
     spectrum = op.symbol() * np.fft.rfftn(u.reshape(shape))
     action = np.fft.irfftn(spectrum, s=shape, axes=tuple(range(dim))).ravel()
     assert np.linalg.norm(action - reference) <= 1e-13 * np.linalg.norm(reference)
@@ -203,40 +201,14 @@ def stencil_case(name):
     return box_operator(bc, kind, dim)
 
 
-def reference_batches(op):
-    """Yield ``(rows, cols, weight)`` per stencil entry, placed apart from the operator.
-
-    Each offset by ``np.roll`` of the node numbers on cells and by slices
-    clipped at the faces on boxes; then, for the reflecting local closure,
-    each face layer coupled once more to the layer inside it.
-    """
-    shape = op.grid.shape
-    index = np.arange(op.grid.num_nodes).reshape(shape)
-    for offset, weight in op.offsets:
-        if op.bc is BoundaryCondition.PERIODIC:
-            cols = np.roll(index, [-o for o in offset], axis=tuple(range(len(shape))))
-            yield index.ravel(), cols.ravel(), weight
-        else:
-            rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
-            cols = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
-            yield index[rows].ravel(), index[cols].ravel(), weight
-    if op.mirror:
-        for axis, n in enumerate(shape):
-            for face, inward in ((0, 1), (n - 1, n - 2)):
-                rows, cols = np.take(index, face, axis), np.take(index, inward, axis)
-                yield rows.ravel(), cols.ravel(), op.mirror_weight
-
-
-def reference_operator(op, u):
-    """``(matrix, diagonal, action on u)`` built from :func:`reference_batches` alone."""
+def reference_operator(op):
+    """``(matrix, diagonal)`` built from :func:`oracles.reference_batches` alone."""
     n = op.grid.num_nodes
     free = ~op.constrained
-    v = np.where(op.constrained, 0.0, u)
-    loss, action = np.zeros(n), np.zeros(n)
+    loss = np.zeros(n)
     rows, cols, values = [], [], []
     for r, c, weight in reference_batches(op):
         loss[r] += weight
-        action[r] += weight * (v[c] - v[r])
         keep = free[r] & free[c]
         rows.append(r[keep])
         cols.append(c[keep])
@@ -247,7 +219,7 @@ def reference_operator(op, u):
     rows, cols = np.concatenate([nodes] + rows), np.concatenate([nodes] + cols)
     values = np.concatenate([diagonal[nodes]] + values)
     matrix = sparse.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-    return matrix, diagonal, np.where(op.constrained, 0.0, action)
+    return matrix, diagonal
 
 
 def same_bits(a, b):
@@ -257,13 +229,11 @@ def same_bits(a, b):
 @pytest.mark.parametrize("case", STENCIL_CASES)
 def test_table_readers_match_an_independent_placement_bitwise(case):
     op = stencil_case(case)
-    u = np.random.default_rng(3).standard_normal(op.grid.num_nodes)
-    matrix, diagonal, action = reference_operator(op, u)
+    matrix, diagonal = reference_operator(op)
     m = op.matrix()
     for part in ("data", "indices", "indptr"):
         assert same_bits(getattr(m, part), getattr(matrix, part)), part
     assert same_bits(op.diagonal(), diagonal)
-    assert same_bits(op.apply(u), action)
     if case.startswith("half-period"):  # each pair of offsets that meet was merged
         assert m.nnz == op.grid.num_nodes * (len(op.offsets) + 1 - op.grid.dimension)
 
@@ -288,7 +258,7 @@ def test_dirichlet_rows_and_columns_are_eliminated():
     grid = build_grid(box(0.0, 1.0), 1.0 / 64, ghost_width=0.1)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
     u = np.ones(grid.num_nodes)
-    out = op.apply(u)
+    out = difference_action(op, u)
     assert np.all(out[grid.ghost_mask] == 0.0)
     m = op.matrix().tocsr()
     ghost_rows = np.where(grid.ghost_mask)[0]
@@ -299,7 +269,7 @@ def test_dirichlet_mass_deficit_layer():
     """Uniform occupancy leaks only within one kernel radius of the edge."""
     grid = build_grid(box(0.0, 1.0), 1.0 / 64, ghost_width=0.1)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
-    out = op.apply(np.ones(grid.num_nodes))
+    out = difference_action(op, np.ones(grid.num_nodes))
     x = grid.coordinates[0]
     center = int(np.argmin(np.abs(x - 0.5)))
     near_edge = int(np.argmin(np.abs(x - 0.05)))
@@ -315,7 +285,7 @@ def test_dirichlet_mass_deficit_layer():
 def test_local_action_is_exact_on_quadratics():
     grid = build_grid(box(0.0, 1.0), 0.25)
     op = assemble_local(grid, "neumann")
-    out = op.apply(grid.coordinates[0] ** 2)
+    out = difference_action(op, grid.coordinates[0] ** 2)
     assert np.all(out[1:-1] == 2.0)
 
 
@@ -323,14 +293,14 @@ def test_local_periodic_reproduces_the_sine_eigenfunction():
     grid = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 256)
     op = assemble_local(grid, "periodic")
     u = np.sin(grid.coordinates[0])
-    assert np.max(np.abs(op.apply(u) + u)) < 1e-4
+    assert np.max(np.abs(difference_action(op, u) + u)) < 1e-4
 
 
 def test_local_2d_action_on_paraboloid():
     grid = build_grid(box((0.0, 0.0), (1.0, 1.0)), 0.125)
     op = assemble_local(grid, "neumann")
     values = grid.coordinates[0] ** 2 + grid.coordinates[1] ** 2
-    out = op.apply(values).reshape(grid.shape)
+    out = difference_action(op, values).reshape(grid.shape)
     np.testing.assert_allclose(out[1:-1, 1:-1], 4.0, atol=1e-11)
 
 
@@ -338,7 +308,7 @@ def test_local_dirichlet_pins_the_boundary():
     grid = build_grid(box(0.0, 1.0), 1.0 / 64)
     op = assemble_local(grid, "dirichlet")
     u = np.sin(math.pi * grid.coordinates[0])
-    out = op.apply(u)
+    out = difference_action(op, u)
     assert out[0] == 0.0 and out[-1] == 0.0
     assert np.max(np.abs(out[1:-1] + math.pi**2 * u[1:-1])) < 0.01
 
@@ -385,7 +355,7 @@ def test_periodic_jump_operator_is_diagonal_on_cosines():
     grid = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 256)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.5, "periodic")
     x = grid.coordinates[0]
-    action = op.apply(np.cos(x))
+    action = difference_action(op, np.cos(x))
     h = grid.h
     reach = int(math.floor(0.5 / h + 1e-12))
     nodal = {
@@ -406,7 +376,7 @@ def test_nodal_multiplier_tracks_the_continuum_integral():
     grid = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 256)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.5, "periodic")
     x = grid.coordinates[0]
-    action = op.apply(np.cos(x))
+    action = difference_action(op, np.cos(x))
     integral, err = quad(
         lambda z: scaled_kernel(QUARTIC_1D, 0.5, z) * math.cos(z), -0.5, 0.5, epsabs=1e-14, limit=200
     )
@@ -421,7 +391,7 @@ def test_2d_jump_operator_matches_the_radial_transform():
     grid = build_grid(periodic_cell((2.0 * math.pi, 2.0 * math.pi)), 2.0 * math.pi / 128)
     op = assemble_nonlocal(grid, profile, 0.5, "periodic")
     u = np.cos(grid.coordinates[0])
-    action = op.apply(u)
+    action = difference_action(op, u)
     integral, err = quad(lambda r: 6.0 * r * (1 - r * r) ** 2 * j0(0.5 * r), 0.0, 1.0, epsabs=1e-14)
     assert err < 1e-10
     multiplier = op.nu * (integral - 1.0)
@@ -452,7 +422,7 @@ def test_2d_structure_suite():
     profile = kernel_profile(QUARTIC, 2)
     grid = build_grid(periodic_cell((1.0, 1.0)), 1.0 / 32)
     op = assemble_nonlocal(grid, profile, 0.125, "periodic")
-    assert np.all(op.apply(np.ones(grid.num_nodes)) == 0.0)
+    assert np.all(difference_action(op, np.ones(grid.num_nodes)) == 0.0)
     diff = (op.matrix() - op.matrix().T).tocoo()
     assert diff.nnz == 0 or np.all(diff.data == 0.0)
 
@@ -506,7 +476,7 @@ def test_consistency_excludes_the_boundary_collar():
     assert interior == 0.0
     # The spike still radiates into the first interior nodes beyond the
     # collar, but the collar nodes themselves are not measured.
-    full_gap = np.abs(nl.apply(spike) - loc.apply(spike))
+    full_gap = np.abs(difference_action(nl, spike) - difference_action(loc, spike))
     assert error < np.max(full_gap)
 
 
@@ -600,20 +570,3 @@ def test_sweep_operators_validate_the_radii():
         sweep_operators(domain, "neumann", QUARTIC_1D, [0.2, 0.4], 1.0 / 64)
     with pytest.raises(ValidationError, match="min\\(deltas\\)/8"):
         sweep_operators(domain, "neumann", QUARTIC_1D, [0.4, 0.2], 1.0 / 32)
-
-
-# --------------------------------------------------------------------- #
-# dumps                                                                  #
-# --------------------------------------------------------------------- #
-
-
-def test_coo_dump_round_trips_the_matrix(tmp_path):
-    grid = build_grid(box(0.0, 1.0), 0.125)
-    op = assemble_nonlocal(grid, QUARTIC_1D, 0.5, "neumann")
-    path = tmp_path / "operator.txt"
-    dump_coo(op, path)
-    dense = np.zeros((grid.num_nodes, grid.num_nodes))
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        dense[int(r), int(c)] = float(v)
-    np.testing.assert_array_equal(dense, op.matrix().toarray())

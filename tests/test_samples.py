@@ -10,8 +10,11 @@ the gap columns are differences of such quantities).  ``empirical_order``
 is left out: it is a function of the ``delta`` and ``error`` columns next
 to it, and amplifies their drift by the inverse of the smallest error.
 The resolved configuration in each ``run.txt`` must match exactly.
+``scripts/compare_results.py``, which reports such drift between two
+results trees, is checked here too.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,34 @@ def test_sample_config_reproduces_its_committed_results(tmp_path, command, name,
         if file_name.endswith(".csv"):
             problems += _csv_mismatches(expected_dir / file_name, tmp_path / file_name, tol)
     assert not problems, "\n".join(problems[:10])
+
+
+def _compare_results():
+    spec = importlib.util.spec_from_file_location("compare_results", SCRIPTS / "compare_results.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_results_reports_a_known_shift(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, error in ((old, "0.25"), (new, "0.75")):
+        (root / "sweep").mkdir(parents=True)
+        (root / "sweep" / "report.csv").write_text(
+            f"delta,error,empirical_order,label\n0.4,2.0,,a\n0.2,{error},3.0,b\n"
+        )
+    (old / "gone.csv").write_text("x\n1.0\n")
+    (old / "short.csv").write_text("x\n1.0\n2.0\n")
+    (new / "short.csv").write_text("x\n1.0\n")
+    (new / "sweep" / "run.txt").write_text("h = 0.01\n")
+    assert _compare_results().main(["compare_results.py", str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["short.csv: header or row count differs", "sweep/report.csv"]
+    rows = [line.split() for line in lines[2:5]]  # name, "max shift", shift, "relative", relative
+    shifts = {row[0]: (row[3], row[5]) for row in rows}
+    assert shifts == {
+        "delta": ("0.000e+00", "0.000e+00"),
+        "error": ("5.000e-01", "2.500e-01"),  # relative to the column's largest magnitude, 2
+        "empirical_order": ("0.000e+00", "0.000e+00"),
+    }
+    assert lines[5:] == ["only in OLD: gone.csv", "only in NEW: sweep/run.txt"]

@@ -11,23 +11,20 @@ from dispersal import (
     NoConvergenceError,
     PeriodMap,
     ValidationError,
-    apply_period_map,
     assemble_local,
     assemble_nonlocal,
     box,
     build_grid,
     constant_coefficient,
-    constant_field,
     kernel_profile,
     parse_coefficient,
     periodic_cell,
-    perturbation_check,
     principal_eigenvalue_criterion,
     principal_value,
-    shift_coefficient,
     space_cosine,
     spectrum_convergence_experiment,
 )
+from oracles import apply_period_map, constant_field, perturbation_check, shift_coefficient
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 
