@@ -5,8 +5,10 @@
 # kpp invasion and saturation checks, then a short benchmark smoke run of
 # both workloads, untraced and traced.
 # Exits non-zero if a test or a sample fails, if any committed output under
-# scripts/results changed, if the range check finds a problem, or if a
-# benchmark workload reports an incorrect output or a failed run.
+# scripts/results changed (then it first prints scripts/compare_results.py's
+# report of how far each column moved from HEAD's tree), if the range check
+# finds a problem, or if a benchmark workload reports an incorrect output or
+# a failed run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:${PYTHONPATH}}" python -m pytest -q --continue-on-collection-errors
@@ -14,6 +16,11 @@ scripts/run_all.sh
 changed="$(git status --porcelain scripts/results)"
 if [ -n "${changed}" ]; then
     printf 'scripts/results differs from the committed outputs:\n%s\n' "${changed}" >&2
+    committed="$(mktemp -d)"
+    trap 'rm -rf "${committed}"' EXIT
+    git archive HEAD scripts/results | tar -x -C "${committed}"
+    printf 'how far the numbers moved from HEAD (scripts/compare_results.py):\n' >&2
+    PYTHONPATH=src python3 scripts/compare_results.py "${committed}/scripts/results" scripts/results >&2
     exit 1
 fi
 python3 perfbench/workloads.py --verify-range

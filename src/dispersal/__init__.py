@@ -55,11 +55,8 @@ from .kernels import (
     KernelProfile,
     dispersal_rate,
     evaluate_k0,
-    kernel_mass,
     kernel_profile,
-    moment_constant,
     scaled_kernel,
-    second_moment,
 )
 from .kpp import (
     KPPProblem,

@@ -35,14 +35,7 @@ import numpy as np
 from .coefficients import parse_call, parse_coefficient
 from .config import ExperimentConfig, format_resolved, load_config
 from .errors import NumericsError, ValidationError
-from .evolution import (
-    SemilinearProblem,
-    _uniform_snapshot_steps,
-    parse_reaction,
-    solution_convergence_experiment,
-    solve,
-    whole_steps,
-)
+from .evolution import SemilinearProblem, parse_reaction, solution_convergence_experiment, solve
 from .grids import (
     BOX,
     box,
@@ -174,9 +167,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
     reaction = parse_reaction(reaction_text, period)
     u0 = initial_field(op.grid, _initial_function(u0_text, domain))
-    problem = SemilinearProblem(op, reaction, u0, 0.0, t_final)
-    times = [k * dt for k in _uniform_snapshot_steps(whole_steps(t_final, dt), snapshots)]
-    trajectory = solve(problem, dt, times)
+    trajectory = solve(SemilinearProblem(op, reaction, u0, t_final), dt, snapshots)
 
     index_rows = []
     for i, (t, state) in enumerate(zip(trajectory.times, trajectory.states)):

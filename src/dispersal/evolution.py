@@ -136,19 +136,18 @@ def parse_reaction(text: str, period: float) -> ReactionTerm:
 
 @dataclass
 class SemilinearProblem:
-    """An initial-value problem for one operator and one reaction."""
+    """An initial-value problem for one operator and one reaction on ``[0, t_final]``."""
 
     operator: DispersalOperator
     reaction: ReactionTerm
     initial: Field
-    start: float
-    end: float
+    t_final: float
 
     def __post_init__(self):
         if not same_grid(self.initial.grid, self.operator.grid):
             raise ValidationError("initial field does not live on the operator grid")
-        if self.end <= self.start:
-            raise ValidationError(f"end {self.end!r} must exceed start {self.start!r}")
+        if self.t_final <= 0.0:
+            raise ValidationError(f"t_final {self.t_final!r} must be positive")
         if np.any(np.abs(self.initial.values[self.operator.constrained]) > 1e-12):
             raise ValidationError(
                 "initial data must vanish on pinned nodes (box boundary and ghost band)"
@@ -588,24 +587,6 @@ def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(np.repeat(bins, 2), shape[:-1] + (2 * half,)).ravel()
 
 
-def _snapshot_steps(
-    start: float, dt: float, nsteps: int, snapshot_times: Sequence[float]
-) -> dict[int, float]:
-    """Map requested snapshot times to integer step indices, validating both."""
-    table: dict[int, float] = {}
-    for t in snapshot_times:
-        offset = (t - start) / dt
-        k = int(round(offset))
-        if abs(offset - k) > 1e-6:
-            raise ValidationError(
-                f"snapshot time {t!r} is not an integer multiple of dt={dt!r} from the start"
-            )
-        if k < 0 or k > nsteps:
-            raise ValidationError(f"snapshot time {t!r} lies outside the integration window")
-        table[k] = t
-    return table
-
-
 def whole_steps(span: float, dt: float) -> int:
     """Number of steps ``dt`` in ``span``; it must be a positive whole number."""
     if dt <= 0.0:
@@ -616,24 +597,25 @@ def whole_steps(span: float, dt: float) -> int:
     return steps
 
 
-def solve(problem: SemilinearProblem, dt: float, snapshot_times: Sequence[float]) -> Trajectory:
-    """Advance the problem and return the requested snapshots.
+def solve(problem: SemilinearProblem, dt: float, snapshots: int) -> Trajectory:
+    """Advance the problem over ``[0, t_final]`` and keep ``snapshots`` states after the start.
 
-    Snapshot times must be integer multiples of ``dt`` from the start; the
-    initial state is always included as the first snapshot.  Raises
-    :class:`BlowUpError` the moment the sup norm passes ``1e12``.
+    The kept steps are :func:`_uniform_snapshot_steps` (``round(j * steps /
+    snapshots)``, each once), stamped ``k * dt``; the initial state is
+    always the first snapshot.  Raises :class:`BlowUpError` the moment the
+    sup norm passes ``1e12``.
     """
-    return _solve_together(problem, [problem.operator], dt, snapshot_times)[0]
+    return _solve_together(problem, [problem.operator], dt, snapshots)[0]
 
 
-def _solve_together(problem: SemilinearProblem, ops, dt: float, snapshot_times):
+def _solve_together(problem: SemilinearProblem, ops, dt: float, snapshots: int):
     """:func:`solve` of ``problem`` with each of ``ops`` in its place, as rows of one array.
 
     The operators share the problem's grid and closure.  The first row to
     blow up raises at once.
     """
-    nsteps = whole_steps(problem.end - problem.start, dt)
-    wanted = _snapshot_steps(problem.start, dt, nsteps, snapshot_times)
+    nsteps = whole_steps(problem.t_final, dt)
+    wanted = set(_uniform_snapshot_steps(nsteps, snapshots))
     grid = problem.operator.grid
     step = linear_step(ops, dt / 2.0)
     evaluate = problem.reaction.evaluate
@@ -643,14 +625,13 @@ def _solve_together(problem: SemilinearProblem, ops, dt: float, snapshot_times):
 
     u = step.pin(np.repeat(problem.initial.values[None], len(ops), axis=0))
     companion = None
-    times, states = [problem.start], [u.copy()]
+    times, states = [0.0], [u.copy()]
     for k in range(1, nsteps + 1):
-        t, stamp = problem.start + (k - 1) * dt, problem.start + k * dt
-        u, companion = step.imex_step(t, u, rate, companion, trapezoid=True)
+        u, companion = step.imex_step((k - 1) * dt, u, rate, companion, trapezoid=True)
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOW_UP_THRESHOLD:
-            raise BlowUpError(f"field exceeded {BLOW_UP_THRESHOLD:.0e} at t={stamp!r}")
+            raise BlowUpError(f"field exceeded {BLOW_UP_THRESHOLD:.0e} at t={k * dt!r}")
         if k in wanted:
-            times.append(stamp)
+            times.append(k * dt)
             states.append(u.copy())
     runs = [[Field(grid, s[i], t) for s, t in zip(states, times)] for i in range(len(ops))]
     return [Trajectory(tuple(times), tuple(run), nsteps, dt) for run in runs]
@@ -686,9 +667,8 @@ def solution_convergence_experiment(
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
     grid = local_op.grid
     u0 = initial_field(grid, initial_fn)
-    snap_times = [k * dt for k in _uniform_snapshot_steps(whole_steps(t_final, dt), snapshots)]
-    problem = SemilinearProblem(local_op, reaction, u0, 0.0, t_final)
-    reference, *runs = _solve_together(problem, [local_op, *nonlocal_ops], dt, snap_times)
+    problem = SemilinearProblem(local_op, reaction, u0, t_final)
+    reference, *runs = _solve_together(problem, [local_op, *nonlocal_ops], dt, snapshots)
 
     keep = ~grid.ghost_mask
     errors = [max(sup_distance(a, b) for a, b in zip(run.states, reference.states)) for run in runs]

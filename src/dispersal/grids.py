@@ -183,9 +183,6 @@ class Field:
                 f"field needs {self.grid.num_nodes} nodal values, got shape {self.values.shape}"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.time)
-
 
 def field_from_function(grid: Grid, fn, time: float = 0.0) -> Field:
     """Sample ``fn(*coordinate_columns)`` at every node (ghosts included)."""

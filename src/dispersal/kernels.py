@@ -19,9 +19,9 @@ Two families are provided:
   forms.
 
 All integrals are computed by a composite Gauss-Legendre rule on the radial
-profile.  The panel width is ``1/panels`` of the support radius and the
-Gauss nodes are strictly interior to each panel, so the mollifier is never
-evaluated at the edge of its support.
+profile.  The panel width is ``1/DEFAULT_PANELS`` of the support radius and
+the Gauss nodes are strictly interior to each panel, so the mollifier is
+never evaluated at the edge of its support.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureFailureError, ValidationError
+from .errors import ValidationError
 
 QUARTIC = "quartic-polynomial"
 MOLLIFIER = "standard-mollifier"
@@ -58,15 +58,12 @@ class KernelProfile:
         Multiplier that makes the profile integrate to one.
     moment_constant:
         Reciprocal half second moment of the normalized profile.
-    panels:
-        Radial quadrature panels used when the profile was built.
     """
 
     family: str
     dimension: int
     normalization: float
     moment_constant: float
-    panels: int = DEFAULT_PANELS
 
 
 def _radial_shape(family: str, r: np.ndarray) -> np.ndarray:
@@ -113,25 +110,23 @@ def _normalized_second_moment(profile: KernelProfile, panels: int) -> float:
     return profile.normalization * raw
 
 
-def kernel_profile(family: str, dimension: int = 1, panels: int = DEFAULT_PANELS) -> KernelProfile:
-    """Build a normalized :class:`KernelProfile`.
+def kernel_profile(family: str, dimension: int = 1) -> KernelProfile:
+    """Build a normalized :class:`KernelProfile` by quadrature on ``DEFAULT_PANELS`` panels.
 
     The quartic family uses its closed-form normalization (``15/16`` in one
     dimension, ``3/pi`` in two); the mollifier is normalized by quadrature.
     """
     if dimension not in (1, 2):
         raise ValidationError(f"dimension must be 1 or 2, got {dimension}")
-    if panels < 8:
-        raise ValidationError(f"panels must be at least 8, got {panels}")
     if family == QUARTIC:
         normalization = 15.0 / 16.0 if dimension == 1 else 3.0 / math.pi
     elif family == MOLLIFIER:
-        normalization = 1.0 / _unnormalized_mass(family, dimension, panels)
+        normalization = 1.0 / _unnormalized_mass(family, dimension, DEFAULT_PANELS)
     else:
         raise ValidationError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
-    partial = KernelProfile(family, dimension, normalization, moment_constant=math.nan, panels=panels)
-    sigma2 = _normalized_second_moment(partial, panels)
-    return KernelProfile(family, dimension, normalization, moment_constant=2.0 / sigma2, panels=panels)
+    partial = KernelProfile(family, dimension, normalization, moment_constant=math.nan)
+    sigma2 = _normalized_second_moment(partial, DEFAULT_PANELS)
+    return KernelProfile(family, dimension, normalization, moment_constant=2.0 / sigma2)
 
 
 def _radius(dimension: int, z) -> np.ndarray:
@@ -164,35 +159,6 @@ def scaled_kernel(profile: KernelProfile, delta: float, displacement) -> np.ndar
     scale = delta ** (-profile.dimension)
     z = np.asarray(displacement, dtype=float) / delta
     return scale * evaluate_k0(profile, z)
-
-
-def kernel_mass(profile: KernelProfile) -> float:
-    """Total mass of the normalized profile under the module quadrature."""
-    return profile.normalization * _unnormalized_mass(profile.family, profile.dimension, profile.panels)
-
-
-def second_moment(profile: KernelProfile) -> float:
-    """Second moment along one axis of the normalized profile."""
-    return _normalized_second_moment(profile, profile.panels)
-
-
-def moment_constant(profile: KernelProfile) -> float:
-    """Recompute the reciprocal half second moment of ``profile``.
-
-    Raises
-    ------
-    QuadratureFailureError
-        If the recomputed mass of the profile deviates from one by more
-        than ``1e-8``, which signals that either the stored normalization
-        or the profile's quadrature resolution is untrustworthy.
-    """
-    mass = kernel_mass(profile)
-    if abs(mass - 1.0) > 1e-8:
-        raise QuadratureFailureError(
-            f"kernel mass {mass!r} deviates from 1 by {abs(mass - 1.0):.3e} "
-            f"(family={profile.family}, dimension={profile.dimension}, panels={profile.panels})"
-        )
-    return 2.0 / second_moment(profile)
 
 
 def dispersal_rate(moment_constant_value: float, delta: float) -> float:

@@ -4,10 +4,13 @@ None of this runs in the CLI.  The offset-difference action is placed
 apart from the operator's stencil table (``np.roll`` of the node numbers
 on cells, face slices on boxes), so a test that pins the matrix, the
 Fourier symbol or a solve against it catches a placement fault in the
-table.  The other oracles are the consistency probe (criterion 3), the
-perturbation bound (criterion 7) and the comparison check (criterion 9),
-with the small helpers only tests call.  Each raises
-:class:`dispersal.ValidationError` on mismatched inputs.
+table.  The other oracles are the kernel's mass and moment recomputed
+from its profile, the consistency probe (criterion 3), the perturbation
+bound (criterion 7) and the comparison check (criterion 9), with the
+small helpers only tests call.  Those that compare raise
+:class:`dispersal.ValidationError` on mismatched inputs, and
+:func:`moment_constant` raises :class:`dispersal.QuadratureFailureError`
+when the recomputed mass misses one.
 """
 
 from __future__ import annotations
@@ -17,9 +20,15 @@ import math
 import numpy as np
 
 from dispersal.coefficients import TimePeriodicCoefficient
-from dispersal.errors import ValidationError
+from dispersal.errors import QuadratureFailureError, ValidationError
 from dispersal.evolution import Trajectory, linear_step
 from dispersal.grids import BOX, Field, Grid, same_grid
+from dispersal.kernels import (
+    DEFAULT_PANELS,
+    KernelProfile,
+    _normalized_second_moment,
+    _unnormalized_mass,
+)
 from dispersal.kpp import KPPProblem
 from dispersal.operators import LOCAL, NONLOCAL, BoundaryCondition, DispersalOperator
 from dispersal.spectral import PeriodMap, principal_value
@@ -66,6 +75,40 @@ def difference_action(op: DispersalOperator, values) -> np.ndarray:
     for rows, cols, weight in reference_batches(op):
         action[rows] += weight * (u[cols] - u[rows])
     return np.where(op.constrained, 0.0, action)
+
+
+# ---------------------------------------------------------------------- #
+# kernel moments                                                          #
+# ---------------------------------------------------------------------- #
+
+
+def kernel_mass(profile: KernelProfile) -> float:
+    """Total mass of the normalized profile under the module quadrature."""
+    return profile.normalization * _unnormalized_mass(profile.family, profile.dimension, DEFAULT_PANELS)
+
+
+def second_moment(profile: KernelProfile) -> float:
+    """Second moment along one axis of the normalized profile."""
+    return _normalized_second_moment(profile, DEFAULT_PANELS)
+
+
+def moment_constant(profile: KernelProfile) -> float:
+    """Recompute the reciprocal half second moment of ``profile``.
+
+    Raises
+    ------
+    QuadratureFailureError
+        If the recomputed mass of the profile deviates from one by more
+        than ``1e-8``, which signals that either the stored normalization
+        or the profile's quadrature resolution is untrustworthy.
+    """
+    mass = kernel_mass(profile)
+    if abs(mass - 1.0) > 1e-8:
+        raise QuadratureFailureError(
+            f"kernel mass {mass!r} deviates from 1 by {abs(mass - 1.0):.3e} "
+            f"(family={profile.family}, dimension={profile.dimension}, panels={DEFAULT_PANELS})"
+        )
+    return 2.0 / second_moment(profile)
 
 
 # ---------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ from dispersal import (
     assemble_nonlocal,
     box,
     build_grid,
+    cli,
     evolution,
     kernel_profile,
     periodic_cell,
@@ -427,6 +428,33 @@ def test_two_dimensional_nonlocal_neumann_box_run_keeps_a_constant(tmp_path):
         assert np.all(value == 1.0)
 
 
+def test_poly_bump_starts_as_the_face_vanishing_product(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "bump.cfg",
+        bc="neumann",
+        dimension="2",
+        lower="0, -1",
+        upper="1",  # broadcast to both axes
+        h="1/8",
+        dt="0.05",
+        t_final="0.05",
+        kind="local",
+        u0="poly-bump",
+        snapshots="1",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv_table(out / "snapshot_000.csv")
+    assert header == ["x", "y", "value"] and len(rows) == 9 * 17
+    x, y, value = np.array(rows, dtype=float).T
+    expected = (x * (1.0 - x)) ** 2 * ((y + 1.0) * (1.0 - y)) ** 2
+    assert np.max(np.abs(value - expected)) <= 1e-15
+    faces = (x == 0.0) | (x == 1.0) | (y == -1.0) | (y == 1.0)
+    assert np.count_nonzero(faces) == 2 * (9 + 17) - 4
+    assert np.all(value[faces] == 0.0) and np.all(value[~faces] > 0.0)
+
+
 @pytest.mark.parametrize("kind", ["nonlocal", "local"])
 def test_two_dimensional_kpp_orbit_of_a_flat_law_is_one(tmp_path, kind):
     # u = 1 is the periodic state of the autonomous logistic law on a
@@ -714,6 +742,29 @@ def test_a_non_finite_catalog_parameter_exits_2_before_writing(tmp_path, capsys,
     assert list((tmp_path / "o").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        (dict(SIMULATE_KEYS, dimension="3"), "config key 'dimension' must be 1 or 2, got 3"),
+        (
+            dict(SIMULATE_KEYS, bc="neumann", dimension="2", lower="0, 0, 0", upper="1", h="1/8"),
+            "config key 'lower' needs 2 value(s), got 3",
+        ),
+    ],
+    ids=["dimension", "lower"],
+)
+def test_a_bad_habitat_exits_2_before_any_grid_is_built(tmp_path, capsys, monkeypatch, keys, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built for a rejected habitat")
+
+    monkeypatch.setattr(cli, "build_grid", refuse)
+    monkeypatch.setattr(cli, "nonlocal_grid", refuse)
+    cfg = write_config(tmp_path, "x.cfg", **keys)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_experiment_key_must_match_the_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, "x.cfg", experiment="spectrum", **SIMULATE_KEYS)
     assert main(["simulate", "--config", str(cfg)]) == 2
@@ -736,6 +787,10 @@ def test_bad_boundary_condition_and_u0_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "unknown u0" in err and "poly-bump" in err
+    cfg = write_config(tmp_path, "z.cfg", **dict(SIMULATE_KEYS, u0="poly-bump"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert "u0 'poly-bump' needs a box domain" in capsys.readouterr().err
+    assert list((tmp_path / "p").iterdir()) == []
 
 
 def test_non_invadable_growth_exits_3(tmp_path, capsys):

@@ -16,12 +16,11 @@ from dispersal import (
     ValidationError,
     dispersal_rate,
     evaluate_k0,
-    kernel_mass,
     kernel_profile,
-    moment_constant,
     scaled_kernel,
-    second_moment,
 )
+from dispersal.kernels import DEFAULT_PANELS, _normalized_second_moment, _unnormalized_mass
+from oracles import kernel_mass, moment_constant, second_moment
 
 # Reference values for the mollifier family, frozen from an independent
 # high-resolution quadrature pass (adaptive rule, tolerance 1e-12).
@@ -64,13 +63,23 @@ def test_mollifier_against_adaptive_quadrature_oracle():
     assert second_moment(profile) == pytest.approx(sig2, abs=1e-10)
 
 
+def constants_at(family, dimension, panels):
+    """The normalization and moment constant as ``kernel_profile`` computes them, at ``panels``."""
+    profile = kernel_profile(family, dimension)
+    if family == MOLLIFIER:
+        mass = _unnormalized_mass(family, dimension, panels)
+        profile = dataclasses.replace(profile, normalization=1.0 / mass)
+    return profile.normalization, 2.0 / _normalized_second_moment(profile, panels)
+
+
 def test_refining_panels_does_not_move_the_constants():
     for family in (QUARTIC, MOLLIFIER):
         for dimension in (1, 2):
-            coarse = kernel_profile(family, dimension, panels=512)
-            fine = kernel_profile(family, dimension, panels=4096)
-            assert coarse.moment_constant == pytest.approx(fine.moment_constant, rel=1e-8)
-            assert coarse.normalization == pytest.approx(fine.normalization, rel=1e-8)
+            profile = kernel_profile(family, dimension)
+            coarse = constants_at(family, dimension, DEFAULT_PANELS)  # 512
+            fine = constants_at(family, dimension, 4096)
+            assert coarse == (profile.normalization, profile.moment_constant)  # bitwise
+            assert coarse == pytest.approx(fine, rel=1e-8)
 
 
 def test_evaluate_quartic_point_values():
@@ -136,8 +145,8 @@ def test_constructor_rejects_bad_requests():
         kernel_profile("triangle", 1)
     with pytest.raises(ValidationError):
         kernel_profile(QUARTIC, 3)
-    with pytest.raises(ValidationError):
-        kernel_profile(QUARTIC, 1, panels=4)
+    with pytest.raises(TypeError):
+        kernel_profile(QUARTIC, 1, panels=4)  # the quadrature is fixed at DEFAULT_PANELS
     with pytest.raises(ValidationError):
         scaled_kernel(kernel_profile(QUARTIC, 1), -0.5, 0.0)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from dispersal.cli import main
+from dispersal.reports import read_csv_table
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,11 +37,6 @@ SAMPLES = [
 DERIVED_COLUMNS = {"empirical_order"}
 
 
-def _table(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = path.read_text(encoding="ascii").splitlines()
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
-
-
 def _as_float(cell: str) -> float | None:
     try:
         return float(cell)
@@ -55,8 +51,8 @@ def _config_lines(path: Path) -> list[str]:
 
 
 def _csv_mismatches(expected: Path, produced: Path, tol: float) -> list[str]:
-    header, rows = _table(expected)
-    got_header, got_rows = _table(produced)
+    header, rows = read_csv_table(expected)
+    got_header, got_rows = read_csv_table(produced)
     if got_header != header or len(got_rows) != len(rows):
         return [f"{expected.name}: header or row count differs"]
     problems = []
