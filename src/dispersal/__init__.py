@@ -22,7 +22,6 @@ from .errors import (
     DispersalError,
     NoConvergenceError,
     NumericsError,
-    QuadratureFailureError,
     SolverFailureError,
     ValidationError,
 )
@@ -53,8 +52,6 @@ from .kernels import (
     MOLLIFIER,
     QUARTIC,
     KernelProfile,
-    dispersal_rate,
-    evaluate_k0,
     kernel_profile,
     scaled_kernel,
 )

@@ -48,6 +48,7 @@ from .grids import (
 from .kernels import MOLLIFIER, QUARTIC, kernel_profile
 from .kpp import (
     KPPProblem,
+    check_orbit_options,
     orbit_convergence_experiment,
     parse_growth,
     positive_periodic_solution,
@@ -224,6 +225,7 @@ def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 
     growth = parse_growth(growth_text, period)
     problem = KPPProblem(op, growth, dt)
+    check_orbit_options(problem, tol, max_periods, orbit_snapshots)
     invadable, rate = verify_invasion_condition(problem)
     if not invadable:
         raise NumericsError(

@@ -21,10 +21,6 @@ class NumericsError(DispersalError, RuntimeError):
     """A numerical procedure failed at run time."""
 
 
-class QuadratureFailureError(NumericsError):
-    """Kernel quadrature lost normalization beyond the allowed tolerance."""
-
-
 class SolverFailureError(NumericsError):
     """An implicit linear solve could not reach the requested residual."""
 

@@ -40,8 +40,8 @@ bitwise.  :func:`implicit_solver` gives the same solve for one vector.
 scipy is a dependency of two-dimensional boxes only: ``scipy.sparse`` and
 ``scipy.sparse.linalg`` are imported when such a solver is first built, so
 periodic and one-dimensional runs never load them.  The solvers ``cg``,
-``bicgstab`` and ``spsolve`` stay module attributes (bound on first
-access, PEP 562), and the Krylov path calls whatever the module holds at
+``bicgstab`` and ``spsolve`` are module functions that import scipy's on
+their first call, and the Krylov path calls whatever the module holds at
 call time, so a wrapper bound over one of those names sees every call.
 """
 
@@ -67,23 +67,20 @@ BLOW_UP_THRESHOLD = 1e12
 
 _SOLVE_RTOL = 1e-10
 
-_SCIPY_SOLVERS = ("bicgstab", "cg", "spsolve")
+
+def _scipy_solver(name: str):
+    """The module function ``name``: runs ``scipy.sparse.linalg``'s, imported on the first call."""
+
+    def solver(*args, **kwargs):
+        import scipy.sparse.linalg
+
+        return getattr(scipy.sparse.linalg, name)(*args, **kwargs)
+
+    solver.__name__ = solver.__qualname__ = name
+    return solver
 
 
-def _bind_scipy_solvers() -> None:
-    """Bind the ``scipy.sparse.linalg`` solvers as module names, keeping any already bound."""
-    import scipy.sparse.linalg
-
-    namespace = globals()
-    for name in _SCIPY_SOLVERS:
-        namespace.setdefault(name, getattr(scipy.sparse.linalg, name))
-
-
-def __getattr__(name: str):
-    if name in _SCIPY_SOLVERS:
-        _bind_scipy_solvers()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+cg, bicgstab, spsolve = map(_scipy_solver, ("cg", "bicgstab", "spsolve"))
 
 
 @dataclass(frozen=True)
@@ -485,7 +482,7 @@ class _MatrixStep(_BoxStep):
     the mirrored closure), whose own first residual check is the
     warm-start test, with a sparse direct solve as rescue.  ``cg``,
     ``bicgstab`` and ``spsolve`` are looked up in the module at each call,
-    not captured here; ``__init__`` has bound them.
+    not captured here.
     """
 
     _per_operator = ("_pinned", "_A", "_M", "_mirror")
@@ -494,7 +491,6 @@ class _MatrixStep(_BoxStep):
         super().__init__(ops, scale)
         import scipy.sparse as sparse
 
-        _bind_scipy_solvers()
         self._A = [op.matrix() for op in ops]
         self._M = [sparse.identity(A.shape[0], format="csr") - scale * A for A in self._A]
         self._mirror = [op.mirror for op in ops]

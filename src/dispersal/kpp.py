@@ -226,13 +226,12 @@ def positive_periodic_solution(
     return _periodic_solutions(problem, ops, tol, max_periods, snapshots_per_period)[0]
 
 
-def _periodic_solutions(
-    problem: KPPProblem, ops, tol: float, max_periods: int, snapshots_per_period: int
-) -> list[PeriodicOrbit]:
-    """:func:`positive_periodic_solution` of ``problem`` with each of ``ops`` in its place.
+def check_orbit_options(
+    problem: KPPProblem, tol: float, max_periods: int, snapshots_per_period: int
+) -> list[int]:
+    """Refuse orbit options no bracketing can meet; return the snapshot steps of a period.
 
-    The operators share the problem's grid and closure.  Bracket failures
-    of any operator are raised before disagreeing limits.
+    Cheap, so callers run it before any invasion check or period map.
     """
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -244,6 +243,18 @@ def _periodic_solutions(
         raise ValidationError(
             f"snapshot count {snapshots_per_period} must divide the {steps} steps per period"
         )
+    return marks
+
+
+def _periodic_solutions(
+    problem: KPPProblem, ops, tol: float, max_periods: int, snapshots_per_period: int
+) -> list[PeriodicOrbit]:
+    """:func:`positive_periodic_solution` of ``problem`` with each of ``ops`` in its place.
+
+    The operators share the problem's grid and closure.  Bracket failures
+    of any operator are raised before disagreeing limits.
+    """
+    marks = check_orbit_options(problem, tol, max_periods, snapshots_per_period)
     level = problem.saturation_bound
     ceiling = np.full(problem.operator.grid.num_nodes, level)
     starts = np.stack([row for op in ops for row in (ceiling, 1e-3 * default_start(op).values)])
@@ -297,6 +308,7 @@ def orbit_convergence_experiment(
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
     ops = [local_op, *nonlocal_ops]
     problem = KPPProblem(local_op, growth, dt)
+    check_orbit_options(problem, tol, 2000, snapshots_per_period)
     checks = _invasion_checks(problem, ops)
     local_rate = checks[0].value
     if local_rate <= 0.0:

@@ -22,11 +22,13 @@ over the free nodes, the diagonal and the mirror entries) with face rows
 from ``matrix_rows``.  Only two-dimensional boxes use the matrix, so a
 periodic or one-dimensional run never loads scipy.
 
-The nonlocal kind quadratures the jump integral at the grid nodes with
-uniform weights ``h**N``, all scaled by one factor so that the stencil's
-second moment ``sum_o w_o (o_0 h)**2`` is the continuum value 2 (the
-moment-matched quadrature of Tian & Du, SIAM J. Numer. Anal. 52, 2014).
-Plain nodal weights miss that moment by more as ``delta/h`` shrinks, so the
+The nonlocal kind samples the kernel's shape at the grid nodes and scales
+all samples by one factor so that the stencil's second moment
+``sum_o w_o (o_0 h)**2`` is the continuum value 2 (the moment-matched
+quadrature of Tian & Du, SIAM J. Numer. Anal. 52, 2014).  That factor
+also stands for the kernel's unit-mass factor, the rate ``C/delta**2``
+and the cell weight ``h**N``, which would only rescale every sample alike.
+Plain nodal weights miss the moment by more as ``delta/h`` shrinks, so the
 operator would tend to a Laplacian with the wrong rate; matched, it agrees
 with ``u''`` on quadratics at every resolved radius, and one common factor
 keeps the matrix exactly symmetric with nonnegative off-diagonal entries.
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import BOX, PERIODIC_CELL, Domain, Grid, build_grid
-from .kernels import KernelProfile, dispersal_rate, scaled_kernel
+from .kernels import KernelProfile, scaled_kernel
 
 if TYPE_CHECKING:
     import scipy.sparse as sparse
@@ -95,7 +97,6 @@ class DispersalOperator:
     offsets: tuple[tuple[Offset, float], ...]
     constrained: np.ndarray
     delta: float | None = None
-    nu: float | None = None
     mirror: bool = False
     _matrix: sparse.csr_matrix | None = dataclass_field(default=None, init=False, repr=False)
     _symbol: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
@@ -261,13 +262,13 @@ def assemble_nonlocal(
 ) -> DispersalOperator:
     """Assemble the jump operator with kernel radius ``delta`` on ``grid``.
 
-    The weights are the nodal values ``nu * h**N * k_delta(o h)`` scaled by
-    one common factor so that ``sum_o w_o (o_a h)**2 == 2`` along every axis
-    (the radial kernel makes the axes agree).  Requires at least four grid
-    cells per kernel radius (below that too few nodes sample the kernel's
-    profile for the moment-matched operator to approximate the jump
-    integral), and for the hostile-exterior closure a ghost band at least
-    ``delta`` wide.
+    The weights are the kernel's shape sampled at the offsets ``o h``,
+    scaled by one common factor so that ``sum_o w_o (o_a h)**2 == 2`` along
+    every axis (the radial kernel makes the axes agree).  Requires at least
+    four grid cells per kernel radius (below that too few nodes sample the
+    kernel's profile for the moment-matched operator to approximate the
+    jump integral), and for the hostile-exterior closure a ghost band at
+    least ``delta`` wide.
     """
     bc = parse_boundary_condition(bc)
     _require_domain(grid, bc)
@@ -294,14 +295,11 @@ def assemble_nonlocal(
                 f"delta {delta!r} exceeds half the smallest period {half!r}; "
                 "the wrapped kernel would overlap itself"
             )
-    nu = dispersal_rate(profile.moment_constant, delta)
     reach = int(math.floor(delta / h + 1e-12))
     dim = grid.dimension
-    cell_weight = h**dim
     stencil = [o for o in itertools.product(range(-reach, reach + 1), repeat=dim) if any(o)]
     points = np.array(stencil, dtype=float) * h
-    k = scaled_kernel(profile, delta, points[:, 0] if dim == 1 else points)
-    weights = (nu * cell_weight * k).tolist()
+    weights = scaled_kernel(profile, delta, points[:, 0] if dim == 1 else points).tolist()
     offsets: list[tuple[Offset, float]] = [(o, w) for o, w in zip(stencil, weights) if w > 0.0]
     # One factor for all offsets: o and -o stay bitwise equal, so symmetry
     # and the exact annihilation of constants survive the rescale.
@@ -314,7 +312,6 @@ def assemble_nonlocal(
         offsets=tuple(offsets),
         constrained=~grid.inside(0),
         delta=float(delta),
-        nu=float(nu),
     )
 
 

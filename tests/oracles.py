@@ -4,31 +4,31 @@ None of this runs in the CLI.  The offset-difference action is placed
 apart from the operator's stencil table (``np.roll`` of the node numbers
 on cells, face slices on boxes), so a test that pins the matrix, the
 Fourier symbol or a solve against it catches a placement fault in the
-table.  The other oracles are the kernel's mass and moment recomputed
-from its profile, the consistency probe (criterion 3), the perturbation
-bound (criterion 7) and the comparison check (criterion 9), with the
-small helpers only tests call.  Those that compare raise
-:class:`dispersal.ValidationError` on mismatched inputs, and
-:func:`moment_constant` raises :class:`dispersal.QuadratureFailureError`
-when the recomputed mass misses one.
+table.  The continuum kernel is here too: the package samples only the
+kernel's shape, so the unit-mass normalization, the rate constant ``C``
+(the reciprocal half second moment) and the moments are found here by
+composite Gauss-Legendre quadrature of the radial profile, and
+:func:`continuum_offsets` rebuilds the stencil from them as the paper
+writes the jump operator.  The other oracles are the consistency probe
+(criterion 3), the perturbation bound (criterion 7) and the comparison
+check (criterion 9), with the small helpers only tests call.  Those that
+compare raise :class:`dispersal.ValidationError` on mismatched inputs, and
+:func:`moment_constant` raises :class:`QuadratureFailureError` when the
+mass misses one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from dispersal.coefficients import TimePeriodicCoefficient
-from dispersal.errors import QuadratureFailureError, ValidationError
+from dispersal.errors import NumericsError, ValidationError
 from dispersal.evolution import Trajectory, linear_step
 from dispersal.grids import BOX, Field, Grid, same_grid
-from dispersal.kernels import (
-    DEFAULT_PANELS,
-    KernelProfile,
-    _normalized_second_moment,
-    _unnormalized_mass,
-)
+from dispersal.kernels import QUARTIC, KernelProfile, _radial_shape, scaled_kernel
 from dispersal.kpp import KPPProblem
 from dispersal.operators import LOCAL, NONLOCAL, BoundaryCondition, DispersalOperator
 from dispersal.spectral import PeriodMap, principal_value
@@ -78,37 +78,121 @@ def difference_action(op: DispersalOperator, values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# kernel moments                                                          #
+# the continuum kernel                                                    #
 # ---------------------------------------------------------------------- #
 
+#: Radial quadrature panels (node spacing 1/512 of the support radius;
+#: four Gauss nodes per panel, strictly inside it, so the mollifier is
+#: never evaluated at the edge of its support).
+PANELS = 512
 
-def kernel_mass(profile: KernelProfile) -> float:
-    """Total mass of the normalized profile under the module quadrature."""
-    return profile.normalization * _unnormalized_mass(profile.family, profile.dimension, DEFAULT_PANELS)
-
-
-def second_moment(profile: KernelProfile) -> float:
-    """Second moment along one axis of the normalized profile."""
-    return _normalized_second_moment(profile, DEFAULT_PANELS)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
-def moment_constant(profile: KernelProfile) -> float:
-    """Recompute the reciprocal half second moment of ``profile``.
+class QuadratureFailureError(NumericsError):
+    """Kernel quadrature lost normalization beyond the allowed tolerance."""
+
+
+def _radial_moment(family: str, power: int, panels: int) -> float:
+    """Integral of ``r**power * shape(r)`` over ``[0, 1]`` by composite Gauss-Legendre."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    weights = np.broadcast_to(half * _GL_WEIGHTS, (panels, 4)).ravel()
+    values = nodes**power * _radial_shape(family, nodes)
+    return float(np.dot(weights, values))
+
+
+def _unnormalized_mass(profile: KernelProfile, panels: int) -> float:
+    if profile.dimension == 1:
+        return 2.0 * _radial_moment(profile.family, 0, panels)
+    return 2.0 * math.pi * _radial_moment(profile.family, 1, panels)
+
+
+def normalization(profile: KernelProfile, panels: int = PANELS) -> float:
+    """Multiplier that gives the shape unit mass.
+
+    Closed form for the quartic family (``15/16`` in one dimension,
+    ``3/pi`` in two); by quadrature on ``panels`` panels for the mollifier.
+    """
+    if profile.family == QUARTIC:
+        return 15.0 / 16.0 if profile.dimension == 1 else 3.0 / math.pi
+    return 1.0 / _unnormalized_mass(profile, panels)
+
+
+def kernel_mass(
+    profile: KernelProfile, norm: float | None = None, panels: int = PANELS
+) -> float:
+    """Total mass of the shape times ``norm`` (its :func:`normalization` by default)."""
+    norm = normalization(profile, panels) if norm is None else norm
+    return norm * _unnormalized_mass(profile, panels)
+
+
+def second_moment(
+    profile: KernelProfile, norm: float | None = None, panels: int = PANELS
+) -> float:
+    """Integral of ``k0(z) * z_N**2`` for the shape times ``norm`` (unit mass by default)."""
+    norm = normalization(profile, panels) if norm is None else norm
+    if profile.dimension == 1:
+        raw = 2.0 * _radial_moment(profile.family, 2, panels)
+    else:
+        # In polar coordinates z_N = r sin(theta) and the angular integral of
+        # sin(theta)**2 over a full turn is pi.
+        raw = math.pi * _radial_moment(profile.family, 3, panels)
+    return norm * raw
+
+
+def moment_constant(
+    profile: KernelProfile, norm: float | None = None, panels: int = PANELS
+) -> float:
+    """The reciprocal half second moment ``C`` of the shape times ``norm``.
 
     Raises
     ------
     QuadratureFailureError
-        If the recomputed mass of the profile deviates from one by more
-        than ``1e-8``, which signals that either the stored normalization
-        or the profile's quadrature resolution is untrustworthy.
+        If the mass of the shape times ``norm`` deviates from one by more
+        than ``1e-8``, which signals that either the normalization or the
+        profile's quadrature resolution is untrustworthy.
     """
-    mass = kernel_mass(profile)
+    norm = normalization(profile, panels) if norm is None else norm
+    mass = kernel_mass(profile, norm, panels)
     if abs(mass - 1.0) > 1e-8:
         raise QuadratureFailureError(
             f"kernel mass {mass!r} deviates from 1 by {abs(mass - 1.0):.3e} "
-            f"(family={profile.family}, dimension={profile.dimension}, panels={DEFAULT_PANELS})"
+            f"(family={profile.family}, dimension={profile.dimension}, panels={panels})"
         )
-    return 2.0 / second_moment(profile)
+    return 2.0 / second_moment(profile, norm, panels)
+
+
+def dispersal_rate(profile: KernelProfile, delta: float) -> float:
+    """The rate ``C / delta**2`` pairing with kernel radius ``delta``."""
+    return moment_constant(profile) / (delta * delta)
+
+
+def continuum_kernel(profile: KernelProfile, delta: float, displacement) -> np.ndarray | float:
+    """The unit-mass kernel of radius ``delta``: ``delta**-N * k0(displacement / delta)``."""
+    shape = scaled_kernel(profile, delta, displacement)
+    return delta ** (-profile.dimension) * (normalization(profile) * shape)
+
+
+def continuum_offsets(grid: Grid, profile: KernelProfile, delta: float):
+    """The jump operator's stencil as the continuum writes it, moment-matched.
+
+    Each offset ``o`` within reach of ``delta`` carries the rate
+    ``C / delta**2`` times the cell weight ``h**N`` times the unit-mass
+    kernel at ``o h``; those with positive weight are kept and all are
+    scaled by the one factor that makes ``sum_o w_o (o_0 h)**2 == 2``.
+    """
+    h, dim = grid.h, grid.dimension
+    reach = int(math.floor(delta / h + 1e-12))
+    stencil = [o for o in itertools.product(range(-reach, reach + 1), repeat=dim) if any(o)]
+    points = np.array(stencil, dtype=float) * h
+    k = continuum_kernel(profile, delta, points[:, 0] if dim == 1 else points)
+    weights = (dispersal_rate(profile, delta) * h**dim * k).tolist()
+    offsets = [(o, w) for o, w in zip(stencil, weights) if w > 0.0]
+    scale = 2.0 / math.fsum(w * (o[0] * h) ** 2 for o, w in offsets)
+    return [(o, w * scale) for o, w in offsets]
 
 
 # ---------------------------------------------------------------------- #

@@ -55,6 +55,7 @@ from oracles import (
     consistency_error,
     constant_field,
     difference_action,
+    moment_constant,
     perturbation_check,
     shift_coefficient,
 )
@@ -163,8 +164,8 @@ def periodic_orbit_sweep():
 # --- 1. kernel normalization ------------------------------------------------
 
 def test_criterion_1_kernel_moment_constants():
-    assert abs(kernel_profile(QUARTIC, 1).moment_constant - 14.0) <= 1e-8
-    assert abs(kernel_profile(QUARTIC, 2).moment_constant - 16.0) <= 1e-6
+    assert abs(moment_constant(kernel_profile(QUARTIC, 1)) - 14.0) <= 1e-8
+    assert abs(moment_constant(kernel_profile(QUARTIC, 2)) - 16.0) <= 1e-6
 
 
 # --- 2. operator structure --------------------------------------------------

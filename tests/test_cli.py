@@ -10,6 +10,7 @@ import pytest
 
 import dispersal
 from dispersal import (
+    MOLLIFIER,
     QUARTIC,
     BoundaryCondition,
     assemble_nonlocal,
@@ -18,6 +19,7 @@ from dispersal import (
     cli,
     evolution,
     kernel_profile,
+    kpp,
     periodic_cell,
 )
 from dispersal.cli import main
@@ -319,7 +321,8 @@ def test_two_dimensional_snapshots_carry_both_coordinates(tmp_path):
     assert "period = " in record and record.count("6.283185307179586") >= 2
 
 
-def test_two_dimensional_periodic_run_follows_the_sine_mode_oracle(tmp_path):
+@pytest.mark.parametrize("family", [QUARTIC, MOLLIFIER])
+def test_two_dimensional_periodic_run_follows_the_sine_mode_oracle(tmp_path, family):
     # A separable sine mode is an eigenvector of the periodic jump operator,
     # so each trapezoidal step multiplies it by (1 + s lam) / (1 - s lam).
     nodes, dt, steps = 32, 0.05, 5
@@ -334,13 +337,14 @@ def test_two_dimensional_periodic_run_follows_the_sine_mode_oracle(tmp_path):
         t_final=repr(steps * dt),
         u0="sine-mode(1)",
         delta=f"4*2*pi/{nodes}",
+        kernel=family,
         snapshots="1",
     )
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     h = 2.0 * np.pi / nodes
     grid = build_grid(periodic_cell([2.0 * np.pi] * 2), h)
-    op = assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), 4.0 * h, "periodic")
+    op = assemble_nonlocal(grid, kernel_profile(family, 2), 4.0 * h, "periodic")
     lam = sum(w * (np.cos(o[0] * h) - 1.0) for o, w in op.offsets)
     s = dt / 2.0
     factor = ((1.0 + s * lam) / (1.0 - s * lam)) ** steps
@@ -761,6 +765,30 @@ def test_a_bad_habitat_exits_2_before_any_grid_is_built(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "nonlocal_grid", refuse)
     cfg = write_config(tmp_path, "x.cfg", **keys)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, keys", [("kpp-orbit", KPP_ORBIT_KEYS), ("converge-c", CONVERGE_C_KEYS)]
+)
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (dict(tol="0"), "tol must be positive, got 0.0"),
+        (dict(orbit_snapshots="7"), "snapshot count 7 must divide the 16 steps per period"),
+    ],
+    ids=["tol", "orbit_snapshots"],
+)
+def test_bad_orbit_options_exit_2_before_the_invasion_check(
+    tmp_path, capsys, monkeypatch, command, keys, option, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the invasion check ran for rejected orbit options")
+
+    monkeypatch.setattr(kpp, "_invasion_checks", refuse)
+    cfg = write_config(tmp_path, "x.cfg", **dict(keys, **option))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert list((tmp_path / "o").iterdir()) == []
 

@@ -353,9 +353,13 @@ def test_one_dimensional_box_runs_never_assemble_a_matrix(monkeypatch):
         assert np.all(np.isfinite(orbit_step))
 
 
-def test_the_scipy_solvers_stay_module_attributes():
+def test_the_scipy_solvers_stay_module_attributes(monkeypatch):
     for name in ("cg", "bicgstab", "spsolve"):
-        assert getattr(evolution, name) is getattr(scipy.sparse.linalg, name)
+        assert name in vars(evolution)  # a plain attribute: reading it imports nothing
+        calls = []
+        monkeypatch.setattr(scipy.sparse.linalg, name, lambda *a, **k: calls.append((a, k)) or name)
+        assert getattr(evolution, name)("M", "b", rtol=0.5) == name
+        assert calls == [(("M", "b"), {"rtol": 0.5})]
 
 
 @pytest.mark.parametrize(

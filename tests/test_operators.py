@@ -25,7 +25,15 @@ from dispersal import (
     sweep_operators,
 )
 from dispersal import operators
-from oracles import consistency_error, constant_field, difference_action, reference_batches
+from oracles import (
+    consistency_error,
+    constant_field,
+    continuum_kernel,
+    continuum_offsets,
+    difference_action,
+    dispersal_rate,
+    reference_batches,
+)
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 MOLLIFIER_1D = kernel_profile(MOLLIFIER, 1)
@@ -378,10 +386,14 @@ def test_nodal_multiplier_tracks_the_continuum_integral():
     x = grid.coordinates[0]
     action = difference_action(op, np.cos(x))
     integral, err = quad(
-        lambda z: scaled_kernel(QUARTIC_1D, 0.5, z) * math.cos(z), -0.5, 0.5, epsabs=1e-14, limit=200
+        lambda z: continuum_kernel(QUARTIC_1D, 0.5, z) * math.cos(z),
+        -0.5,
+        0.5,
+        epsabs=1e-14,
+        limit=200,
     )
     assert err < 1e-10
-    continuum = op.nu * (integral - 1.0)
+    continuum = dispersal_rate(QUARTIC_1D, 0.5) * (integral - 1.0)
     assert np.max(np.abs(action - continuum * np.cos(x))) < 5e-6
 
 
@@ -394,7 +406,7 @@ def test_2d_jump_operator_matches_the_radial_transform():
     action = difference_action(op, u)
     integral, err = quad(lambda r: 6.0 * r * (1 - r * r) ** 2 * j0(0.5 * r), 0.0, 1.0, epsabs=1e-14)
     assert err < 1e-10
-    multiplier = op.nu * (integral - 1.0)
+    multiplier = dispersal_rate(profile, 0.5) * (integral - 1.0)
     assert multiplier == pytest.approx(-0.9938, abs=2e-4)
     assert np.max(np.abs(action - multiplier * u)) < 2e-5
 
@@ -416,6 +428,26 @@ def test_stencil_carries_the_exact_second_moment(family, dimension, bc, delta):
     for axis in range(dimension):
         moment = math.fsum(w * (o[axis] * h) ** 2 for o, w in op.offsets)
         assert moment == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [4.1, 8.2, 20.3])
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("family", [QUARTIC, MOLLIFIER])
+def test_the_continuum_constants_cancel_from_the_weights(family, dimension, ratio):
+    """The moment match absorbs the unit-mass factor, C/delta**2 and h**N.
+
+    The stencil rebuilt from the continuum kernel (each weight the rate
+    times the cell weight times the unit-mass kernel, then moment-matched)
+    is the assembled stencil up to rounding.
+    """
+    h = 1.0 / 64
+    profile = kernel_profile(family, dimension)
+    grid = build_grid(periodic_cell((1.0,) * dimension), h)
+    op = assemble_nonlocal(grid, profile, ratio * h, "periodic")
+    expected = continuum_offsets(grid, profile, ratio * h)
+    assert [o for o, _ in op.offsets] == [o for o, _ in expected]
+    weights = np.array([w for _, w in op.offsets])
+    np.testing.assert_allclose(weights, [w for _, w in expected], rtol=1e-14, atol=0.0)
 
 
 def test_2d_structure_suite():

@@ -107,14 +107,26 @@ def test_compare_results_reports_a_known_shift(tmp_path, capsys):
     (old / "short.csv").write_text("x\n1.0\n2.0\n")
     (new / "short.csv").write_text("x\n1.0\n")
     (new / "sweep" / "run.txt").write_text("h = 0.01\n")
+    for root, order, low, h in ((old, "2.0", "0.5", "0.01"), (new, "2.5", "0.25", "0.02")):
+        (root / "trace").mkdir()
+        (root / "trace" / "run.txt").write_text(
+            "# dispersal run record\n# sweep: one row per radius (3 rows)\n"
+            f"# gap_orders: [, {order}, 1.0]\n# interior minimum: {low} (bound 2.0)\n"
+            f"# kernel: quartic-polynomial\nh = {h}\n"
+        )
     assert _compare_results().main(["compare_results.py", str(old), str(new)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["short.csv: header or row count differs", "sweep/report.csv"]
-    rows = [line.split() for line in lines[2:5]]  # name, "max shift", shift, "relative", relative
+    # name, "max shift", shift, "relative", relative
+    rows = [line.strip().rsplit(maxsplit=5) for line in lines[2:5] + lines[6:9]]
     shifts = {row[0]: (row[3], row[5]) for row in rows}
     assert shifts == {
         "delta": ("0.000e+00", "0.000e+00"),
         "error": ("5.000e-01", "2.500e-01"),  # relative to the column's largest magnitude, 2
         "empirical_order": ("0.000e+00", "0.000e+00"),
+        "gap_orders": ("5.000e-01", "2.000e-01"),  # the empty first entry is skipped
+        "interior minimum[0]": ("2.500e-01", "5.000e-01"),
+        "interior minimum[1]": ("0.000e+00", "0.000e+00"),
     }
-    assert lines[5:] == ["only in OLD: gone.csv", "only in NEW: sweep/run.txt"]
+    assert lines[5] == "trace/run.txt"  # the row count and the config lines are not compared
+    assert lines[9:] == ["only in OLD: gone.csv", "only in NEW: sweep/run.txt"]

@@ -24,7 +24,13 @@ from dispersal import (
     space_cosine,
     spectrum_convergence_experiment,
 )
-from oracles import apply_period_map, constant_field, perturbation_check, shift_coefficient
+from oracles import (
+    apply_period_map,
+    constant_field,
+    dispersal_rate,
+    perturbation_check,
+    shift_coefficient,
+)
 
 QUARTIC_1D = kernel_profile(QUARTIC, 1)
 
@@ -210,8 +216,9 @@ def test_existence_threshold_uses_the_assembled_jump_rate(closure):
     )
     averages = np.cos(2.0 * math.pi * grid.coordinates[0])
     assembled = float(np.max(-rates + averages))
-    continuum = float(np.max(-op.nu + averages))
-    assert continuum < assembled - 0.2 * op.nu
+    nu = dispersal_rate(QUARTIC_1D, 4.1 * h)
+    continuum = float(np.max(-nu + averages))
+    assert continuum < assembled - 0.2 * nu
     assert principal_eigenvalue_criterion(pm, 0.5 * (continuum + assembled)) is False
     assert principal_eigenvalue_criterion(pm, assembled - 1e-6) is False
     assert principal_eigenvalue_criterion(pm, assembled + 1e-6) is True
