@@ -40,7 +40,7 @@ from .grids import (
     BOX,
     box,
     build_grid,
-    initial_field,
+    field_from_function,
     periodic_cell,
     sup_norm,
     write_field_csv,
@@ -60,7 +60,6 @@ from .operators import (
     BoundaryCondition,
     assemble_local,
     assemble_nonlocal,
-    nonlocal_grid,
     parse_boundary_condition,
 )
 from .spectral import PeriodMap, principal_value, spectrum_convergence_experiment
@@ -110,7 +109,7 @@ def _build_operator(cfg: ExperimentConfig, bc: BoundaryCondition, domain, h: flo
     if kind == NONLOCAL:
         profile = _profile(cfg, domain)
         delta = cfg.get_number("delta")
-        return assemble_nonlocal(nonlocal_grid(domain, h, bc, delta), profile, delta, bc)
+        return assemble_nonlocal(build_grid(domain, h), profile, delta, bc)
     return assemble_local(build_grid(domain, h), bc)
 
 
@@ -167,7 +166,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     cfg.reject_unknown_keys()
 
     reaction = parse_reaction(reaction_text, period)
-    u0 = initial_field(op.grid, _initial_function(u0_text, domain))
+    u0 = field_from_function(op.grid, _initial_function(u0_text, domain))
     trajectory = solve(SemilinearProblem(op, reaction, u0, t_final), dt, snapshots)
 
     index_rows = []

@@ -56,7 +56,7 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, parse_coefficient, split_call
 from .errors import BlowUpError, SolverFailureError, ValidationError
-from .grids import Field, initial_field, same_grid, sup_distance
+from .grids import Field, field_from_function, same_grid, sup_distance
 from .kernels import KernelProfile
 from .operators import BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
@@ -147,7 +147,7 @@ class SemilinearProblem:
             raise ValidationError(f"t_final {self.t_final!r} must be positive")
         if np.any(np.abs(self.initial.values[self.operator.constrained]) > 1e-12):
             raise ValidationError(
-                "initial data must vanish on pinned nodes (box boundary and ghost band)"
+                "initial data must vanish on pinned nodes (the faces of a local dirichlet box)"
             )
 
 
@@ -351,9 +351,9 @@ class _BoxStep(LinearStep):
 class _CapacitanceStep(_BoxStep):
     """One-dimensional boxes: the FFT of the wrapped stencil plus a face correction.
 
-    On the ``m`` box nodes (the grid without its ghost band) the action is
-    the stencil's band, a diagonal and, for the mirrored closure, the
-    entries ``(0, 1)`` and ``(m-1, m-2)``; ``_act`` applies it by
+    On the ``m`` grid nodes the action is the stencil's band, a diagonal
+    and, for the mirrored closure, the entries ``(0, 1)`` and
+    ``(m-1, m-2)``; ``_act`` applies it by
     ``np.convolve``, apart from the operator's entries, as the independent
     check of the solve.  An operator's free (unpinned) nodes form one
     contiguous block of them; zero-padded to a 5-smooth length ``L >= m``,
@@ -382,18 +382,15 @@ class _CapacitanceStep(_BoxStep):
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         super().__init__(ops, scale)
-        grid = ops[0].grid
-        self._box = slice(grid.ghost_cells, grid.num_nodes - grid.ghost_cells)
-        m = grid.num_nodes - 2 * grid.ghost_cells
+        m = ops[0].grid.num_nodes
         self._length = length = _fft_length(m)
         cols = np.arange(length)
         columns = np.stack([op.wrapped_column((length,)) for op in ops])  # first columns of C
         self._eig = 1.0 - scale * np.fft.rfft(columns)
-        self._diagonal = np.stack([op.diagonal()[self._box] for op in ops])
+        self._diagonal = np.stack([op.diagonal() for op in ops])
         self._mirror = np.array([op.mirror_weight if op.mirror else 0.0 for op in ops])
         self._kernels, self._faces, self._gain = [], [], []
-        free = ~self._pinned[:, self._box]
-        for op, inside, column, eig in zip(ops, free, columns, self._eig):
+        for op, inside, column, eig in zip(ops, ~self._pinned, columns, self._eig):
             block = np.flatnonzero(inside)
             a, b = int(block[0]), int(block[-1]) + 1
             if b - a != block.size:
@@ -407,14 +404,14 @@ class _CapacitanceStep(_BoxStep):
             nodes = np.arange(b - a)
             faces = a + np.flatnonzero((nodes < reach) | (nodes >= b - a - reach))
             face_rows = np.zeros((faces.size, length))
-            face_rows[:, :m] = op.matrix_rows(faces + grid.ghost_cells)[:, self._box]
+            face_rows[:, :m] = op.matrix_rows(faces)
             E = scale * (column[(faces[:, None] - cols) % length] - face_rows)
             EP = np.fft.irfft(np.fft.rfft(E) / np.conj(eig), length)  # rows of E P^-1
             capacitance = np.eye(faces.size) + EP[:, faces]
             self._faces.append(faces)
             self._gain.append(np.einsum("ij,jk->ik", _inverse(capacitance), EP[:, :m]))
             del face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
-        self._pins_inside = bool(np.any(self._pinned[:, self._box]))
+        self._pins = bool(np.any(self._pinned))
 
         # The correction cancels modes of P that M lacks (the constant mode
         # under a hostile exterior); on stiff steps the cancellation loses
@@ -422,28 +419,24 @@ class _CapacitanceStep(_BoxStep):
         # one step of iterative refinement restores.  A probe solve decides
         # for each operator: refine where one step removes most of a
         # residual above 1e-13.
-        probe = np.zeros((len(ops), grid.num_nodes))
-        probe[:, self._box] = 1.0 + np.cos(np.arange(m))
-        self.pin(probe)
+        probe = self.pin(np.tile(1.0 + np.cos(np.arange(m)), (len(ops), 1)))
         x = self._solve(probe)
         before = _row_norms(self._residual(probe, x))
         x += self._solve(self._residual(probe, x))
         after = _row_norms(self._residual(probe, x))
         self._refine = (before > 1e-13 * _row_norms(probe)) & (after < before / 4.0)
 
-    def _act(self, rows):
-        u = rows[:, self._box]
-        out = np.zeros_like(rows)
-        band = out[:, self._box]
+    def _act(self, u):
+        out = np.empty_like(u)
         m = u.shape[1]
-        for target, values, kernel in zip(band, u, self._each(self._kernels, u)):
+        for target, values, kernel in zip(out, u, self._each(self._kernels, u)):
             r = len(kernel) // 2
             target[:] = np.convolve(values, kernel)[r : r + m]
-        band += self._diagonal * u
+        out += self._diagonal * u
         if np.any(self._mirror):
-            band[:, 0] += self._mirror * u[:, 1]
-            band[:, -1] += self._mirror * u[:, -2]
-        return self.pin(out) if self._pins_inside else out
+            out[:, 0] += self._mirror * u[:, 1]
+            out[:, -1] += self._mirror * u[:, -2]
+        return self.pin(out) if self._pins else out
 
     def _solve_rows(self, b, x0, Ax0):
         Ax = self._act(x0) if Ax0 is None else Ax0
@@ -463,16 +456,14 @@ class _CapacitanceStep(_BoxStep):
 
     def _solve(self, b):
         """``(I - scale * A)^-1 b`` for rows ``b``: face correction, then one FFT pair."""
-        box = b[:, self._box]
-        m = box.shape[1]
+        m = b.shape[1]
         y = np.zeros((len(b), self._length))
-        y[:, :m] = box
+        y[:, :m] = b
         gains = zip(self._each(self._faces, b), self._each(self._gain, b))
-        for row, values, (faces, gain) in zip(y, box, gains):
+        for row, values, (faces, gain) in zip(y, b, gains):
             row[faces] -= np.einsum("ij,j->i", gain, values)
-        x = b.copy()
-        x[:, self._box] = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m]
-        return self.pin(x) if self._pins_inside else x
+        x = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m].copy()
+        return self.pin(x) if self._pins else x
 
 
 class _MatrixStep(_BoxStep):
@@ -661,15 +652,13 @@ def solution_convergence_experiment(
     well resolved.
     """
     deltas, local_op, nonlocal_ops = sweep_operators(domain, bc, profile, deltas, h)
-    grid = local_op.grid
-    u0 = initial_field(grid, initial_fn)
+    u0 = field_from_function(local_op.grid, initial_fn)
     problem = SemilinearProblem(local_op, reaction, u0, t_final)
     reference, *runs = _solve_together(problem, [local_op, *nonlocal_ops], dt, snapshots)
 
-    keep = ~grid.ghost_mask
     errors = [max(sup_distance(a, b) for a, b in zip(run.states, reference.states)) for run in runs]
     observed_min = min(
-        float(np.min(state.values[keep])) for run in (reference, *runs) for state in run.states
+        float(np.min(state.values)) for run in (reference, *runs) for state in run.states
     )
     orders = empirical_orders(deltas, errors)
     rows = [(d, e, p) for d, e, p in zip(deltas, errors, orders)]

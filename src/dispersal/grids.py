@@ -1,22 +1,19 @@
 """Uniform grids over boxes and periodic cells, nodal fields, sup distance.
 
 The continuous habitats are axis-aligned boxes (with boundary) and periodic
-cells.  A grid samples a habitat with one uniform, isotropic spacing ``h``;
-box grids may carry a band of ghost nodes outside the closure, used to hold
-the exterior zero datum of the hostile-surroundings dispersal problem.
-Periodic grids store one representative node per equivalence class, so wrap
-identification is exact by construction.
+cells.  A grid samples a habitat with one uniform, isotropic spacing ``h``
+and holds only habitat nodes: a box grid its closed box, a periodic grid
+one representative node per equivalence class, so wrap identification is
+exact by construction.
 
 Fields are flat nodal value arrays in C order over the tensor grid, and the
-distance between fields is the max-norm over non-ghost nodes.
+distance between fields is the max-norm over all nodes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,16 +90,14 @@ def _axis_cells(edge: float, h: float, what: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform tensor grid over a domain, possibly with a ghost band.
+    """Uniform tensor grid over a domain.
 
-    ``shape`` counts nodes per axis including ghosts.  Flattened node data
-    (coordinates, ghost mask) are laid out in C order over the tensor
-    product.
+    ``shape`` counts nodes per axis.  Flattened node data (coordinates,
+    masks) are laid out in C order over the tensor product.
     """
 
     domain: Domain
     h: float
-    ghost_cells: int
     shape: tuple[int, ...]
 
     # Flat per-node coordinate columns, computed once at build time.
@@ -117,22 +112,17 @@ class Grid:
         return int(np.prod(self.shape))
 
     def signature(self) -> tuple:
-        return (self.domain, self.h, self.ghost_cells, self.shape)
+        return (self.domain, self.h, self.shape)
 
     def inside(self, depth: int) -> np.ndarray:
         """Flat mask of the nodes at least ``depth`` cells inside every box face.
 
-        ``~inside(0)`` is the ghost band, ``~inside(1)`` adds the faces; periodic cells have none.
+        ``~inside(1)`` is the box faces; periodic cells have none.
         """
-        g = self.ghost_cells + depth if self.domain.kind == BOX else 0
+        g = depth if self.domain.kind == BOX else 0
         mask = np.zeros(self.shape, dtype=bool)
         mask[tuple(slice(g, n - g) for n in self.shape)] = True
         return mask.ravel()
-
-    @cached_property
-    def ghost_mask(self) -> np.ndarray:
-        """Flat mask of the ghost band (the nodes outside the box)."""
-        return ~self.inside(0)
 
 
 def same_grid(a: Grid, b: Grid) -> bool:
@@ -142,30 +132,22 @@ def same_grid(a: Grid, b: Grid) -> bool:
 def build_grid(domain: Domain, h: float, ghost_width: float = 0.0) -> Grid:
     """Sample ``domain`` at spacing ``h``.
 
-    ``ghost_width`` asks for a band of exterior nodes at least that wide on
-    every side of a box; the band is rounded up to whole cells.  Node
-    coordinates are ``lower + i*h`` exactly, so identical inputs reproduce
-    identical grids bit for bit.
+    Node coordinates are ``lower + i*h`` exactly, so identical inputs
+    reproduce identical grids bit for bit.  ``ghost_width`` is ignored: box
+    grids hold no nodes outside the box, and the keyword stays only for
+    callers that still pass it.
     """
     if h <= 0.0:
         raise ValidationError(f"spacing h must be positive, got {h}")
-    if ghost_width < 0.0:
-        raise ValidationError(f"ghost width must be nonnegative, got {ghost_width}")
     if domain.kind == PERIODIC_CELL:
-        if ghost_width > 0.0:
-            raise ValidationError("periodic cells take no ghost band")
         shape = tuple(_axis_cells(p, h, "period") for p in domain.periods)
         axes = tuple(np.arange(n) * h for n in shape)
-        ghost_cells = 0
     else:
-        ghost_cells = int(math.ceil(ghost_width / h - 1e-9)) if ghost_width > 0 else 0
-        shape = tuple(_axis_cells(e, h, "edge length") + 1 + 2 * ghost_cells for e in domain.edges)
-        axes = tuple(
-            lo + (np.arange(n) - ghost_cells) * h for lo, n in zip(domain.lower, shape)
-        )
+        shape = tuple(_axis_cells(e, h, "edge length") + 1 for e in domain.edges)
+        axes = tuple(lo + np.arange(n) * h for lo, n in zip(domain.lower, shape))
     mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
     coordinates = tuple(m.ravel() for m in mesh)
-    return Grid(domain, float(h), ghost_cells, shape, coordinates)
+    return Grid(domain, float(h), shape, coordinates)
 
 
 @dataclass
@@ -184,36 +166,26 @@ class Field:
             )
 
 
-def field_from_function(grid: Grid, fn, time: float = 0.0) -> Field:
-    """Sample ``fn(*coordinate_columns)`` at every node (ghosts included)."""
+def field_from_function(grid: Grid, fn) -> Field:
+    """Sample ``fn(*coordinate_columns)`` at every node, at time 0."""
     values = np.asarray(fn(*grid.coordinates), dtype=float)
-    values = np.broadcast_to(values, (grid.num_nodes,)).copy()
-    return Field(grid, values, time)
-
-
-def initial_field(grid: Grid, fn) -> Field:
-    """Sample initial data ``fn`` at time 0 and zero the ghost band (operator padding)."""
-    field = field_from_function(grid, fn)
-    field.values[grid.ghost_mask] = 0.0
-    return field
+    return Field(grid, np.broadcast_to(values, (grid.num_nodes,)).copy())
 
 
 def sup_norm(f: Field) -> float:
-    """Max absolute nodal value over non-ghost nodes."""
-    keep = ~f.grid.ghost_mask
-    return float(np.max(np.abs(f.values[keep])))
+    """Max absolute nodal value."""
+    return float(np.max(np.abs(f.values)))
 
 
 def sup_distance(f: Field, g: Field) -> float:
-    """Max absolute difference over non-ghost nodes of a shared grid."""
+    """Max absolute difference of two fields on a shared grid."""
     if not same_grid(f.grid, g.grid):
         raise ValidationError("grid mismatch: fields live on different grids")
-    keep = ~f.grid.ghost_mask
-    return float(np.max(np.abs(f.values[keep] - g.values[keep])))
+    return float(np.max(np.abs(f.values - g.values)))
 
 
 def write_field_csv(field: Field | Sequence[Field], path) -> None:
-    """Serialize the non-ghost nodes as ``x[,y],value`` rows.
+    """Serialize every node as an ``x[,y],value`` row.
 
     A sequence of fields on one grid (the snapshots of an orbit) is written
     as ``t,x[,y],value`` rows, one block per field, each row led by its
@@ -224,14 +196,13 @@ def write_field_csv(field: Field | Sequence[Field], path) -> None:
     grid = fields[0].grid
     if not all(same_grid(f.grid, grid) for f in fields):
         raise ValidationError("grid mismatch: fields live on different grids")
-    keep = ~grid.ghost_mask
-    coordinates = [_repr_column(c[keep]) for c in grid.coordinates]
+    coordinates = [_repr_column(c) for c in grid.coordinates]
     header = ",".join(["t"] * timed + ["x", "y"][: grid.dimension] + ["value"])
     with open(path, "w", encoding="ascii") as handle:
         handle.write(header + "\n")
         for f in fields:
             lead = [itertools.repeat(repr(float(f.time)))] if timed else []
-            columns = lead + coordinates + [_repr_column(f.values[keep])]
+            columns = lead + coordinates + [_repr_column(f.values)]
             handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 

@@ -112,12 +112,11 @@ def validate_saturation(problem: KPPProblem) -> float:
     """Find the smallest doubling constant ``M`` above the carrying level.
 
     Returns the first of ``1, 2, 4, ...`` that exceeds ``a`` on a lattice of
-    64 times at every node off the ghost band, so that ``a - M < 0`` there.
+    64 times at every node, so that ``a - M < 0`` there.
     """
-    grid = problem.operator.grid
-    keep = ~grid.ghost_mask
+    coordinates = problem.operator.grid.coordinates
     times = np.linspace(0.0, problem.period, 64, endpoint=False)
-    top = np.max([np.max(problem.growth.evaluate(float(t), grid.coordinates)[keep]) for t in times])
+    top = np.max([np.max(problem.growth.evaluate(float(t), coordinates)) for t in times])
     level = 1.0
     for _ in range(40):
         if top < level:

@@ -33,7 +33,8 @@ operator would tend to a Laplacian with the wrong rate; matched, it agrees
 with ``u''`` on quadratics at every resolved radius, and one common factor
 keeps the matrix exactly symmetric with nonnegative off-diagonal entries.
 The boundary closure follows the habitat type: hostile exterior
-(``dirichlet``, jumps into a zero-valued ghost band are pure loss),
+(``dirichlet``, ``u = 0`` off the box: a jump that leaves it is pure
+loss, charged on the diagonal, and the grid holds the box nodes only),
 reflecting budget (``neumann``, integration restricted to the closed box),
 or wrapping (``periodic``).
 """
@@ -83,12 +84,11 @@ class DispersalOperator:
     """Assembled linear action of one dispersal operator on one grid.
 
     ``offsets`` pairs each stencil offset with its weight.  ``constrained``
-    is a boolean mask of the nodes pinned to zero: the ghost band of the
-    hostile exterior, plus the box faces for its local kind (all false
-    under the other closures).  Pinned rows of the action are zero and
-    pinned columns never contribute.  ``mirror`` marks the reflecting
-    closure of the local kind, which doubles the inward weight on the box
-    faces.
+    is a boolean mask of the nodes pinned to zero: the box faces of the
+    local hostile closure (all false otherwise).  Pinned rows of the action
+    are zero and pinned columns never contribute.  ``mirror`` marks the
+    reflecting closure of the local kind, which doubles the inward weight
+    on the box faces.
     """
 
     kind: str
@@ -107,18 +107,24 @@ class DispersalOperator:
         return 1.0 / (self.grid.h * self.grid.h)
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal of the action, from the stencil table: ``-sum_o w_o`` on every cell node."""
-        if self.bc is BoundaryCondition.PERIODIC:
-            return np.full(self.grid.num_nodes, -self.total_weight())
-        _, inside, weights, entries, _ = self._table()
-        return self._diagonal(inside, weights, entries, self.constrained)
+        """Diagonal of the action; only the reflecting closure reads the stencil table."""
+        table = self._table() if self.bc is BoundaryCondition.NEUMANN else None
+        return self._diagonal(self.constrained, table)
 
-    def _diagonal(self, inside, weights, entries, pinned) -> np.ndarray:
-        """Minus each table row's in-habitat weights in entry order; ``0.0`` where ``pinned``."""
-        flags = inside[:, entries]
-        partial = ~flags.all(axis=1)
-        loss = np.full(len(inside), self.total_weight())  # the same sum, where all are in
-        loss[partial] = np.cumsum(np.where(flags[partial], weights[entries], 0.0), axis=1)[:, -1]
+    def _diagonal(self, pinned, table) -> np.ndarray:
+        """Minus each row's loss rate, ``0.0`` where ``pinned``.
+
+        The rate is ``sum_o w_o`` (a hostile box loses the jumps that leave
+        it too), but a reflecting closure sums each ``table`` row's
+        in-habitat weights in entry order.
+        """
+        loss = np.full(len(pinned), self.total_weight())  # the same sum, where all are in
+        if self.bc is BoundaryCondition.NEUMANN:
+            _, inside, weights, entries, _ = table
+            flags = inside[:, entries]
+            partial = ~flags.all(axis=1)
+            kept = np.where(flags[partial], weights[entries], 0.0)
+            loss[partial] = np.cumsum(kept, axis=1)[:, -1]
         return 0.0 - np.where(pinned, 0.0, loss)
 
     def total_weight(self) -> float:
@@ -164,8 +170,9 @@ class DispersalOperator:
         (the node itself, the offsets, and per face and axis a mirror column
         coupling the face layer once more inward) are stably sorted by flat
         shift; row ``k`` holds the node each reaches from ``nodes[k]`` and if
-        it is in the habitat (a mirror column only on its face).  ``entries``
-        lists the offsets', then the mirror columns: the summing order.
+        it is in the habitat (a mirror column only on its face; a target off
+        a box never).  ``entries`` lists the offsets', then the mirror
+        columns: the summing order.
         """
         shape, dim = self.grid.shape, self.grid.dimension
         faces = [tuple(s * e) for e in np.eye(dim, dtype=int) if self.mirror for s in (1, -1)]
@@ -195,9 +202,10 @@ class DispersalOperator:
         The self column holds the diagonal, kept if nonzero; the other
         entries are kept in the habitat with neither end pinned.
         """
-        targets, inside, weights, entries, self_column = self._table(nodes)
+        table = self._table(nodes)
+        targets, inside, weights, _, self_column = table
         pinned = self.constrained if nodes is None else self.constrained[nodes]
-        diagonal = self._diagonal(inside, weights, entries, pinned)
+        diagonal = self._diagonal(pinned, table)
         values = np.tile(weights, (len(targets), 1))
         values[:, self_column] = diagonal
         keep = inside.copy()
@@ -250,11 +258,6 @@ def _require_domain(grid: Grid, bc: BoundaryCondition) -> None:
         raise ValidationError("periodic operators need a periodic-cell domain")
     if bc is not BoundaryCondition.PERIODIC and grid.domain.kind != BOX:
         raise ValidationError(f"{bc.value} operators need a bounded box domain")
-    if bc is not BoundaryCondition.DIRICHLET and grid.ghost_cells != 0:
-        raise ValidationError(
-            "ghost bands are reserved for hostile-exterior (dirichlet) operators; "
-            f"got ghost_cells={grid.ghost_cells} with bc={bc.value}"
-        )
 
 
 def assemble_nonlocal(
@@ -267,8 +270,7 @@ def assemble_nonlocal(
     every axis (the radial kernel makes the axes agree).  Requires at least
     four grid cells per kernel radius (below that too few nodes sample the
     kernel's profile for the moment-matched operator to approximate the
-    jump integral), and for the hostile-exterior closure a ghost band at
-    least ``delta`` wide.
+    jump integral).
     """
     bc = parse_boundary_condition(bc)
     _require_domain(grid, bc)
@@ -283,10 +285,6 @@ def assemble_nonlocal(
         raise ValidationError(
             f"support unresolved: delta/h = {delta / h:.3f} < 4; "
             "refine the grid or enlarge delta"
-        )
-    if bc is BoundaryCondition.DIRICHLET and grid.ghost_cells * h < delta - 1e-12:
-        raise ValidationError(
-            f"ghost band too narrow: width {grid.ghost_cells * h!r} < delta {delta!r}"
         )
     if bc is BoundaryCondition.PERIODIC:
         half = min(grid.domain.periods) / 2.0
@@ -310,7 +308,7 @@ def assemble_nonlocal(
         bc=bc,
         grid=grid,
         offsets=tuple(offsets),
-        constrained=~grid.inside(0),
+        constrained=np.zeros(grid.num_nodes, dtype=bool),
         delta=float(delta),
     )
 
@@ -324,8 +322,7 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
     """
     bc = parse_boundary_condition(bc)
     _require_domain(grid, bc)
-    g = grid.ghost_cells
-    if any(n - 2 * g < 3 for n in grid.shape):
+    if any(n < 3 for n in grid.shape):
         raise ValidationError(f"too few nodes for a second-difference stencil: shape {grid.shape}")
     dim, weight = grid.dimension, 1.0 / (grid.h * grid.h)
     units = [tuple(int(a == axis) for a in range(dim)) for axis in range(dim)]
@@ -338,15 +335,6 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
         constrained=~grid.inside(1 if bc is BoundaryCondition.DIRICHLET else 0),
         mirror=(bc is BoundaryCondition.NEUMANN),
     )
-
-
-def nonlocal_grid(domain: Domain, h: float, bc: BoundaryCondition, delta: float) -> Grid:
-    """Grid for jump operators of radius up to ``delta`` under closure ``bc``.
-
-    The hostile exterior (``dirichlet``) gets a ghost band ``delta`` wide
-    to hold the zero datum that jumps land in; the other closures take none.
-    """
-    return build_grid(domain, h, ghost_width=delta if bc is BoundaryCondition.DIRICHLET else 0.0)
 
 
 def sweep_operators(
@@ -370,6 +358,6 @@ def sweep_operators(
             f"h must satisfy h <= min(deltas)/8: h={h!r}, min(deltas)/8={min(deltas) / 8.0!r}"
         )
     bc = parse_boundary_condition(bc)
-    grid = nonlocal_grid(domain, h, bc, max(deltas))
+    grid = build_grid(domain, h)
     nonlocal_ops = [assemble_nonlocal(grid, profile, delta, bc) for delta in deltas]
     return deltas, assemble_local(grid, bc), nonlocal_ops

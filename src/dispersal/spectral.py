@@ -204,10 +204,8 @@ def principal_eigenvalue_criterion(period_map: PeriodMap, value: float) -> bool:
     op = period_map.operator
     if op.kind != NONLOCAL:
         raise ValidationError("the existence criterion applies to the nonlocal kind only")
-    grid = op.grid
-    averages = time_average(period_map.coefficient, grid.coordinates)
-    keep = ~grid.ghost_mask
-    return bool(value > float(np.max(op.diagonal()[keep] + averages[keep])))
+    averages = time_average(period_map.coefficient, op.grid.coordinates)
+    return bool(value > float(np.max(op.diagonal() + averages)))
 
 
 def spectrum_convergence_experiment(

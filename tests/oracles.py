@@ -43,8 +43,11 @@ def reference_batches(op: DispersalOperator):
     """Yield ``(rows, cols, weight)`` per stencil entry, placed apart from the operator.
 
     Each offset by ``np.roll`` of the node numbers on cells and by slices
-    clipped at the faces on boxes; then, for the reflecting local closure,
-    each face layer coupled once more to the layer inside it.
+    clipped at the faces on boxes, where under the hostile closure the
+    nodes whose jump leaves the box land on the exterior, column
+    ``num_nodes``, which :func:`difference_action` holds at zero; then, for
+    the reflecting local closure, each face layer coupled once more to the
+    layer inside it.
     """
     shape = op.grid.shape
     index = np.arange(op.grid.num_nodes).reshape(shape)
@@ -52,9 +55,14 @@ def reference_batches(op: DispersalOperator):
         if op.bc is BoundaryCondition.PERIODIC:
             cols = np.roll(index, [-o for o in offset], axis=tuple(range(len(shape))))
             yield index.ravel(), cols.ravel(), weight
+            continue
+        rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
+        cols = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
+        if op.bc is BoundaryCondition.DIRICHLET:
+            reached = np.full(shape, op.grid.num_nodes)  # the exterior
+            reached[rows] = index[cols]
+            yield index.ravel(), reached.ravel(), weight
         else:
-            rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
-            cols = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
             yield index[rows].ravel(), index[cols].ravel(), weight
     if op.mirror:
         for axis, n in enumerate(shape):
@@ -66,11 +74,12 @@ def reference_batches(op: DispersalOperator):
 def difference_action(op: DispersalOperator, values) -> np.ndarray:
     """``sum_o w_o (u_{i+o} - u_i)`` on a flat nodal array, from :func:`reference_batches`.
 
-    Pinned values are read as zero and pinned rows are zero.  Each node
-    sums its terms in the order of the offsets, then the mirror entries,
-    so constants annihilate bitwise under reflecting and wrapping closures.
+    Pinned values and the exterior of a hostile box are read as zero, and
+    pinned rows are zero.  Each node sums its terms in the order of the
+    offsets, then the mirror entries, so constants annihilate bitwise under
+    reflecting and wrapping closures.
     """
-    u = np.where(op.constrained, 0.0, np.asarray(values, dtype=float))
+    u = np.append(np.where(op.constrained, 0.0, np.asarray(values, dtype=float)), 0.0)
     action = np.zeros(op.grid.num_nodes)
     for rows, cols, weight in reference_batches(op):
         action[rows] += weight * (u[cols] - u[rows])
@@ -201,7 +210,7 @@ def continuum_offsets(grid: Grid, profile: KernelProfile, delta: float):
 
 
 def boundary_distance(grid: Grid) -> np.ndarray:
-    """Distance from each node to the box boundary (negative outside).
+    """Distance from each node to the box boundary.
 
     Periodic cells have no boundary; every node reports ``+inf``.
     """
@@ -233,9 +242,7 @@ def consistency_error(
     grid = nonlocal_op.grid
     u = test_field.values
     gap = difference_action(nonlocal_op, u) - difference_action(local_op, u)
-    keep = ~grid.ghost_mask
-    if grid.domain.kind == BOX:
-        keep &= boundary_distance(grid) > nonlocal_op.delta
+    keep = boundary_distance(grid) > nonlocal_op.delta
     if not np.any(keep):
         raise ValidationError(
             f"no nodes lie farther than delta={nonlocal_op.delta!r} from the boundary"
@@ -308,8 +315,7 @@ def check_comparison(lower: Trajectory, upper: Trajectory, tol: float) -> bool:
             raise ValidationError("shape mismatch: trajectories live on different grids")
         if abs(lo.time - up.time) > 1e-9:
             raise ValidationError("shape mismatch: snapshot times differ")
-        keep = ~lo.grid.ghost_mask
-        if np.any(lo.values[keep] > up.values[keep] + tol):
+        if np.any(lo.values > up.values + tol):
             return False
     return True
 
@@ -324,22 +330,16 @@ def constant_field(grid: Grid, value: float) -> Field:
 
 
 def read_field_csv(grid: Grid, path, time: float = 0.0) -> Field:
-    """Load a field written by :func:`dispersal.grids.write_field_csv` back onto ``grid``.
-
-    Ghost nodes (absent from the file) are restored as zeros.
-    """
+    """Load a field written by :func:`dispersal.grids.write_field_csv` back onto ``grid``."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    keep = ~grid.ghost_mask
-    if data.shape != (int(keep.sum()), grid.dimension + 1):
+    if data.shape != (grid.num_nodes, grid.dimension + 1):
         raise ValidationError(
-            f"file {path} holds {data.shape} values; grid expects {int(keep.sum())} non-ghost rows"
+            f"file {path} holds {data.shape} values; grid expects {grid.num_nodes} rows"
         )
     for axis in range(grid.dimension):
-        if np.max(np.abs(data[:, axis] - grid.coordinates[axis][keep])) > 1e-12:
+        if np.max(np.abs(data[:, axis] - grid.coordinates[axis])) > 1e-12:
             raise ValidationError(f"file {path} was written on a different grid (axis {axis} mismatch)")
-    values = np.zeros(grid.num_nodes)
-    values[keep] = data[:, -1]
-    return Field(grid, values, time)
+    return Field(grid, data[:, -1], time)
 
 
 def apply_period_map(period_map: PeriodMap, u0: Field) -> Field:

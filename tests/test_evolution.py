@@ -128,10 +128,9 @@ def solver_operator(closure, kind, dim):
         domain = periodic_cell([1.0] * dim)
     else:
         domain = box([0.0] * dim, [1.0] * dim)
+    grid = build_grid(domain, h)
     if kind == "local":
-        return assemble_local(build_grid(domain, h), closure)
-    ghost = delta if closure == "dirichlet" else 0.0
-    grid = build_grid(domain, h, ghost_width=ghost)
+        return assemble_local(grid, closure)
     return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), delta, closure)
 
 
@@ -199,7 +198,7 @@ def test_fourier_warm_start_check_is_sharp(dim, nodes):
 BOX_STEP_CASES = {
     "prime free count, padded": ("neumann", "nonlocal", 1.0 / 256, 0.2, 257, 13),
     "5-smooth free count, no padding": ("neumann", "nonlocal", 1.0 / 239, 4.0 / 239, 240, 0),
-    "delta/h = 4, pinned ghost bands": ("dirichlet", "nonlocal", 1.0 / 64, 4.0 / 64, 65, 7),
+    "delta/h = 4, hostile": ("dirichlet", "nonlocal", 1.0 / 64, 4.0 / 64, 65, 7),
     "prime free count, pinned": ("dirichlet", "nonlocal", 1.0 / 256, 0.1, 257, 13),
     "mirrored local closure": ("neumann", "local", 1.0 / 100, None, 101, 7),
     "pinned local faces": ("dirichlet", "local", 1.0 / 256, None, 255, 15),
@@ -209,9 +208,9 @@ BOX_STEP_CASES = {
 
 
 def box_step_operator(closure, kind, h, delta):
+    grid = build_grid(box(0.0, 1.0), h)
     if kind == "local":
-        return assemble_local(build_grid(box(0.0, 1.0), h), closure)
-    grid = build_grid(box(0.0, 1.0), h, ghost_width=delta if closure == "dirichlet" else 0.0)
+        return assemble_local(grid, closure)
     return assemble_nonlocal(grid, QUARTIC_1D, delta, closure)
 
 
@@ -238,7 +237,7 @@ def test_one_dimensional_box_solves_are_exact_and_keep_solved_warm_starts(case, 
 
 
 @pytest.mark.parametrize("scale", [10.0, 100.0])
-@pytest.mark.parametrize("case", [case for case in BOX_STEP_CASES if "pinned" in case])
+@pytest.mark.parametrize("case", [c for c, (bc, *_) in BOX_STEP_CASES.items() if bc == "dirichlet"])
 def test_stiff_pinned_box_solves_stay_exact(case, scale):
     # Under a hostile exterior the correction cancels the circulant's
     # constant mode; without a refinement step the local closure's residual
@@ -505,8 +504,8 @@ def test_problem_construction_validates_grid_window_and_pins():
         SemilinearProblem(op, zero, constant_field(other, 1.0), 1.0)
     with pytest.raises(ValidationError, match="t_final 0.0 must be positive"):
         SemilinearProblem(op, zero, constant_field(op.grid, 1.0), 0.0)
-    grid = build_grid(box(0.0, 1.0), 1.0 / 16, ghost_width=0.25)
-    pinned = assemble_nonlocal(grid, QUARTIC_1D, 0.25, "dirichlet")
+    grid = build_grid(box(0.0, 1.0), 1.0 / 16)
+    pinned = assemble_local(grid, "dirichlet")
     with pytest.raises(ValidationError, match="vanish on pinned nodes"):
         SemilinearProblem(pinned, zero, constant_field(grid, 1.0), 1.0)
 
@@ -515,8 +514,9 @@ def test_problem_construction_validates_grid_window_and_pins():
 def test_a_source_term_leaves_pinned_nodes_at_zero(dim, kind):
     # A reaction that is nonzero at u = 0 feeds the pinned nodes of every
     # right-hand side; the box step must zero them there, or the solves
-    # carry the source into the hostile exterior.
-    grid = build_grid(box([0.0] * dim, [1.0] * dim), 1.0 / 16, ghost_width=0.25)
+    # carry the source onto the hostile faces.  The jump operator pins no
+    # node, so there the source must reach every one.
+    grid = build_grid(box([0.0] * dim, [1.0] * dim), 1.0 / 16)
     if kind == "local":
         op = assemble_local(grid, "dirichlet")
     else:

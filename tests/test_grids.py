@@ -1,4 +1,4 @@
-"""Domains, grids, ghost bands, fields, and the sup-norm machinery."""
+"""Domains, grids, fields, and the sup-norm machinery."""
 
 import math
 
@@ -25,18 +25,6 @@ def test_interval_node_count_and_coordinates():
     grid = build_grid(box(0.0, 1.0), 0.25)
     assert grid.num_nodes == 5
     np.testing.assert_allclose(grid.coordinates[0], [0.0, 0.25, 0.5, 0.75, 1.0], atol=0.0)
-    assert not grid.ghost_mask.any()
-
-
-def test_interval_with_ghost_band():
-    grid = build_grid(box(0.0, 1.0), 0.25, ghost_width=0.5)
-    assert grid.num_nodes == 9
-    assert grid.ghost_cells == 2
-    np.testing.assert_allclose(
-        grid.coordinates[0], [-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5], atol=1e-15
-    )
-    # Two ghost nodes on each side, physical nodes in between.
-    assert list(grid.ghost_mask) == [True, True, False, False, False, False, False, True, True]
 
 
 def test_periodic_cell_identifies_the_wrap_node():
@@ -45,21 +33,11 @@ def test_periodic_cell_identifies_the_wrap_node():
     np.testing.assert_allclose(grid.coordinates[0], [0.0, 0.25, 0.5, 0.75], atol=0.0)
 
 
-def test_ghost_band_rounds_up_to_whole_cells():
-    grid = build_grid(box(0.0, 1.0), 0.25, ghost_width=0.3)
-    assert grid.ghost_cells == 2  # 0.3 / 0.25 rounds up
-
-
 def test_incompatible_spacing_is_rejected():
     with pytest.raises(ValidationError, match="incompatible spacing"):
         build_grid(box(0.0, 1.0), 0.3)
     with pytest.raises(ValidationError, match="incompatible spacing"):
         build_grid(periodic_cell(2.0 * math.pi), 0.5)
-
-
-def test_periodic_grid_refuses_ghosts():
-    with pytest.raises(ValidationError):
-        build_grid(periodic_cell(1.0), 0.25, ghost_width=0.25)
 
 
 def test_domain_validation():
@@ -72,8 +50,8 @@ def test_domain_validation():
 
 
 def test_build_grid_is_bitwise_deterministic():
-    a = build_grid(box(0.0, 2.0 * math.pi), 2.0 * math.pi / 512, ghost_width=0.4)
-    b = build_grid(box(0.0, 2.0 * math.pi), 2.0 * math.pi / 512, ghost_width=0.4)
+    a = build_grid(box(0.0, 2.0 * math.pi), 2.0 * math.pi / 512)
+    b = build_grid(box(0.0, 2.0 * math.pi), 2.0 * math.pi / 512)
     for xa, xb in zip(a.coordinates, b.coordinates):
         assert np.array_equal(xa, xb)  # identical bits, not merely close
 
@@ -95,14 +73,7 @@ def test_sup_distance_examples():
     assert sup_distance(f, g) == 3.0
     ramp = field_from_function(grid, lambda x: x)
     assert sup_distance(ramp, constant_field(grid, 0.0)) == 1.0
-
-
-def test_sup_distance_ignores_ghost_nodes():
-    grid = build_grid(box(0.0, 1.0), 0.25, ghost_width=0.25)
-    values = np.zeros(grid.num_nodes)
-    values[grid.ghost_mask] = 99.0
-    assert sup_distance(Field(grid, values), constant_field(grid, 0.0)) == 0.0
-    assert sup_norm(Field(grid, values)) == 0.0
+    assert sup_norm(g) == 1.0 and sup_norm(ramp) == 1.0
 
 
 def test_sup_distance_rejects_mismatched_grids():
@@ -119,16 +90,15 @@ def test_field_value_count_is_validated():
 
 
 def test_field_csv_round_trip(tmp_path):
-    grid = build_grid(box(0.0, 1.0), 0.125, ghost_width=0.25)
-    field = field_from_function(grid, lambda x: np.sin(3.0 * x), time=0.5)
+    grid = build_grid(box(0.0, 1.0), 0.125)
+    field = Field(grid, np.sin(3.0 * grid.coordinates[0]), 0.5)
     path = tmp_path / "field.csv"
     write_field_csv(field, path)
     header = path.read_text().splitlines()[0]
     assert header == "x,value"
     restored = read_field_csv(grid, path, time=0.5)
-    keep = ~grid.ghost_mask
-    np.testing.assert_array_equal(restored.values[keep], field.values[keep])
-    assert np.all(restored.values[grid.ghost_mask] == 0.0)
+    np.testing.assert_array_equal(restored.values, field.values)
+    assert restored.time == 0.5
 
 
 def test_field_csv_round_trip_2d(tmp_path):
@@ -150,17 +120,15 @@ def test_field_csv_bytes_match_the_per_value_repr(tmp_path, dim, timed):
     # Reference writer: one repr(float(v)) per cell.  Signed zeros, repeated
     # values, non-finite and subnormal entries must come out the same.  A
     # sequence of fields (an orbit) adds a leading time column.
-    grid = build_grid(box([-1.0] * dim, [1.0] * dim), 0.125, ghost_width=0.25)
+    grid = build_grid(box([-1.0] * dim, [1.0] * dim), 0.125)
     values = np.random.default_rng(2).standard_normal(grid.num_nodes)
-    inner = np.flatnonzero(~grid.ghost_mask)
-    values[inner[:9]] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -0.0, 0.1, 0.1]
+    values[:9] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -0.0, 0.1, 0.1]
     fields = [Field(grid, values), Field(grid, values[::-1], 0.1), Field(grid, -values, 1 / 3)]
     path = tmp_path / "field.csv"
     write_field_csv(fields if timed else fields[0], path)
-    keep = ~grid.ghost_mask
     lines = [",".join(["t"][:timed] + ["x", "y"][:dim] + ["value"])]
     for field in fields if timed else fields[:1]:
-        columns = [c[keep] for c in grid.coordinates] + [field.values[keep]]
+        columns = [*grid.coordinates, field.values]
         lead = [repr(field.time)] if timed else []
         lines += [",".join(lead + [repr(float(v)) for v in row]) for row in zip(*columns)]
     assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"

@@ -270,7 +270,7 @@ def periodic_problem():
 
 
 def dirichlet_problem(kind):
-    grid = build_grid(box(0.0, 2.0 * math.pi), 2.0 * math.pi / 64, ghost_width=0.4)
+    grid = build_grid(box(0.0, 2.0 * math.pi), 2.0 * math.pi / 64)
     op = (
         assemble_nonlocal(grid, QUARTIC_1D, 0.4, "dirichlet")
         if kind == "nonlocal"

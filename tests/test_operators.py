@@ -100,11 +100,10 @@ def test_matrix_and_offset_action_agree(bc, kind, dim):
         domain = periodic_cell([1.0] * dim)
     else:
         domain = box([0.0] * dim, [1.0] * dim)
+    grid = build_grid(domain, h)
     if kind == "local":
-        op = assemble_local(build_grid(domain, h), bc)
+        op = assemble_local(grid, bc)
     else:
-        ghost = 4.0 * h if bc == "dirichlet" else 0.0
-        grid = build_grid(domain, h, ghost_width=ghost)
         op = assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), 4.0 * h, bc)
     assert op.matrix().has_canonical_format
     dense = op.matrix().toarray()
@@ -155,11 +154,9 @@ def test_periodic_symbol_and_diagonal_equal_the_assembled_ones_bitwise(kind, dim
 
 def box_operator(closure, kind, dim):
     h = 1.0 / 16 if dim == 2 else 1.0 / 64
-    domain = box([0.0] * dim, [1.0] * dim)
+    grid = build_grid(box([0.0] * dim, [1.0] * dim), h)
     if kind == "local":
-        return assemble_local(build_grid(domain, h), closure)
-    ghost = 4.0 * h if closure == "dirichlet" else 0.0
-    grid = build_grid(domain, h, ghost_width=ghost)
+        return assemble_local(grid, closure)
     return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), 4.0 * h, closure)
 
 
@@ -192,15 +189,15 @@ def stencil_case(name):
     and :func:`box_operator`.  The half-period cells have kernels half a
     period wide, just inside the assembly's tolerance above it, so the
     offsets ``+-n/2`` along an axis keep a positive weight and reach one
-    node twice.  The last is a rectangular 2D hostile box whose ghost band
-    is six cells wide.
+    node twice.  The last is a rectangular 2D hostile box whose kernel
+    reaches six cells past each face.
     """
     if name.startswith("half-period"):
         dim = int(name[-2])
         grid = build_grid(periodic_cell([1.0] * dim), 1.0 / (16 if dim == 1 else 8))
         return assemble_nonlocal(grid, kernel_profile(QUARTIC, dim), 0.5 + 4e-13, "periodic")
     if name == "dirichlet-band-2d":
-        grid = build_grid(box([0.0, 0.0], [1.0, 1.5]), 1.0 / 20, ghost_width=0.3)
+        grid = build_grid(box([0.0, 0.0], [1.0, 1.5]), 1.0 / 20)
         return assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), 0.3, "dirichlet")
     bc, kind, dim = name.split("-")
     dim = int(dim[0])
@@ -210,9 +207,12 @@ def stencil_case(name):
 
 
 def reference_operator(op):
-    """``(matrix, diagonal)`` built from :func:`oracles.reference_batches` alone."""
+    """``(matrix, diagonal)`` built from :func:`oracles.reference_batches` alone.
+
+    A hostile box's jumps to the exterior (column ``n``) count as loss only.
+    """
     n = op.grid.num_nodes
-    free = ~op.constrained
+    free = np.append(~op.constrained, False)
     loss = np.zeros(n)
     rows, cols, values = [], [], []
     for r, c, weight in reference_batches(op):
@@ -263,19 +263,20 @@ def test_only_periodic_closures_have_a_symbol():
 
 
 def test_dirichlet_rows_and_columns_are_eliminated():
-    grid = build_grid(box(0.0, 1.0), 1.0 / 64, ghost_width=0.1)
-    op = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
-    u = np.ones(grid.num_nodes)
-    out = difference_action(op, u)
-    assert np.all(out[grid.ghost_mask] == 0.0)
-    m = op.matrix().tocsr()
-    ghost_rows = np.where(grid.ghost_mask)[0]
-    assert m[ghost_rows].nnz == 0
+    # The local hostile closure pins the faces: their rows and columns are
+    # empty.  The jump operator pins nothing, so every row keeps its loss.
+    grid = build_grid(box(0.0, 1.0), 1.0 / 64)
+    m = assemble_local(grid, "dirichlet").matrix()
+    faces = [0, grid.num_nodes - 1]
+    assert m[faces].nnz == 0 and m.tocsc()[:, faces].nnz == 0
+    jump = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
+    assert not jump.constrained.any()
+    assert np.all(jump.matrix().diagonal() == -jump.total_weight())
 
 
 def test_dirichlet_mass_deficit_layer():
     """Uniform occupancy leaks only within one kernel radius of the edge."""
-    grid = build_grid(box(0.0, 1.0), 1.0 / 64, ghost_width=0.1)
+    grid = build_grid(box(0.0, 1.0), 1.0 / 64)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
     out = difference_action(op, np.ones(grid.num_nodes))
     x = grid.coordinates[0]
@@ -283,6 +284,29 @@ def test_dirichlet_mass_deficit_layer():
     near_edge = int(np.argmin(np.abs(x - 0.05)))
     assert out[center] == 0.0
     assert out[near_edge] < 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["nonlocal", "local"])
+def test_hostile_rows_lose_exactly_the_weight_that_leaves_the_habitat(kind, dim):
+    # u = 0 off the box and on the pinned faces of the local closure, so
+    # each unpinned row of the action sums to minus the weights of its
+    # offsets that land there; those are found here by node indices alone.
+    op = box_operator("dirichlet", kind, dim)
+    shape = op.grid.shape
+    index = np.indices(shape).reshape(dim, -1).T
+    free = ~op.constrained
+    deficit = np.zeros(op.grid.num_nodes)
+    for offset, weight in op.offsets:
+        reached = index + offset
+        in_box = np.all((reached >= 0) & (reached < shape), axis=1)
+        flat = np.ravel_multi_index(tuple(np.where(in_box[:, None], reached, 0).T), shape)
+        deficit += np.where(in_box & free[flat], 0.0, weight)
+    deficit[op.constrained] = 0.0
+    row_sums = op.matrix() @ np.ones(op.grid.num_nodes)
+    assert np.all(np.abs(row_sums + deficit) <= 1e-14 * op.total_weight())
+    outer = free & ~op.grid.inside(2 if kind == "local" else 1)  # the free nodes on the rim
+    assert np.all(deficit[outer] > 0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -329,24 +353,19 @@ def edge_ring(shape, g):
     )
 
 
-def test_2d_ghost_ring_and_pinned_sets():
+def test_2d_pinned_sets_are_the_local_hostile_faces():
     domain = box((0.0, 0.0), (1.0, 2.0))
-    grid = build_grid(domain, 0.25, ghost_width=0.5)
-    assert grid.shape == (5 + 4, 9 + 4)
-    ghost = edge_ring(grid.shape, 2)
-    assert np.array_equal(grid.ghost_mask, ghost)
-    # the local hostile closure pins the ghost ring and the box faces
+    grid = build_grid(domain, 0.25)
+    assert grid.shape == (5, 9)
+    # the local hostile closure pins the box faces
     pinned = assemble_local(grid, "dirichlet").constrained
-    assert np.array_equal(pinned, edge_ring(grid.shape, 3))
+    assert np.array_equal(pinned, edge_ring(grid.shape, 1))
     x, y = grid.coordinates
-    on_faces = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 2.0)
-    assert np.array_equal(pinned & ~ghost, on_faces & ~ghost)
-    # the jump operator pins only its ghost ring, the reflecting closure nothing
-    wide = build_grid(domain, 0.25, ghost_width=1.0)
-    jump = assemble_nonlocal(wide, kernel_profile(QUARTIC, 2), 1.0, "dirichlet")
-    assert np.array_equal(jump.constrained, edge_ring(wide.shape, 4))
-    assert np.array_equal(wide.ghost_mask, edge_ring(wide.shape, 4))
-    assert not assemble_local(build_grid(domain, 0.25), "neumann").constrained.any()
+    assert np.array_equal(pinned, (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 2.0))
+    # the jump operator and the reflecting closure pin nothing
+    jump = assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), 1.0, "dirichlet")
+    assert not jump.constrained.any()
+    assert not assemble_local(grid, "neumann").constrained.any()
 
 
 # --------------------------------------------------------------------- #
@@ -422,8 +441,7 @@ def test_stencil_carries_the_exact_second_moment(family, dimension, bc, delta):
     if bc == "periodic":
         grid = build_grid(periodic_cell(edges), h)
     else:
-        ghost_width = delta if bc == "dirichlet" else 0.0
-        grid = build_grid(box((0.0,) * dimension, edges), h, ghost_width=ghost_width)
+        grid = build_grid(box((0.0,) * dimension, edges), h)
     op = assemble_nonlocal(grid, kernel_profile(family, dimension), delta, bc)
     for axis in range(dimension):
         moment = math.fsum(w * (o[axis] * h) ** 2 for o, w in op.offsets)
@@ -535,12 +553,6 @@ def test_assembly_rejects_unresolved_support():
         assemble_nonlocal(grid, QUARTIC_1D, 0.1, "neumann")
 
 
-def test_assembly_rejects_narrow_ghost_band():
-    grid = build_grid(box(0.0, 1.0), 1.0 / 64, ghost_width=0.05)
-    with pytest.raises(ValidationError, match="ghost band too narrow"):
-        assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
-
-
 def test_assembly_rejects_kernel_wider_than_half_the_cell():
     grid = build_grid(periodic_cell(1.0), 1.0 / 64)
     with pytest.raises(ValidationError, match="half the smallest period"):
@@ -553,9 +565,6 @@ def test_assembly_rejects_mismatched_dimensions_and_domains():
         assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), 0.1, "neumann")
     with pytest.raises(ValidationError, match="periodic-cell"):
         assemble_nonlocal(grid, QUARTIC_1D, 0.1, "periodic")
-    ghost_grid = build_grid(box(0.0, 1.0), 1.0 / 64, ghost_width=0.1)
-    with pytest.raises(ValidationError, match="ghost bands are reserved"):
-        assemble_nonlocal(ghost_grid, QUARTIC_1D, 0.1, "neumann")
     with pytest.raises(ValidationError, match="too few nodes"):
         assemble_local(build_grid(box(0.0, 1.0), 1.0), "neumann")
     with pytest.raises(ValidationError, match="boundary condition"):
@@ -582,10 +591,7 @@ def test_sweep_operators_share_one_grid_and_assemble_each_radius_when_reached(bc
     assert deltas == [0.5, 0.25, 0.125] and all(type(d) is float for d in deltas)
     assert local_op.kind == "local" and local_op.bc is BoundaryCondition(bc)
     grid = local_op.grid
-    if bc == "dirichlet":
-        assert grid.ghost_cells * h >= 0.5 > (grid.ghost_cells - 1) * h  # band covers max(deltas)
-    else:
-        assert grid.ghost_cells == 0
+    assert grid.shape == ((256,) if bc == "periodic" else (257,))  # the habitat's nodes only
     assert assembled == deltas  # every radius assembled at once, in order
     for k, op in enumerate(nonlocal_ops):
         assert op.kind == "nonlocal" and op.delta == deltas[k] and op.grid is grid

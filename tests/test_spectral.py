@@ -184,7 +184,7 @@ def test_existence_flag_and_its_threshold_arithmetic():
     # At radius 0.1 the jump rate is C/0.01 = 1400, so the threshold sits
     # near -1400 while the computed rate is near -1: comfortably principal.
     h = math.pi / 128
-    grid = build_grid(box(0.0, math.pi), h, ghost_width=0.1)
+    grid = build_grid(box(0.0, math.pi), h)
     op = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
     pm = PeriodMap(op, constant_coefficient(0.0, period=1.0), 0.02)
     result = principal_value(pm)
