@@ -7,6 +7,15 @@ evolution, principal growth rates of time-periodic linearizations, and
 positive periodic states of saturating growth problems.
 """
 
+import os
+
+# Before numpy loads: OpenBLAS otherwise starts a worker thread per core,
+# whose spinning cost 0.13 s of CPU on a 2-core machine (0.30 against 0.17
+# s for a 2D periodic simulate) and made wall time follow the other
+# processes' load.  The program's dense linear algebra is small and kept
+# out of BLAS.  A caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .coefficients import (
     TimePeriodicCoefficient,
     constant_coefficient,

@@ -1091,6 +1091,29 @@ def test_help_lists_every_experiment():
         assert name in result.stdout
 
 
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_importing_the_package_starts_no_openblas_workers(given, expected):
+    # OpenBLAS's worker threads spin at numpy's import; the package asks for
+    # one thread before numpy loads, unless the caller set a count.
+    script = (
+        "import os, dispersal\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 1\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
+    )
+    package_root = str(Path(dispersal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    count, threads = result.stdout.split()
+    assert count == expected
+    if given is None:
+        assert threads == "1"
+
+
 # --------------------------------------------------------------------- #
 # the benchmark's set-up probe                                           #
 # --------------------------------------------------------------------- #
