@@ -12,8 +12,9 @@ import os
 # Before numpy loads: OpenBLAS otherwise starts a worker thread per core,
 # whose spinning cost 0.13 s of CPU on a 2-core machine (0.30 against 0.17
 # s for a 2D periodic simulate) and made wall time follow the other
-# processes' load.  The program's dense linear algebra is small and kept
-# out of BLAS.  A caller's own setting wins.
+# processes' load.  The program's dense linear algebra (the 1D box step's
+# face system, solved by LAPACK) is small and runs on that one thread.
+# A caller's own setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .coefficients import (

@@ -159,14 +159,13 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc, domain, h, dt = _habitat(cfg)
     t_final = cfg.get_number("t_final")
     period = cfg.get_number("T", default=1.0)
-    reaction_text = cfg.get_str("reaction", default="zero")
-    u0_text = cfg.get_str("u0")
+    reaction = parse_reaction(cfg.get_str("reaction", default="zero"), period)
+    initial = _initial_function(cfg.get_str("u0"), domain)
     snapshots = _count(cfg, "snapshots", 8)
     op = _build_operator(cfg, bc, domain, h)
     cfg.reject_unknown_keys()
 
-    reaction = parse_reaction(reaction_text, period)
-    u0 = field_from_function(op.grid, _initial_function(u0_text, domain))
+    u0 = field_from_function(op.grid, initial)
     trajectory = solve(SemilinearProblem(op, reaction, u0, t_final), dt, snapshots)
 
     index_rows = []
@@ -185,13 +184,12 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
-    coefficient_text = cfg.get_str("coefficient")
+    coefficient = parse_coefficient(cfg.get_str("coefficient"), period)
     tol = cfg.get_number("tol", default=1e-9)
     max_iterations = _count(cfg, "max_iterations", 20000)
     op = _build_operator(cfg, bc, domain, h)
     cfg.reject_unknown_keys()
 
-    coefficient = parse_coefficient(coefficient_text, period)
     period_map = PeriodMap(op, coefficient, dt)
     result = principal_value(period_map, tol=tol, max_iterations=max_iterations)
     flag = "" if result.is_principal_eigenvalue is None else str(int(result.is_principal_eigenvalue))
@@ -215,14 +213,13 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 def _run_kpp_orbit(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
-    growth_text = cfg.get_str("growth")
+    growth = parse_growth(cfg.get_str("growth"), period)
     tol = cfg.get_number("tol", default=1e-8)
     max_periods = _count(cfg, "max_periods", 2000)
     orbit_snapshots = _count(cfg, "orbit_snapshots", 32)
     op = _build_operator(cfg, bc, domain, h)
     cfg.reject_unknown_keys()
 
-    growth = parse_growth(growth_text, period)
     problem = KPPProblem(op, growth, dt)
     check_orbit_options(problem, tol, max_periods, orbit_snapshots)
     invadable, rate = verify_invasion_condition(problem)
@@ -267,13 +264,11 @@ def _run_converge_a(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc, domain, h, dt = _habitat(cfg)
     t_final = cfg.get_number("t_final")
     period = cfg.get_number("T", default=1.0)
-    reaction_text = cfg.get_str("reaction", default="zero")
-    u0_text = cfg.get_str("u0")
+    reaction = parse_reaction(cfg.get_str("reaction", default="zero"), period)
+    u0 = _initial_function(cfg.get_str("u0"), domain)
     snapshots = _count(cfg, "snapshots", 8)
     profile, deltas = _sweep_keys(cfg, domain)
 
-    reaction = parse_reaction(reaction_text, period)
-    u0 = _initial_function(u0_text, domain)
     report = solution_convergence_experiment(
         domain, bc, profile, reaction, u0, t_final, deltas, h, dt, snapshots=snapshots
     )
@@ -283,11 +278,10 @@ def _run_converge_a(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 def _run_converge_b(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
-    coefficient_text = cfg.get_str("coefficient")
+    coefficient = parse_coefficient(cfg.get_str("coefficient"), period)
     tol = cfg.get_number("tol", default=1e-9)
     profile, deltas = _sweep_keys(cfg, domain)
 
-    coefficient = parse_coefficient(coefficient_text, period)
     report = spectrum_convergence_experiment(
         domain, bc, coefficient, profile, deltas, h, dt, tol=tol
     )
@@ -297,12 +291,11 @@ def _run_converge_b(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
 def _run_converge_c(cfg: ExperimentConfig, out_dir: Path) -> list[str]:
     bc, domain, h, dt = _habitat(cfg)
     period = cfg.get_number("T")
-    growth_text = cfg.get_str("growth")
+    growth = parse_growth(cfg.get_str("growth"), period)
     tol = cfg.get_number("tol", default=1e-8)
     snapshots = _count(cfg, "orbit_snapshots", 32)
     profile, deltas = _sweep_keys(cfg, domain)
 
-    growth = parse_growth(growth_text, period)
     report = orbit_convergence_experiment(
         domain, bc, growth, profile, deltas, h, dt, tol=tol, snapshots_per_period=snapshots
     )

@@ -271,10 +271,7 @@ class _FourierStep(LinearStep):
     step is applied to the carried spectrum; without one, the right-hand
     side ``u + c f`` is formed in real space and transformed once, which
     costs the same single transform as transforming ``f`` and rounds
-    ``b`` exactly as the real-space formula does.  Both norms are
-    ``einsum`` reductions: a BLAS dot product hands large vectors to its
-    worker threads, which can cost milliseconds per call on a loaded
-    machine.
+    ``b`` exactly as the real-space formula does.
     """
 
     _per_operator = ("_pinned", "_symbol", "_eig")
@@ -368,7 +365,8 @@ class _CapacitanceStep(_BoxStep):
     with the gain ``G = Q^-1 (E P^-1)_F`` and the capacitance matrix
     ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is one ``k x m`` product
     and one FFT pair, twice on the stiff steps that need a refinement step
-    (see ``__init__``); ``E P^-1`` takes ``k`` batched transforms at set-up.
+    (see ``__init__``); ``E P^-1`` takes ``k`` batched transforms at set-up,
+    and ``G`` one LAPACK solve with ``Q``, which is never inverted.
 
     ``m`` and ``L`` come from the grid alone, so one FFT pair serves every
     operator's rows and a row is solved bitwise as its operator's step
@@ -409,16 +407,16 @@ class _CapacitanceStep(_BoxStep):
             EP = np.fft.irfft(np.fft.rfft(E) / np.conj(eig), length)  # rows of E P^-1
             capacitance = np.eye(faces.size) + EP[:, faces]
             self._faces.append(faces)
-            self._gain.append(np.einsum("ij,jk->ik", _inverse(capacitance), EP[:, :m]))
+            self._gain.append(np.linalg.solve(capacitance, EP[:, :m]))
             del face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
         self._pins = bool(np.any(self._pinned))
 
         # The correction cancels modes of P that M lacks (the constant mode
         # under a hostile exterior); on stiff steps the cancellation loses
-        # digits (relative residual 4e-10 at scale * sum(w) = 1.3e6), which
-        # one step of iterative refinement restores.  A probe solve decides
-        # for each operator: refine where one step removes most of a
-        # residual above 1e-13.
+        # digits (relative residual 1.5e-10 at scale * sum(w) = 1.3e8, local
+        # closure, h = 1/256), which one step of iterative refinement
+        # restores.  A probe solve decides for each operator: refine where
+        # one step removes most of a residual above 1e-13.
         probe = self.pin(np.tile(1.0 + np.cos(np.arange(m)), (len(ops), 1)))
         x = self._solve(probe)
         before = _row_norms(self._residual(probe, x))
@@ -461,7 +459,7 @@ class _CapacitanceStep(_BoxStep):
         y[:, :m] = b
         gains = zip(self._each(self._faces, b), self._each(self._gain, b))
         for row, values, (faces, gain) in zip(y, b, gains):
-            row[faces] -= np.einsum("ij,j->i", gain, values)
+            row[faces] -= gain @ values
         x = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m].copy()
         return self.pin(x) if self._pins else x
 
@@ -509,7 +507,7 @@ class _MatrixStep(_BoxStep):
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # einsum, not a BLAS dot product, which hands long rows to worker threads
+    # einsum sums each row's squares without a squared temporary
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
@@ -528,33 +526,6 @@ def _fft_length(n: int) -> int:
         if rest == 1:
             return length
         length += 1
-
-
-def _inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a small dense matrix by Gauss-Jordan elimination with row pivoting.
-
-    Written in numpy ufuncs rather than ``np.linalg``: numpy's OpenBLAS
-    hands a LAPACK solve of this size (about a hundred rows) to its worker
-    threads, which took 16-120 ms per call on a loaded 2-core machine,
-    against a few milliseconds here.
-    """
-    a = np.array(matrix, dtype=float)
-    swaps = []
-    for j in range(len(a)):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            swaps.append((j, p))
-        pivot = a[j, j]
-        factors = a[:, j].copy()
-        factors[j] = 0.0
-        a[:, j] = 0.0
-        a[j, j] = 1.0
-        a[j] /= pivot
-        a -= np.multiply.outer(factors, a[j])
-    for j, p in reversed(swaps):  # undo the row exchanges on the columns
-        a[:, [j, p]] = a[:, [p, j]]
-    return a
 
 
 def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:

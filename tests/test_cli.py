@@ -737,9 +737,17 @@ def test_a_non_finite_tolerance_exits_2_before_any_work(tmp_path, capsys):
             dict(bc="periodic", period="2*pi", h="2*pi/64", dt="0.05", T="1", delta="0.5",
                  coefficient="const(inf)"),
         ),
+        ("kpp-orbit", dict(KPP_ORBIT_KEYS, growth="logistic(const(nan))")),
     ],
 )
-def test_a_non_finite_catalog_parameter_exits_2_before_writing(tmp_path, capsys, command, keys):
+def test_a_non_finite_catalog_parameter_exits_2_before_writing(
+    tmp_path, capsys, monkeypatch, command, keys
+):
+    # Catalog entries are read before the grid is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built for a rejected catalog entry")
+
+    monkeypatch.setattr(cli, "build_grid", refuse)
     cfg = write_config(tmp_path, "x.cfg", **keys)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "not finite" in capsys.readouterr().err

@@ -204,6 +204,8 @@ BOX_STEP_CASES = {
     "pinned local faces": ("dirichlet", "local", 1.0 / 256, None, 255, 15),
     "face bands overlap, reflecting": ("neumann", "nonlocal", 0.1, 0.65, 11, 1),
     "face bands overlap, pinned": ("dirichlet", "nonlocal", 0.1, 0.65, 11, 1),
+    "wide kernel, reflecting": ("neumann", "nonlocal", 1.0 / 1024, 0.2, 1025, 55),
+    "wide kernel, pinned": ("dirichlet", "nonlocal", 1.0 / 1024, 0.2, 1025, 55),
 }
 
 
@@ -236,12 +238,14 @@ def test_one_dimensional_box_solves_are_exact_and_keep_solved_warm_starts(case, 
     assert np.all(step.solve(np.zeros_like(b), x) == 0.0)
 
 
-@pytest.mark.parametrize("scale", [10.0, 100.0])
+@pytest.mark.parametrize("scale", [10.0, 100.0, 1e4, 1e5])
 @pytest.mark.parametrize("case", [c for c, (bc, *_) in BOX_STEP_CASES.items() if bc == "dirichlet"])
 def test_stiff_pinned_box_solves_stay_exact(case, scale):
     # Under a hostile exterior the correction cancels the circulant's
     # constant mode; without a refinement step the local closure's residual
-    # reached 4e-10 |b| at scale 10 (scale * sum(w) = 1.3e6).
+    # reached 4e-10 |b| at scale 10 (scale * sum(w) = 1.3e6).  An explicit
+    # inverse of the capacitance matrix, applied afterwards, reached 2.5e-6
+    # |b| at scale 1e5 (scale * sum(w) = 1.3e11).
     op = box_step_operator(*BOX_STEP_CASES[case][:4])
     b = np.random.default_rng(13).uniform(-1.0, 1.0, op.grid.num_nodes)
     b[op.constrained] = 0.0
@@ -275,11 +279,11 @@ def test_a_batched_box_step_solves_each_row_as_its_operator_alone():
         box(0.0, 1.0), "dirichlet", QUARTIC_1D, [0.5, 0.25], 1.0 / 64
     )
     ops = [local_op, *nonlocal_ops]
-    step = evolution.linear_step(ops, 1.0)
+    step = evolution.linear_step(ops, 100.0)
     assert step._refine.tolist() == [True, False, False]
     rows = step.pin(np.random.default_rng(5).uniform(-1.0, 1.0, (3, local_op.grid.num_nodes)))
     for op, row, got in zip(ops, rows, step.crank_nicolson(rows)):
-        alone = evolution.linear_step(op, 1.0)
+        alone = evolution.linear_step(op, 100.0)
         assert alone._length == step._length
         assert np.array_equal(got, alone.crank_nicolson(row[None])[0])
 
