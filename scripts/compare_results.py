@@ -51,12 +51,15 @@ def _shifts(columns) -> list[tuple[str, float, float]]:
     return shifts
 
 
-def column_shifts(old: Path, new: Path) -> list[tuple[str, float, float]] | None:
-    """Shifts per numeric CSV column; ``None`` if the headers or row counts differ."""
+def column_shifts(old: Path, new: Path) -> list[tuple[str, float, float]] | str:
+    """Shifts per numeric CSV column, or why the files cannot be paired: the headers
+    differ, or the row counts (``rows 257 -> 256``)."""
     header, rows = read_csv_table(old)
     new_header, new_rows = read_csv_table(new)
-    if new_header != header or len(new_rows) != len(rows):
-        return None
+    if new_header != header:
+        return "header differs"
+    if len(new_rows) != len(rows):
+        return f"rows {len(rows)} -> {len(new_rows)}"
     return _shifts(
         (name, [(a[j], b[j]) for a, b in zip(rows, new_rows)]) for j, name in enumerate(header)
     )
@@ -78,14 +81,14 @@ def _outcome_columns(path: Path) -> dict[str, list[str]]:
     return columns
 
 
-def outcome_shifts(old: Path, new: Path) -> list[tuple[str, float, float]] | None:
-    """Shifts per numeric outcome line of two ``run.txt`` files; ``None`` if the lines differ
-    in name or length."""
+def outcome_shifts(old: Path, new: Path) -> list[tuple[str, float, float]] | str:
+    """Shifts per numeric outcome line of two ``run.txt`` files, or ``"outcome lines differ"``
+    if they differ in name or length."""
     old_columns, new_columns = _outcome_columns(old), _outcome_columns(new)
     if old_columns.keys() != new_columns.keys() or any(
         len(cells) != len(new_columns[key]) for key, cells in old_columns.items()
     ):
-        return None
+        return "outcome lines differ"
     return _shifts((key, list(zip(cells, new_columns[key]))) for key, cells in old_columns.items())
 
 
@@ -101,13 +104,13 @@ def main(argv: list[str]) -> int:
     old_files, new_files = _files(old), _files(new)
     for path in sorted(old_files & new_files):
         if path.suffix == ".csv":
-            shifts, differs = column_shifts(old / path, new / path), "header or row count differs"
+            shifts = column_shifts(old / path, new / path)
         elif path.name == "run.txt":
-            shifts, differs = outcome_shifts(old / path, new / path), "outcome lines differ"
+            shifts = outcome_shifts(old / path, new / path)
         else:
             continue
-        if shifts is None:
-            print(f"{path}: {differs}")
+        if isinstance(shifts, str):
+            print(f"{path}: {shifts}")
             continue
         print(path)
         for name, shift, relative in shifts:

@@ -57,8 +57,18 @@ class TimePeriodicCoefficient:
     description: str
 
     def __post_init__(self):
-        if self.period <= 0.0:
-            raise ValidationError(f"coefficient period must be positive, got {self.period}")
+        _check_period(self.period)
+
+
+def _check_period(period: float) -> None:
+    if period <= 0.0:
+        raise ValidationError(f"the coefficient period T must be positive, got {period!r}")
+
+
+def _angular_frequency(period: float) -> float:
+    """``2 pi / period``, checked first so that ``T = 0`` is refused, not divided by."""
+    _check_period(period)
+    return 2.0 * math.pi / period
 
 
 def constant_coefficient(c: float, period: float = 1.0) -> TimePeriodicCoefficient:
@@ -73,7 +83,7 @@ def constant_coefficient(c: float, period: float = 1.0) -> TimePeriodicCoefficie
 
 def time_sine(c0: float, c1: float, period: float) -> TimePeriodicCoefficient:
     c0, c1, period = float(c0), float(c1), float(period)
-    omega = 2.0 * math.pi / period
+    omega = _angular_frequency(period)
 
     def evaluate(t, coords):
         return np.full_like(coords[0], c0 + c1 * math.sin(omega * _phase(t, period)))
@@ -121,7 +131,7 @@ def space_cosine(c0: float, c1: float, k: float, period: float = 1.0) -> TimePer
 def time_space_product(c0: float, c1: float, k: float, period: float) -> TimePeriodicCoefficient:
     """``c0 + c1 sin(2 pi t / T) cos(k x)`` — oscillates in both arguments."""
     c0, c1, k, period = float(c0), float(c1), float(k), float(period)
-    omega = 2.0 * math.pi / period
+    omega = _angular_frequency(period)
     cosine = _cosine_factor(k)
 
     def evaluate(t, coords):

@@ -717,6 +717,36 @@ def test_impossible_counts_and_tolerances_exit_2(tmp_path, capsys, command, keys
     assert not (tmp_path / "o" / "run.txt").exists()
 
 
+SPECTRUM_KEYS = dict(
+    bc="periodic", period="2*pi", h="2*pi/32", dt="1/16", T="1", kind="local", coefficient="const(1)"
+)
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("simulate", dict(SIMULATE_KEYS, reaction="linear(time-sine(1,0.5))")),
+        ("spectrum", dict(SPECTRUM_KEYS, coefficient="time-sine(1,0.5)")),
+        ("kpp-orbit", dict(KPP_ORBIT_KEYS, growth="logistic(tx-product(1,0.5,1))")),
+        ("converge-a", dict(CONVERGE_A_KEYS, reaction="logistic(tx-product(1,0.5,1))")),
+        ("converge-b", dict(CONVERGE_A_KEYS, T="1", coefficient="time-sine(1,0.5)", t_final=None, u0=None)),
+        ("converge-c", dict(CONVERGE_C_KEYS, growth="logistic(time-sine(1,0.5))")),
+    ],
+)
+def test_a_zero_period_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, command, keys):
+    # 2 pi / T used to be formed before the period was checked: exit 1
+    # with a ZeroDivisionError traceback.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "build_grid", refuse)
+    monkeypatch.setattr(dispersal.operators, "build_grid", refuse)
+    keys = {key: value for key, value in dict(keys, T="0").items() if value is not None}
+    cfg = write_config(tmp_path, "x.cfg", **keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "period T must be positive, got 0.0" in capsys.readouterr().err
+
+
 def test_a_non_finite_tolerance_exits_2_before_any_work(tmp_path, capsys):
     # tol = inf would stop the power iteration after two iterations and
     # write an unconverged rate as the result.

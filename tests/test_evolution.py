@@ -25,6 +25,7 @@ from dispersal import (
     constant_coefficient,
     field_from_function,
     kernel_profile,
+    logistic_reaction,
     parse_coefficient,
     parse_growth,
     parse_reaction,
@@ -531,6 +532,18 @@ def test_a_source_term_leaves_pinned_nodes_at_zero(dim, kind):
     final = run.states[-1].values
     assert np.all(final[op.constrained] == 0.0)
     assert np.all(final[~op.constrained] > 0.0)
+
+
+def test_the_logistic_law_is_u_times_a_minus_u():
+    # Checked against the law itself, so a change of it as small as a
+    # factor 1 + 1e-6 fails here and not only in the pinned samples.
+    grid = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 32)
+    a = parse_coefficient("tx-product(1,0.5,1)", 1.0)
+    u = np.random.default_rng(3).uniform(0.0, 2.0, (2, grid.num_nodes))
+    for t in (0.0, 0.3, 0.75):
+        expected = u * (a.evaluate(t, grid.coordinates) - u)
+        got = logistic_reaction(a).evaluate(t, grid.coordinates, u)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_unknown_reaction_text_is_rejected():

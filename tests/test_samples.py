@@ -106,6 +106,8 @@ def test_compare_results_reports_a_known_shift(tmp_path, capsys):
     (old / "gone.csv").write_text("x\n1.0\n")
     (old / "short.csv").write_text("x\n1.0\n2.0\n")
     (new / "short.csv").write_text("x\n1.0\n")
+    (old / "renamed.csv").write_text("x\n1.0\n")
+    (new / "renamed.csv").write_text("y\n1.0\n")
     (new / "sweep" / "run.txt").write_text("h = 0.01\n")
     for root, order, low, h in ((old, "2.0", "0.5", "0.01"), (new, "2.5", "0.25", "0.02")):
         (root / "trace").mkdir()
@@ -116,9 +118,9 @@ def test_compare_results_reports_a_known_shift(tmp_path, capsys):
         )
     assert _compare_results().main(["compare_results.py", str(old), str(new)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["short.csv: header or row count differs", "sweep/report.csv"]
+    assert lines[:3] == ["renamed.csv: header differs", "short.csv: rows 2 -> 1", "sweep/report.csv"]
     # name, "max shift", shift, "relative", relative
-    rows = [line.strip().rsplit(maxsplit=5) for line in lines[2:5] + lines[6:9]]
+    rows = [line.strip().rsplit(maxsplit=5) for line in lines[3:6] + lines[7:10]]
     shifts = {row[0]: (row[3], row[5]) for row in rows}
     assert shifts == {
         "delta": ("0.000e+00", "0.000e+00"),
@@ -128,5 +130,5 @@ def test_compare_results_reports_a_known_shift(tmp_path, capsys):
         "interior minimum[0]": ("2.500e-01", "5.000e-01"),
         "interior minimum[1]": ("0.000e+00", "0.000e+00"),
     }
-    assert lines[5] == "trace/run.txt"  # the row count and the config lines are not compared
-    assert lines[9:] == ["only in OLD: gone.csv", "only in NEW: sweep/run.txt"]
+    assert lines[6] == "trace/run.txt"  # the row count and the config lines are not compared
+    assert lines[10:] == ["only in OLD: gone.csv", "only in NEW: sweep/run.txt"]
