@@ -132,7 +132,9 @@ def same_grid(a: Grid, b: Grid) -> bool:
 def build_grid(domain: Domain, h: float, ghost_width: float = 0.0) -> Grid:
     """Sample ``domain`` at spacing ``h``.
 
-    Node coordinates are ``lower + i*h`` exactly, so identical inputs
+    A periodic cell has a node at ``i*h``; a box has one node per cell, at
+    its centre ``lower + (i + 1/2)*h``, so no node lies on a face.  The
+    coordinates are computed the same way every time, so identical inputs
     reproduce identical grids bit for bit.  ``ghost_width`` is ignored: box
     grids hold no nodes outside the box, and the keyword stays only for
     callers that still pass it.
@@ -143,8 +145,8 @@ def build_grid(domain: Domain, h: float, ghost_width: float = 0.0) -> Grid:
         shape = tuple(_axis_cells(p, h, "period") for p in domain.periods)
         axes = tuple(np.arange(n) * h for n in shape)
     else:
-        shape = tuple(_axis_cells(e, h, "edge length") + 1 for e in domain.edges)
-        axes = tuple(lo + np.arange(n) * h for lo, n in zip(domain.lower, shape))
+        shape = tuple(_axis_cells(e, h, "edge length") for e in domain.edges)
+        axes = tuple(lo + (np.arange(n) + 0.5) * h for lo, n in zip(domain.lower, shape))
     mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
     coordinates = tuple(m.ravel() for m in mesh)
     return Grid(domain, float(h), shape, coordinates)

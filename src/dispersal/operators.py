@@ -106,25 +106,40 @@ class DispersalOperator:
         """Weight of the extra inward entry on each face of the reflecting local closure."""
         return 1.0 / (self.grid.h * self.grid.h)
 
+    @property
+    def exterior_charge(self) -> int:
+        """How many times a row's loss counts each of its jumps out of the box.
+
+        Reflecting closures (``neumann``) count none: the node keeps only
+        the jumps that stay in the box.  The hostile jump operator counts
+        each once (``u = 0`` off the box), and so does a periodic closure,
+        where no jump leaves.  The hostile local Laplacian counts each
+        twice: its face cell reads the ghost value ``-u`` across the face.
+        """
+        if self.bc is BoundaryCondition.NEUMANN:
+            return 0
+        return 2 if self.bc is BoundaryCondition.DIRICHLET and self.kind == LOCAL else 1
+
     def diagonal(self) -> np.ndarray:
-        """Diagonal of the action; only the reflecting closure reads the stencil table."""
-        table = self._table() if self.bc is BoundaryCondition.NEUMANN else None
+        """Diagonal of the action; the stencil table is read unless every jump counts once."""
+        table = self._table() if self.exterior_charge != 1 else None
         return self._diagonal(self.constrained, table)
 
     def _diagonal(self, pinned, table) -> np.ndarray:
         """Minus each row's loss rate, ``0.0`` where ``pinned``.
 
-        The rate is ``sum_o w_o`` (a hostile box loses the jumps that leave
-        it too), but a reflecting closure sums each ``table`` row's
-        in-habitat weights in entry order.
+        The rate is ``sum_o w_o`` where the whole stencil lies in the
+        habitat, and wherever :attr:`exterior_charge` is 1.  Otherwise each
+        ``table`` row sums its in-habitat weights and its out-of-box ones
+        times the charge, in entry order.
         """
         loss = np.full(len(pinned), self.total_weight())  # the same sum, where all are in
-        if self.bc is BoundaryCondition.NEUMANN:
+        if self.exterior_charge != 1:
             _, inside, weights, entries, _ = table
             flags = inside[:, entries]
             partial = ~flags.all(axis=1)
-            kept = np.where(flags[partial], weights[entries], 0.0)
-            loss[partial] = np.cumsum(kept, axis=1)[:, -1]
+            charged = np.where(flags[partial], 1.0, float(self.exterior_charge)) * weights[entries]
+            loss[partial] = np.cumsum(charged, axis=1)[:, -1]
         return 0.0 - np.where(pinned, 0.0, loss)
 
     def total_weight(self) -> float:
@@ -316,9 +331,10 @@ def assemble_nonlocal(
 def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
     """Assemble the second-order central-difference Laplacian on ``grid``.
 
-    The hostile-exterior closure pins the box boundary nodes to zero; the
-    reflecting closure mirrors the stencil at the faces; the periodic
-    closure wraps.
+    On a box it is the finite-volume Laplacian of the cells: the reflecting
+    closure drops a face cell's flux through the face, the hostile one
+    reads the ghost value ``-u`` across it (see :attr:`exterior_charge`);
+    the periodic closure wraps.
     """
     bc = parse_boundary_condition(bc)
     _require_domain(grid, bc)
@@ -332,8 +348,7 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
         bc=bc,
         grid=grid,
         offsets=tuple(offsets),
-        constrained=~grid.inside(1 if bc is BoundaryCondition.DIRICHLET else 0),
-        mirror=(bc is BoundaryCondition.NEUMANN),
+        constrained=np.zeros(grid.num_nodes, dtype=bool),
     )
 
 

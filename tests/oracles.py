@@ -40,14 +40,15 @@ from dispersal.spectral import PeriodMap, principal_value
 
 
 def reference_batches(op: DispersalOperator):
-    """Yield ``(rows, cols, weight)`` per stencil entry, placed apart from the operator.
+    """Yield ``(rows, cols, weight)`` per stencil offset, placed apart from the operator.
 
     Each offset by ``np.roll`` of the node numbers on cells and by slices
     clipped at the faces on boxes, where under the hostile closure the
     nodes whose jump leaves the box land on the exterior, column
-    ``num_nodes``, which :func:`difference_action` holds at zero; then, for
-    the reflecting local closure, each face layer coupled once more to the
-    layer inside it.
+    ``num_nodes``, which :func:`difference_action` holds at zero.  The
+    local hostile Laplacian reads the ghost value ``-u`` there instead:
+    ``w (-u - u) = 2 w (0 - u)``, so such a jump carries twice its weight
+    (an array over ``rows``).
     """
     shape = op.grid.shape
     index = np.arange(op.grid.num_nodes).reshape(shape)
@@ -61,29 +62,25 @@ def reference_batches(op: DispersalOperator):
         if op.bc is BoundaryCondition.DIRICHLET:
             reached = np.full(shape, op.grid.num_nodes)  # the exterior
             reached[rows] = index[cols]
-            yield index.ravel(), reached.ravel(), weight
+            ghost = op.kind == LOCAL and reached.ravel() == op.grid.num_nodes
+            yield index.ravel(), reached.ravel(), np.where(ghost, 2.0 * weight, weight)
         else:
             yield index[rows].ravel(), index[cols].ravel(), weight
-    if op.mirror:
-        for axis, n in enumerate(shape):
-            for face, inward in ((0, 1), (n - 1, n - 2)):
-                rows, cols = np.take(index, face, axis), np.take(index, inward, axis)
-                yield rows.ravel(), cols.ravel(), op.mirror_weight
 
 
 def difference_action(op: DispersalOperator, values) -> np.ndarray:
     """``sum_o w_o (u_{i+o} - u_i)`` on a flat nodal array, from :func:`reference_batches`.
 
-    Pinned values and the exterior of a hostile box are read as zero, and
-    pinned rows are zero.  Each node sums its terms in the order of the
-    offsets, then the mirror entries, so constants annihilate bitwise under
+    The exterior of a hostile box is read as zero (as ``-u`` by the local
+    Laplacian, through its doubled weight).  Each node sums its terms in
+    the order of the offsets, so constants annihilate bitwise under
     reflecting and wrapping closures.
     """
-    u = np.append(np.where(op.constrained, 0.0, np.asarray(values, dtype=float)), 0.0)
+    u = np.append(np.asarray(values, dtype=float), 0.0)
     action = np.zeros(op.grid.num_nodes)
     for rows, cols, weight in reference_batches(op):
         action[rows] += weight * (u[cols] - u[rows])
-    return np.where(op.constrained, 0.0, action)
+    return action
 
 
 # ---------------------------------------------------------------------- #

@@ -154,7 +154,7 @@ def test_spectrum_writes_rate_and_eigenfunction(tmp_path):
     assert abs(float(rows[0][0]) - 0.35) <= 1e-8
     assert rows[0][3] == "1"
     _, nodes = read_csv_table(out / "eigenfunction.csv")
-    assert len(nodes) == 33
+    assert len(nodes) == 32  # one node per cell
 
 
 def test_kpp_orbit_writes_the_orbit_table(tmp_path, capsys):
@@ -174,7 +174,7 @@ def test_kpp_orbit_writes_the_orbit_table(tmp_path, capsys):
     assert main(["kpp-orbit", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = read_csv_table(out / "orbit.csv")
     assert header == ["t", "x", "value"]
-    assert len(rows) == 32 * 33  # snapshots x nodes
+    assert len(rows) == 32 * 32  # snapshots x nodes
     assert all(abs(float(r[2]) - 1.0) <= 1e-6 for r in rows[:40])
     assert "interior minimum" in capsys.readouterr().out
 
@@ -252,11 +252,11 @@ def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp
     assert header == ["delta", "sup_gap", "h2_delta_lambda", "h2_delta_ok"]
     assert [(r[0], r[1], r[3]) for r in rows] == [("0.4", "nan", "0"), ("0.2", "nan", "0")]
     rates = [float(r[2]) for r in rows]
-    assert rates == pytest.approx([-0.05721590998712814, -0.059613634399548004], abs=1e-8)
+    assert rates == pytest.approx([-0.061203511950350516, -0.06359453854643207], abs=1e-8)
     meta = _record_meta(out)
-    assert float(meta["local_rate"]) == pytest.approx(0.7254522458305319, abs=1e-8)
+    assert float(meta["local_rate"]) == pytest.approx(0.7254522457483378, abs=1e-8)
     # the reference's own record: its sub bracket breaches its order
-    assert float(meta["max_monotone_violation"]) == pytest.approx(9.2085e-05, rel=1e-4)
+    assert float(meta["max_monotone_violation"]) == pytest.approx(9.1867e-05, rel=1e-4)
 
 
 def test_two_dimensional_converge_a_follows_each_radius_sine_mode_oracle(tmp_path):
@@ -356,8 +356,9 @@ def test_two_dimensional_periodic_run_follows_the_sine_mode_oracle(tmp_path, fam
 
 
 def test_two_dimensional_dirichlet_box_run_follows_the_sine_mode_oracle(tmp_path):
-    # The product of sines is an eigenvector of the 5-point Laplacian with
-    # pinned faces, eigenvalue -(8/h^2) sin^2(h/2); 2D boxes solve by CG.
+    # The product of sines at the cell centres is an eigenvector of the
+    # finite-volume Laplacian with ghost values -u across the faces,
+    # eigenvalue -(8/h^2) sin^2(h/2); 2D boxes solve by CG.
     nodes, dt, steps = 16, 0.05, 5
     cfg = write_config(
         tmp_path,
@@ -380,7 +381,7 @@ def test_two_dimensional_dirichlet_box_run_follows_the_sine_mode_oracle(tmp_path
     s = dt / 2.0
     factor = ((1.0 + s * lam) / (1.0 - s * lam)) ** steps
     header, rows = read_csv_table(out / "snapshot_001.csv")
-    assert header == ["x", "y", "value"] and len(rows) == (nodes + 1) ** 2
+    assert header == ["x", "y", "value"] and len(rows) == nodes**2
     x, y, value = np.array(rows, dtype=float).T
     # each CG solve stops at relative residual 1e-10
     assert np.max(np.abs(value - factor * np.sin(x) * np.sin(y))) <= 1e-10
@@ -408,20 +409,20 @@ def _two_dimensional_neumann_run(tmp_path, **keys):
     assert len(index) == 6
     for _, time, name in index:
         header, rows = read_csv_table(out / name)
-        assert header == ["x", "y", "value"] and len(rows) == 17**2
+        assert header == ["x", "y", "value"] and len(rows) == 16**2
         yield float(time), np.array(rows, dtype=float).T
 
 
 def test_two_dimensional_neumann_box_run_follows_the_cosine_mode_oracle(tmp_path):
-    # cos x is an eigenvector of the 5-point Laplacian with mirrored faces,
-    # eigenvalue -(4/h^2) sin^2(h/2); the mirrored closure solves by BiCGSTAB.
+    # cos x at the cell centres is an eigenvector of the finite-volume
+    # Neumann Laplacian, eigenvalue -(4/h^2) sin^2(h/2); CG solves it.
     h, dt = np.pi / 16, 0.05
     lam = -(4.0 / h**2) * np.sin(h / 2.0) ** 2
     s = dt / 2.0
     runs = _two_dimensional_neumann_run(tmp_path, kind="local", u0="cosine-mode(1)")
     for time, (x, _, value) in runs:
         factor = ((1.0 + s * lam) / (1.0 - s * lam)) ** round(time / dt)
-        # each BiCGSTAB solve stops at relative residual 1e-10
+        # each CG solve stops at relative residual 1e-10
         assert np.max(np.abs(value - factor * np.cos(x))) <= 1e-9
     assert factor < 1.0 - 1e-2  # the mode decays visibly over the run
 
@@ -450,20 +451,22 @@ def test_poly_bump_starts_as_the_face_vanishing_product(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = read_csv_table(out / "snapshot_000.csv")
-    assert header == ["x", "y", "value"] and len(rows) == 9 * 17
+    assert header == ["x", "y", "value"] and len(rows) == 8 * 16
     x, y, value = np.array(rows, dtype=float).T
     expected = (x * (1.0 - x)) ** 2 * ((y + 1.0) * (1.0 - y)) ** 2
     assert np.max(np.abs(value - expected)) <= 1e-15
-    faces = (x == 0.0) | (x == 1.0) | (y == -1.0) | (y == 1.0)
-    assert np.count_nonzero(faces) == 2 * (9 + 17) - 4
-    assert np.all(value[faces] == 0.0) and np.all(value[~faces] > 0.0)
+    # no cell centre lies on a face, so the start is positive everywhere and
+    # smallest at the four corner cells, half a cell in from two faces
+    assert np.all(value > 0.0)
+    corners = (np.minimum(x, 1.0 - x) == 1 / 16) & (np.minimum(y + 1.0, 1.0 - y) == 1 / 16)
+    assert np.count_nonzero(corners) == 4 and np.all(value[corners] == value.min())
 
 
 @pytest.mark.parametrize("kind", ["nonlocal", "local"])
 def test_two_dimensional_kpp_orbit_of_a_flat_law_is_one(tmp_path, kind):
     # u = 1 is the periodic state of the autonomous logistic law on a
-    # reflecting box; the brackets reach it by CG (nonlocal) and BiCGSTAB
-    # (the mirrored local closure), each to its 1e-8 tolerance.
+    # reflecting box; the brackets reach it by CG, each to its 1e-8
+    # tolerance.
     keys = dict(delta="1/2") if kind == "nonlocal" else {}
     cfg = write_config(
         tmp_path,
@@ -486,7 +489,7 @@ def test_two_dimensional_kpp_orbit_of_a_flat_law_is_one(tmp_path, kind):
     rate = record.split("# linearized growth rate at zero: ", 1)[1].split("\n", 1)[0]
     assert abs(float(rate) - 1.0) <= 1e-8
     header, rows = read_csv_table(out / "orbit.csv")
-    assert header == ["t", "x", "y", "value"] and len(rows) == 4 * 9**2
+    assert header == ["t", "x", "y", "value"] and len(rows) == 4 * 8**2
     assert max(abs(float(r[3]) - 1.0) for r in rows) <= 10 * 1e-8
 
 
@@ -529,8 +532,8 @@ TWO_DIMENSIONAL_NEUMANN_SWEEP_KEYS = dict(
 
 def test_two_dimensional_converge_a_of_a_constant_has_no_error(tmp_path, monkeypatch):
     # Every reflecting operator keeps a constant constant, so each radius
-    # and the reference follow one logistic ODE; the nonlocal runs solve
-    # by CG and the mirrored local reference by BiCGSTAB.
+    # and the reference follow one logistic ODE; every box matrix is
+    # symmetric, so CG solves them all and BiCGSTAB is never called.
     calls = {"cg": 0, "bicgstab": 0}
     for name in calls:
         solver = getattr(evolution, name)
@@ -556,7 +559,7 @@ def test_two_dimensional_converge_a_of_a_constant_has_no_error(tmp_path, monkeyp
     assert [float(r[0]) for r in rows] == [1.0, 0.5]
     assert all(float(r[1]) <= 1e-9 for r in rows)
     assert float(_record_meta(out)["min_nodal_value"]) == 0.5
-    assert calls["cg"] > 0 and calls["bicgstab"] > 0
+    assert calls["cg"] > 0 and calls["bicgstab"] == 0
 
 
 def test_two_dimensional_converge_c_of_a_flat_law_has_no_gap(tmp_path):
@@ -617,7 +620,7 @@ def test_two_dimensional_nonlocal_dirichlet_box_run_matches_dense_steps(tmp_path
     for _ in range(steps):
         u = np.linalg.solve(eye - sA, (eye + sA) @ u)
     header, rows = read_csv_table(out / "snapshot_001.csv")
-    assert header == ["x", "y", "value"] and len(rows) == 17**2
+    assert header == ["x", "y", "value"] and len(rows) == 16**2
     value = np.array(rows, dtype=float)[:, 2]
     # each CG solve stops at relative residual 1e-10
     assert np.max(np.abs(value - u)) <= 1e-9

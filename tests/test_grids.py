@@ -21,10 +21,10 @@ from dispersal import (
 from oracles import constant_field, read_field_csv
 
 
-def test_interval_node_count_and_coordinates():
+def test_interval_nodes_sit_at_cell_centres():
     grid = build_grid(box(0.0, 1.0), 0.25)
-    assert grid.num_nodes == 5
-    np.testing.assert_allclose(grid.coordinates[0], [0.0, 0.25, 0.5, 0.75, 1.0], atol=0.0)
+    assert grid.num_nodes == 4  # one node per cell, none on a face
+    np.testing.assert_allclose(grid.coordinates[0], [0.125, 0.375, 0.625, 0.875], atol=0.0)
 
 
 def test_periodic_cell_identifies_the_wrap_node():
@@ -58,11 +58,13 @@ def test_build_grid_is_bitwise_deterministic():
 
 def test_two_dimensional_grid_layout():
     grid = build_grid(box((0.0, 0.0), (1.0, 2.0)), 0.5)
-    assert grid.shape == (3, 5)
-    assert grid.num_nodes == 15
+    assert grid.shape == (2, 4)
+    assert grid.num_nodes == 8
     # C-order flattening: the second axis varies fastest.
-    np.testing.assert_allclose(grid.coordinates[0][:5], np.zeros(5), atol=0.0)
-    np.testing.assert_allclose(grid.coordinates[1][:5], [0.0, 0.5, 1.0, 1.5, 2.0], atol=0.0)
+    np.testing.assert_allclose(grid.coordinates[0][:4], np.full(4, 0.25), atol=0.0)
+    np.testing.assert_allclose(grid.coordinates[1][:4], [0.25, 0.75, 1.25, 1.75], atol=0.0)
+    x, y = grid.coordinates
+    assert not np.any((x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 2.0))  # no node on a face
 
 
 def test_sup_distance_examples():
@@ -72,8 +74,8 @@ def test_sup_distance_examples():
     assert sup_distance(f, f) == 0.0
     assert sup_distance(f, g) == 3.0
     ramp = field_from_function(grid, lambda x: x)
-    assert sup_distance(ramp, constant_field(grid, 0.0)) == 1.0
-    assert sup_norm(g) == 1.0 and sup_norm(ramp) == 1.0
+    assert sup_distance(ramp, constant_field(grid, 0.0)) == 0.875
+    assert sup_norm(g) == 1.0 and sup_norm(ramp) == 0.875
 
 
 def test_sup_distance_rejects_mismatched_grids():
@@ -86,7 +88,7 @@ def test_sup_distance_rejects_mismatched_grids():
 def test_field_value_count_is_validated():
     grid = build_grid(box(0.0, 1.0), 0.25)
     with pytest.raises(ValidationError):
-        Field(grid, np.zeros(4))
+        Field(grid, np.zeros(5))
 
 
 def test_field_csv_round_trip(tmp_path):
@@ -150,11 +152,11 @@ def test_read_field_csv_rejects_wrong_grid(tmp_path):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=15, max_size=15))
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=12, max_size=12))
 def test_sup_distance_is_a_metric(values):
     """Symmetry and the triangle inequality on random field triples."""
     grid = build_grid(box(0.0, 1.0), 0.25)
-    chunks = [np.array(values[i : i + 5]) for i in (0, 5, 10)]
+    chunks = [np.array(values[i : i + 4]) for i in (0, 4, 8)]
     f, g, k = (Field(grid, c) for c in chunks)
     assert sup_distance(f, g) == sup_distance(g, f)
     assert sup_distance(f, k) <= sup_distance(f, g) + sup_distance(g, k) + 1e-9

@@ -209,19 +209,18 @@ def stencil_case(name):
 def reference_operator(op):
     """``(matrix, diagonal)`` built from :func:`oracles.reference_batches` alone.
 
-    A hostile box's jumps to the exterior (column ``n``) count as loss only.
+    A hostile box's jumps to the exterior (column ``n``) count as loss only,
+    at the weight the batch gives them.
     """
     n = op.grid.num_nodes
-    free = np.append(~op.constrained, False)
     loss = np.zeros(n)
     rows, cols, values = [], [], []
     for r, c, weight in reference_batches(op):
         loss[r] += weight
-        keep = free[r] & free[c]
+        keep = c < n
         rows.append(r[keep])
         cols.append(c[keep])
-        values.append(np.full(np.count_nonzero(keep), weight))
-    loss[op.constrained] = 0.0
+        values.append(np.broadcast_to(weight, r.shape)[keep])
     diagonal = 0.0 - loss
     nodes = np.flatnonzero(diagonal)
     rows, cols = np.concatenate([nodes] + rows), np.concatenate([nodes] + cols)
@@ -262,15 +261,17 @@ def test_only_periodic_closures_have_a_symbol():
         op.symbol()
 
 
-def test_dirichlet_rows_and_columns_are_eliminated():
-    # The local hostile closure pins the faces: their rows and columns are
-    # empty.  The jump operator pins nothing, so every row keeps its loss.
+def test_dirichlet_face_cells_charge_the_exterior():
+    # The local hostile closure's face cells read the ghost value -u across
+    # the face, so they lose 3/h^2 and keep their one inner neighbour; the
+    # jump operator charges every jump out of the box once, so every row
+    # keeps its whole loss.
     grid = build_grid(box(0.0, 1.0), 1.0 / 64)
     m = assemble_local(grid, "dirichlet").matrix()
-    faces = [0, grid.num_nodes - 1]
-    assert m[faces].nnz == 0 and m.tocsc()[:, faces].nnz == 0
+    w = 1.0 / grid.h**2
+    assert np.array_equal(m.diagonal()[[0, 1, -2, -1]], [-3.0 * w, -2.0 * w, -2.0 * w, -3.0 * w])
+    assert m[0].nnz == 2 and m[0, 1] == w and m[-1, -2] == w
     jump = assemble_nonlocal(grid, QUARTIC_1D, 0.1, "dirichlet")
-    assert not jump.constrained.any()
     assert np.all(jump.matrix().diagonal() == -jump.total_weight())
 
 
@@ -289,24 +290,23 @@ def test_dirichlet_mass_deficit_layer():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("kind", ["nonlocal", "local"])
 def test_hostile_rows_lose_exactly_the_weight_that_leaves_the_habitat(kind, dim):
-    # u = 0 off the box and on the pinned faces of the local closure, so
-    # each unpinned row of the action sums to minus the weights of its
-    # offsets that land there; those are found here by node indices alone.
+    # u = 0 off the box, so each row of the jump operator sums to minus the
+    # weights of its offsets that land there; the local closure's ghost
+    # value -u doubles that loss.  The offsets that leave are found here by
+    # node indices alone.
     op = box_operator("dirichlet", kind, dim)
     shape = op.grid.shape
     index = np.indices(shape).reshape(dim, -1).T
-    free = ~op.constrained
     deficit = np.zeros(op.grid.num_nodes)
     for offset, weight in op.offsets:
         reached = index + offset
         in_box = np.all((reached >= 0) & (reached < shape), axis=1)
-        flat = np.ravel_multi_index(tuple(np.where(in_box[:, None], reached, 0).T), shape)
-        deficit += np.where(in_box & free[flat], 0.0, weight)
-    deficit[op.constrained] = 0.0
+        deficit += np.where(in_box, 0.0, weight)
+    deficit *= 2.0 if kind == "local" else 1.0
     row_sums = op.matrix() @ np.ones(op.grid.num_nodes)
     assert np.all(np.abs(row_sums + deficit) <= 1e-14 * op.total_weight())
-    outer = free & ~op.grid.inside(2 if kind == "local" else 1)  # the free nodes on the rim
-    assert np.all(deficit[outer] > 0.0)
+    rim = np.any((index == 0) | (index == np.array(shape) - 1), axis=1)  # the face cells
+    assert np.all(deficit[rim] > 0.0) and np.all(deficit[~rim] >= 0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -336,36 +336,14 @@ def test_local_2d_action_on_paraboloid():
     np.testing.assert_allclose(out[1:-1, 1:-1], 4.0, atol=1e-11)
 
 
-def test_local_dirichlet_pins_the_boundary():
+def test_local_dirichlet_is_second_order_up_to_the_face():
+    # sin(pi x) is odd about each face, so the ghost value -u is its value
+    # half a cell outside, and the face cells keep the interior's error.
     grid = build_grid(box(0.0, 1.0), 1.0 / 64)
     op = assemble_local(grid, "dirichlet")
     u = np.sin(math.pi * grid.coordinates[0])
     out = difference_action(op, u)
-    assert out[0] == 0.0 and out[-1] == 0.0
-    assert np.max(np.abs(out[1:-1] + math.pi**2 * u[1:-1])) < 0.01
-
-
-def edge_ring(shape, g):
-    """Flat C-order mask of the nodes fewer than ``g`` index steps from an array edge."""
-    n0, n1 = shape
-    return np.array(
-        [i < g or i >= n0 - g or j < g or j >= n1 - g for i in range(n0) for j in range(n1)]
-    )
-
-
-def test_2d_pinned_sets_are_the_local_hostile_faces():
-    domain = box((0.0, 0.0), (1.0, 2.0))
-    grid = build_grid(domain, 0.25)
-    assert grid.shape == (5, 9)
-    # the local hostile closure pins the box faces
-    pinned = assemble_local(grid, "dirichlet").constrained
-    assert np.array_equal(pinned, edge_ring(grid.shape, 1))
-    x, y = grid.coordinates
-    assert np.array_equal(pinned, (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 2.0))
-    # the jump operator and the reflecting closure pin nothing
-    jump = assemble_nonlocal(grid, kernel_profile(QUARTIC, 2), 1.0, "dirichlet")
-    assert not jump.constrained.any()
-    assert not assemble_local(grid, "neumann").constrained.any()
+    assert np.max(np.abs(out + math.pi**2 * u)) < 0.01
 
 
 # --------------------------------------------------------------------- #
@@ -591,7 +569,7 @@ def test_sweep_operators_share_one_grid_and_assemble_each_radius_when_reached(bc
     assert deltas == [0.5, 0.25, 0.125] and all(type(d) is float for d in deltas)
     assert local_op.kind == "local" and local_op.bc is BoundaryCondition(bc)
     grid = local_op.grid
-    assert grid.shape == ((256,) if bc == "periodic" else (257,))  # the habitat's nodes only
+    assert grid.shape == (256,)  # one node per cell of the habitat, none on a face
     assert assembled == deltas  # every radius assembled at once, in order
     for k, op in enumerate(nonlocal_ops):
         assert op.kind == "nonlocal" and op.delta == deltas[k] and op.grid is grid
