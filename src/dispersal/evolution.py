@@ -9,9 +9,8 @@ explicit method would impose on refinement sweeps.
 
 Every run solves ``(I - s A) x = b`` many times with fixed operators, so
 the linear part of a step is prepared once per step size as a
-:class:`LinearStep`.  It forms the explicit half step, solves, applies
-the warm-start test and keeps pinned nodes at zero on an array of rows
-advanced together, each row with its own operator: the two brackets of
+:class:`LinearStep`.  It forms the explicit half step, solves and applies
+the warm-start test on an array of rows advanced together, each row with its own operator: the two brackets of
 :mod:`dispersal.kpp`, and the local reference and every radius of a sweep,
 which share each numpy call.  Periodic closures, in any dimension, are
 circulant: the FFT diagonalizes them exactly with eigenvalues
@@ -19,9 +18,9 @@ circulant: the FFT diagonalizes them exactly with eigenvalues
 Fourier space without assembling a matrix; the step carries each row's
 spectrum from one solve to the next, so a step of :func:`solve` costs
 four transforms (plus one for the start), a backward Euler step of the
-brackets four batched transforms, and a period-map step two.  On a
-one-dimensional box the action is a band over the contiguous free nodes
-(nonsymmetric for the mirrored local neumann closure), applied by
+brackets four batched transforms, and a period-map step two.  Box nodes
+sit at the cell centres, so none is pinned and every box matrix is
+symmetric.  On a one-dimensional box the action is a band, applied by
 ``np.convolve`` of the stencil; ``I - s A`` there equals the circulant of
 the wrapped stencil except in the rows within stencil reach of a face, so
 each solve is one FFT diagonalization of that circulant plus a small dense
@@ -30,19 +29,19 @@ SIAM J. Numer. Anal. 8, 1971), exact up to rounding (with one step of
 iterative refinement on stiff steps under a hostile exterior); the
 warm-start test reuses the explicit half step's ``A @ u``.
 Two-dimensional boxes are backed by each operator's CSR matrix and solved
-row by row, iteratively to relative residual ``1e-10`` (conjugate
-gradients when the matrix is symmetric, stabilized bi-conjugate gradients
-for the mirrored closure) with a sparse direct solve as rescue.  Every
+row by row, iteratively to relative residual ``1e-10`` by conjugate
+gradients, with a sparse direct solve as rescue.  Every
 path returns its warm start unchanged whenever the start already satisfies
 the ``1e-10`` residual test; constant equilibria therefore persist
 bitwise.  :func:`implicit_solver` gives the same solve for one vector.
 
 scipy is a dependency of two-dimensional boxes only: ``scipy.sparse`` and
 ``scipy.sparse.linalg`` are imported when such a solver is first built, so
-periodic and one-dimensional runs never load them.  The solvers ``cg``,
-``bicgstab`` and ``spsolve`` are module functions that import scipy's on
-their first call, and the Krylov path calls whatever the module holds at
-call time, so a wrapper bound over one of those names sees every call.
+periodic and one-dimensional runs never load them.  The solvers ``cg``
+and ``spsolve`` are module functions that import scipy's on their first
+call, and the Krylov path calls whatever the module holds at call time, so
+a wrapper bound over one of those names sees every call.  ``bicgstab`` is
+one too, which no step calls; ``perfbench/trace_cli.py`` still rebinds it.
 """
 
 from __future__ import annotations
@@ -145,10 +144,6 @@ class SemilinearProblem:
             raise ValidationError("initial field does not live on the operator grid")
         if self.t_final <= 0.0:
             raise ValidationError(f"t_final {self.t_final!r} must be positive")
-        if np.any(np.abs(self.initial.values[self.operator.constrained]) > 1e-12):
-            raise ValidationError(
-                "initial data must vanish on pinned nodes (the faces of a local dirichlet box)"
-            )
 
 
 @dataclass
@@ -166,8 +161,8 @@ def implicit_solver(op: DispersalOperator, scale: float):
 
     The solve is that of :func:`linear_step` on one row: an FFT
     diagonalization for periodic closures, the FFT of the wrapped stencil
-    with a face capacitance correction for 1D boxes, and CG/BiCGSTAB with a
-    sparse direct rescue for 2D boxes.  A warm start ``x0`` whose residual
+    with a face capacitance correction for 1D boxes, and CG with a sparse
+    direct rescue for 2D boxes.  A warm start ``x0`` whose residual
     is already below ``1e-10 |b|`` comes back unchanged (as a copy), and
     ``b = 0`` gives zeros.
     """
@@ -194,11 +189,6 @@ class LinearStep:
     each row one field.  The step keeps one table of each kind per
     operator, which broadcast against the rows: row ``i`` uses operator
     ``i``, or the only one; :meth:`select` assigns operators otherwise.
-    Rows entering a step must vanish on their operator's pinned nodes, and
-    they leave it pinned too: a box step zeroes those nodes in every
-    right-hand side it adds a reaction to, its action vanishes on pinned
-    rows, and its solve returns zero wherever a pinned right-hand side is
-    zero (periodic closures pin nothing).
 
     Each solve first tests its warm start: a row whose residual is already
     below ``1e-10`` times its right-hand side's norm is returned unchanged,
@@ -213,11 +203,10 @@ class LinearStep:
     """
 
     #: The per-operator tables: arrays stacked along their first axis, or lists.
-    _per_operator: tuple[str, ...] = ("_pinned",)
+    _per_operator: tuple[str, ...] = ()
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         self.scale = scale
-        self._pinned = np.stack([op.constrained for op in ops])
 
     def select(self, which: list[int]) -> LinearStep:
         """This step for rows where row ``i`` uses operator ``which[i]``."""
@@ -232,11 +221,6 @@ class LinearStep:
     def _each(table: list, rows) -> list:
         """A per-operator list's entry for each of ``rows``."""
         return table * len(rows) if len(table) == 1 else table
-
-    def pin(self, rows: np.ndarray) -> np.ndarray:
-        """Zero the pinned nodes of ``rows`` in place and return them."""
-        np.copyto(rows, 0.0, where=self._pinned)
-        return rows
 
     def crank_nicolson(self, rows: np.ndarray) -> np.ndarray:
         """One trapezoidal step ``x = (I - sA)^-1 (I + sA) rows`` of pure dispersal."""
@@ -274,7 +258,7 @@ class _FourierStep(LinearStep):
     ``b`` exactly as the real-space formula does.
     """
 
-    _per_operator = ("_pinned", "_symbol", "_eig")
+    _per_operator = ("_symbol", "_eig")
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         super().__init__(ops, scale)
@@ -339,7 +323,7 @@ class _BoxStep(LinearStep):
         return rows + self.scale * companion, companion
 
     def _rhs(self, base, weight, values):
-        return self.pin(base + weight * values)
+        return base + weight * values
 
     def solve(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
         return self._solve_rows(b.reshape(1, -1), x0.reshape(1, -1), None)[0][0].copy()
@@ -348,25 +332,23 @@ class _BoxStep(LinearStep):
 class _CapacitanceStep(_BoxStep):
     """One-dimensional boxes: the FFT of the wrapped stencil plus a face correction.
 
-    On the ``m`` grid nodes the action is the stencil's band, a diagonal
-    and, for the mirrored closure, the entries ``(0, 1)`` and
-    ``(m-1, m-2)``; ``_act`` applies it by
-    ``np.convolve``, apart from the operator's entries, as the independent
-    check of the solve.  An operator's free (unpinned) nodes form one
-    contiguous block of them; zero-padded to a 5-smooth length ``L >= m``,
-    the system ``M = I - sA`` on that block sits in the block matrix
-    ``[[M, 0], [P_pf, P_pp]]``, where ``P = I - sC`` is the circulant of the
-    stencil wrapped on ``L`` nodes with self term ``-sum_o w_o``: the
-    padding rows (the two end nodes that the local dirichlet closure pins
-    among them) are ``P``'s own, so the block matrix differs from ``P`` only
-    in ``E``, its ``k`` rows ``R`` within stencil reach of a face, where
-    ``M`` is read from :meth:`DispersalOperator.matrix_rows`.  Writing
-    ``x = P^-1 y`` leaves ``y = b`` off ``R`` and ``y_R = b_R - G b`` on it,
-    with the gain ``G = Q^-1 (E P^-1)_F`` and the capacitance matrix
-    ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is one ``k x m`` product
-    and one FFT pair, twice on the stiff steps that need a refinement step
-    (see ``__init__``); ``E P^-1`` takes ``k`` batched transforms at set-up,
-    and ``G`` one LAPACK solve with ``Q``, which is never inverted.
+    On the ``m`` grid nodes the action is the stencil's band and a
+    diagonal; ``_act`` applies it by ``np.convolve``, apart from the
+    operator's entries, as the independent check of the solve.  Zero-padded
+    to a 5-smooth length ``L >= m``, the system ``M = I - sA`` sits in the
+    block matrix ``[[M, 0], [P_pm, P_pp]]``, where ``P = I - sC`` is the
+    circulant of the stencil wrapped on ``L`` nodes with self term
+    ``-sum_o w_o``: the padding rows are ``P``'s own, so the block matrix
+    differs from ``P`` only in ``E``, its ``k`` rows ``R`` within stencil
+    reach of a face, where ``M`` is read from
+    :meth:`DispersalOperator.matrix_rows`.  Writing ``x = P^-1 y`` leaves
+    ``y = b`` off ``R`` and ``y_R = b_R - G b`` on it, with the gain
+    ``G = Q^-1 (E P^-1)_m`` (the first ``m`` columns) and the capacitance
+    matrix ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is one ``k x m``
+    product and one FFT pair, twice on the stiff steps that need a
+    refinement step (see ``__init__``); ``E P^-1`` takes ``k`` batched
+    transforms at set-up, and ``G`` one LAPACK solve with ``Q``, which is
+    never inverted.
 
     ``m`` and ``L`` come from the grid alone, so one FFT pair serves every
     operator's rows and a row is solved bitwise as its operator's step
@@ -374,33 +356,25 @@ class _CapacitanceStep(_BoxStep):
     and refinement decision.
     """
 
-    _per_operator = (
-        "_pinned", "_kernels", "_diagonal", "_mirror", "_eig", "_faces", "_gain", "_refine"
-    )
+    _per_operator = ("_kernels", "_diagonal", "_eig", "_faces", "_gain", "_refine")
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         super().__init__(ops, scale)
         m = ops[0].grid.num_nodes
         self._length = length = _fft_length(m)
-        cols = np.arange(length)
+        cols, nodes = np.arange(length), np.arange(m)
         columns = np.stack([op.wrapped_column((length,)) for op in ops])  # first columns of C
         self._eig = 1.0 - scale * np.fft.rfft(columns)
         self._diagonal = np.stack([op.diagonal() for op in ops])
-        self._mirror = np.array([op.mirror_weight if op.mirror else 0.0 for op in ops])
         self._kernels, self._faces, self._gain = [], [], []
-        for op, inside, column, eig in zip(ops, ~self._pinned, columns, self._eig):
-            block = np.flatnonzero(inside)
-            a, b = int(block[0]), int(block[-1]) + 1
-            if b - a != block.size:
-                raise ValidationError("a one-dimensional box step needs contiguous free nodes")
+        for op, column, eig in zip(ops, columns, self._eig):
             reach = max(abs(offset) for (offset,), _ in op.offsets)
             band = np.zeros(2 * reach + 1)  # band[reach + o] = w_o
             for (offset,), weight in op.offsets:
                 band[reach + offset] += weight
             self._kernels.append(band[::-1].copy())  # np.convolve flips its kernel
 
-            nodes = np.arange(b - a)
-            faces = a + np.flatnonzero((nodes < reach) | (nodes >= b - a - reach))
+            faces = np.flatnonzero((nodes < reach) | (nodes >= m - reach))
             face_rows = np.zeros((faces.size, length))
             face_rows[:, :m] = op.matrix_rows(faces)
             E = scale * (column[(faces[:, None] - cols) % length] - face_rows)
@@ -409,7 +383,6 @@ class _CapacitanceStep(_BoxStep):
             self._faces.append(faces)
             self._gain.append(np.linalg.solve(capacitance, EP[:, :m]))
             del face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
-        self._pins = bool(np.any(self._pinned))
 
         # The correction cancels modes of P that M lacks (the constant mode
         # under a hostile exterior); on stiff steps the cancellation loses
@@ -417,7 +390,7 @@ class _CapacitanceStep(_BoxStep):
         # closure, h = 1/256), which one step of iterative refinement
         # restores.  A probe solve decides for each operator: refine where
         # one step removes most of a residual above 1e-13.
-        probe = self.pin(np.tile(1.0 + np.cos(np.arange(m)), (len(ops), 1)))
+        probe = np.tile(1.0 + np.cos(nodes), (len(ops), 1))
         x = self._solve(probe)
         before = _row_norms(self._residual(probe, x))
         x += self._solve(self._residual(probe, x))
@@ -431,10 +404,7 @@ class _CapacitanceStep(_BoxStep):
             r = len(kernel) // 2
             target[:] = np.convolve(values, kernel)[r : r + m]
         out += self._diagonal * u
-        if np.any(self._mirror):
-            out[:, 0] += self._mirror * u[:, 1]
-            out[:, -1] += self._mirror * u[:, -2]
-        return self.pin(out) if self._pins else out
+        return out
 
     def _solve_rows(self, b, x0, Ax0):
         Ax = self._act(x0) if Ax0 is None else Ax0
@@ -460,21 +430,20 @@ class _CapacitanceStep(_BoxStep):
         gains = zip(self._each(self._faces, b), self._each(self._gain, b))
         for row, values, (faces, gain) in zip(y, b, gains):
             row[faces] -= gain @ values
-        x = np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m].copy()
-        return self.pin(x) if self._pins else x
+        return np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m].copy()
 
 
 class _MatrixStep(_BoxStep):
     """Two-dimensional boxes, backed by each operator's CSR matrix.
 
-    Each row is solved with its own operator's matrix by CG (BiCGSTAB for
-    the mirrored closure), whose own first residual check is the
-    warm-start test, with a sparse direct solve as rescue.  ``cg``,
-    ``bicgstab`` and ``spsolve`` are looked up in the module at each call,
-    not captured here.
+    Every box matrix is symmetric, so each row is solved with its own
+    operator's matrix by CG, whose own first residual check is the
+    warm-start test, with a sparse direct solve as rescue.  ``cg`` and
+    ``spsolve`` are looked up in the module at each call, not captured
+    here.
     """
 
-    _per_operator = ("_pinned", "_A", "_M", "_mirror")
+    _per_operator = ("_A", "_M")
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         super().__init__(ops, scale)
@@ -482,18 +451,16 @@ class _MatrixStep(_BoxStep):
 
         self._A = [op.matrix() for op in ops]
         self._M = [sparse.identity(A.shape[0], format="csr") - scale * A for A in self._A]
-        self._mirror = [op.mirror for op in ops]
 
     def _act(self, rows):
         return np.stack([A @ row for A, row in zip(self._each(self._A, rows), rows)])
 
     def _solve_rows(self, b, x0, Ax0):
-        systems = zip(self._each(self._M, b), self._each(self._mirror, b), b, x0)
+        systems = zip(self._each(self._M, b), b, x0)
         return np.stack([self._krylov(*system) for system in systems]), None
 
-    def _krylov(self, M, mirror: bool, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        krylov = bicgstab if mirror else cg
-        x, info = krylov(M, b, x0=x0, rtol=_SOLVE_RTOL, atol=0.0)
+    def _krylov(self, M, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        x, info = cg(M, b, x0=x0, rtol=_SOLVE_RTOL, atol=0.0)
         if info == 0:
             return x
         x = spsolve(M.tocsc(), b)
@@ -533,7 +500,7 @@ def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:
 
     With ``q = rfftn(r).view(float).ravel()`` (real and imaginary parts
     interleaved), ``sum(weights * q**2) == |r|**2``.  Interior bins of the
-    last axis stand for themselves and their mirror images, so they count
+    last axis stand for themselves and their conjugate bins, so they count
     twice; bin 0, and the Nyquist bin when the last axis is even, count
     once; every weight carries Parseval's ``1 / n``.
     """
@@ -581,7 +548,7 @@ def _solve_together(problem: SemilinearProblem, ops, dt: float, snapshots: int):
     def rate(t: float, rows: np.ndarray) -> np.ndarray:
         return evaluate(t, grid.coordinates, rows)
 
-    u = step.pin(np.repeat(problem.initial.values[None], len(ops), axis=0))
+    u = np.repeat(problem.initial.values[None], len(ops), axis=0)
     companion = None
     times, states = [0.0], [u.copy()]
     for k in range(1, nsteps + 1):

@@ -114,16 +114,6 @@ class Grid:
     def signature(self) -> tuple:
         return (self.domain, self.h, self.shape)
 
-    def inside(self, depth: int) -> np.ndarray:
-        """Flat mask of the nodes at least ``depth`` cells inside every box face.
-
-        ``~inside(1)`` is the box faces; periodic cells have none.
-        """
-        g = depth if self.domain.kind == BOX else 0
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[tuple(slice(g, n - g) for n in self.shape)] = True
-        return mask.ravel()
-
 
 def same_grid(a: Grid, b: Grid) -> bool:
     return a is b or a.signature() == b.signature()

@@ -175,7 +175,7 @@ def _bracket(
     """
     active = list(range(len(starts)))
     picked = step.select([row // 2 for row in active])
-    rows = picked.pin(starts.copy())
+    rows = starts.copy()
     done: list = [None] * len(rows)  # the period a row converged in, or its error
     worst = [0.0] * len(rows)
     for iteration in range(1, max_periods + 1):
@@ -280,7 +280,7 @@ def _periodic_solutions(
             monotone_violation_super=worst[2 * p],
             monotone_violation_sub=worst[2 * p + 1],
             start_agreement=agreements[p],
-            interior_min=min(float(np.min(snap[p][~op.constrained])) for snap in taken),
+            interior_min=min(float(np.min(snap[p])) for snap in taken),
         )
         for p, op in enumerate(ops)
     ]

@@ -83,28 +83,18 @@ Offset = tuple[int, ...]
 class DispersalOperator:
     """Assembled linear action of one dispersal operator on one grid.
 
-    ``offsets`` pairs each stencil offset with its weight.  ``constrained``
-    is a boolean mask of the nodes pinned to zero: the box faces of the
-    local hostile closure (all false otherwise).  Pinned rows of the action
-    are zero and pinned columns never contribute.  ``mirror`` marks the
-    reflecting closure of the local kind, which doubles the inward weight
-    on the box faces.
+    ``offsets`` pairs each stencil offset with its weight.  No node lies
+    on a box face, so every node is free; the closure shows only in the
+    diagonal (see :attr:`exterior_charge`).
     """
 
     kind: str
     bc: BoundaryCondition
     grid: Grid
     offsets: tuple[tuple[Offset, float], ...]
-    constrained: np.ndarray
     delta: float | None = None
-    mirror: bool = False
     _matrix: sparse.csr_matrix | None = dataclass_field(default=None, init=False, repr=False)
     _symbol: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
-
-    @property
-    def mirror_weight(self) -> float:
-        """Weight of the extra inward entry on each face of the reflecting local closure."""
-        return 1.0 / (self.grid.h * self.grid.h)
 
     @property
     def exterior_charge(self) -> int:
@@ -122,25 +112,25 @@ class DispersalOperator:
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the action; the stencil table is read unless every jump counts once."""
-        table = self._table() if self.exterior_charge != 1 else None
-        return self._diagonal(self.constrained, table)
+        return self._diagonal(self._table() if self.exterior_charge != 1 else None)
 
-    def _diagonal(self, pinned, table) -> np.ndarray:
-        """Minus each row's loss rate, ``0.0`` where ``pinned``.
+    def _diagonal(self, table) -> np.ndarray:
+        """Minus each row's loss rate.
 
         The rate is ``sum_o w_o`` where the whole stencil lies in the
         habitat, and wherever :attr:`exterior_charge` is 1.  Otherwise each
         ``table`` row sums its in-habitat weights and its out-of-box ones
         times the charge, in entry order.
         """
-        loss = np.full(len(pinned), self.total_weight())  # the same sum, where all are in
+        rows = self.grid.num_nodes if table is None else len(table[0])
+        loss = np.full(rows, self.total_weight())  # the same sum, where all are in
         if self.exterior_charge != 1:
             _, inside, weights, entries, _ = table
             flags = inside[:, entries]
             partial = ~flags.all(axis=1)
             charged = np.where(flags[partial], 1.0, float(self.exterior_charge)) * weights[entries]
             loss[partial] = np.cumsum(charged, axis=1)[:, -1]
-        return 0.0 - np.where(pinned, 0.0, loss)
+        return 0.0 - loss
 
     def total_weight(self) -> float:
         """Jump rate of a node whose whole stencil lies in the habitat: ``sum_o w_o``.
@@ -182,29 +172,23 @@ class DispersalOperator:
         """Stencil table of the rows ``nodes`` (all by default), broadcast per axis.
 
         Returns ``(targets, inside, weights, entries, self_column)``.  Columns
-        (the node itself, the offsets, and per face and axis a mirror column
-        coupling the face layer once more inward) are stably sorted by flat
-        shift; row ``k`` holds the node each reaches from ``nodes[k]`` and if
-        it is in the habitat (a mirror column only on its face; a target off
-        a box never).  ``entries`` lists the offsets', then the mirror
-        columns: the summing order.
+        (the node itself, then the offsets) are stably sorted by flat shift;
+        row ``k`` holds the node each reaches from ``nodes[k]`` and whether
+        it is in the habitat (a target off a box never is).  ``entries``
+        lists the offsets' columns in offset order: the summing order.
         """
         shape, dim = self.grid.shape, self.grid.dimension
-        faces = [tuple(s * e) for e in np.eye(dim, dtype=int) if self.mirror for s in (1, -1)]
-        shifts = [(0,) * dim] + [offset for offset, _ in self.offsets] + faces
-        weights = [0.0] + [weight for _, weight in self.offsets] + [self.mirror_weight] * len(faces)
+        shifts = [(0,) * dim] + [offset for offset, _ in self.offsets]
+        weights = [0.0] + [weight for _, weight in self.offsets]
         strides = [math.prod(shape[axis + 1 :]) for axis in range(dim)]
         order = np.argsort(np.array(shifts) @ strides, kind="stable")
         dtype = np.int32 if self.grid.num_nodes * order.size <= np.iinfo(np.int32).max else np.int64
         shifts, weights = np.array(shifts, dtype=dtype)[order], np.array(weights)[order]
-        mirror = order > len(self.offsets)  # the mirror columns come last in entry order
         index = np.ix_(*map(np.arange, shape)) if nodes is None else np.unravel_index(nodes, shape)
         targets, inside = dtype(0), True
         for axis, (n, stride) in enumerate(zip(shape, strides)):
-            node, shift = np.arange(n, dtype=dtype)[:, None], shifts[:, axis]
-            reached = node + shift
+            reached = np.arange(n, dtype=dtype)[:, None] + shifts[:, axis]
             within = (self.bc is BoundaryCondition.PERIODIC) | ((reached >= 0) & (reached < n))
-            within = np.where(mirror & (shift != 0), node == np.where(shift > 0, 0, n - 1), within)
             targets = targets + (reached % n)[index[axis]] * stride
             inside = inside & within[index[axis]]
         position = np.argsort(order)  # the column of each entry
@@ -215,17 +199,13 @@ class DispersalOperator:
         """Matrix entries of the table rows ``nodes``: ``(targets, values, keep)``.
 
         The self column holds the diagonal, kept if nonzero; the other
-        entries are kept in the habitat with neither end pinned.
+        entries are kept where they land in the habitat.
         """
         table = self._table(nodes)
-        targets, inside, weights, _, self_column = table
-        pinned = self.constrained if nodes is None else self.constrained[nodes]
-        diagonal = self._diagonal(pinned, table)
+        targets, keep, weights, _, self_column = table
+        diagonal = self._diagonal(table)
         values = np.tile(weights, (len(targets), 1))
         values[:, self_column] = diagonal
-        keep = inside.copy()
-        if self.constrained.any():
-            keep &= ~(pinned[:, None] | self.constrained.take(targets))
         keep[:, self_column] = diagonal != 0.0
         return targets, values, keep
 
@@ -233,8 +213,8 @@ class DispersalOperator:
         """CSR form of the action (cached), compressed row by row from :meth:`_entries`.
 
         Only rows whose stencil wraps (cell rows near an edge) are sorted;
-        duplicates (a face row's mirror entry, the offsets ``+-n/2`` of a
-        cell two reaches wide) are summed last.  The module's only use of
+        duplicates (the offsets ``+-n/2`` of a cell two reaches wide) are
+        summed last.  The module's only use of
         scipy; the steppers build it for two-dimensional boxes only.
         """
         if self._matrix is None:
@@ -323,7 +303,6 @@ def assemble_nonlocal(
         bc=bc,
         grid=grid,
         offsets=tuple(offsets),
-        constrained=np.zeros(grid.num_nodes, dtype=bool),
         delta=float(delta),
     )
 
@@ -348,7 +327,6 @@ def assemble_local(grid: Grid, bc: BoundaryCondition) -> DispersalOperator:
         bc=bc,
         grid=grid,
         offsets=tuple(offsets),
-        constrained=np.zeros(grid.num_nodes, dtype=bool),
     )
 
 

@@ -37,13 +37,7 @@ from .errors import NoConvergenceError, NumericsError, ValidationError
 from .evolution import LinearStep, linear_step, whole_steps
 from .grids import Field, field_from_function, same_grid
 from .kernels import KernelProfile
-from .operators import (
-    BOX,
-    NONLOCAL,
-    BoundaryCondition,
-    DispersalOperator,
-    sweep_operators,
-)
+from .operators import NONLOCAL, BoundaryCondition, DispersalOperator, sweep_operators
 from .reports import ConvergenceReport, empirical_orders
 
 
@@ -72,7 +66,7 @@ class PeriodMap:
     def advance(self, values: np.ndarray) -> np.ndarray:
         """Apply the map to a flat nodal array."""
         step = linear_step(self.operator, self.dt / 2.0)
-        return self._advance(step.pin(np.array(values, dtype=float).reshape(1, -1)), step)[0]
+        return self._advance(np.array(values, dtype=float).reshape(1, -1), step)[0]
 
     def _advance(self, rows: np.ndarray, step: LinearStep) -> np.ndarray:
         """Apply the map to ``rows`` through ``step``, which may give each row its own operator."""
@@ -99,26 +93,25 @@ class SpectrumResult:
 
 
 def default_start(op: DispersalOperator) -> Field:
-    """Positive start vector: constant, or an interior bump when pinned.
+    """Positive start vector: constant, or on a hostile box the product of sines.
 
-    After hostile-exterior elimination the constant vector has a large
-    component outside the Perron cone's useful part; a product-of-sines
-    bump that vanishes at the pinned nodes converges noticeably faster.
+    Under a hostile exterior the principal eigenfunction falls towards the
+    faces, so the constant vector has a large component outside it; the
+    product over the axes of ``sin(pi (x - lower) / (upper - lower))``,
+    which vanishes on the faces and is positive at every cell centre,
+    converges noticeably faster.
     """
     grid = op.grid
-    if op.bc is BoundaryCondition.DIRICHLET and grid.domain.kind == BOX:
+    if op.bc is BoundaryCondition.DIRICHLET:
 
         def bump(*cols):
             out = np.ones_like(cols[0])
             for lo, up, x in zip(grid.domain.lower, grid.domain.upper, cols):
-                out = out * np.maximum(np.sin(np.pi * (x - lo) / (up - lo)), 0.0)
+                out = out * np.sin(np.pi * (x - lo) / (up - lo))
             return out
 
-        start = field_from_function(grid, bump)
-    else:
-        start = Field(grid, np.ones(grid.num_nodes))
-    start.values[op.constrained] = 0.0
-    return start
+        return field_from_function(grid, bump)
+    return Field(grid, np.ones(grid.num_nodes))
 
 
 def principal_value(
@@ -158,7 +151,7 @@ def _power_iteration(period_map: PeriodMap, ops, tol: float, max_iterations: int
     elif not all(same_grid(start.grid, op.grid) for start, op in zip(starts, ops)):
         raise ValidationError("grid mismatch: start field lives on a different grid")
     step = every = linear_step(ops, period_map.dt / 2.0)
-    u = step.pin(np.array([start.values for start in starts], dtype=float))
+    u = np.array([start.values for start in starts], dtype=float)
     peaks = np.max(np.abs(u), axis=1)
     if not np.all(peaks):
         raise ValidationError("start field is identically zero")

@@ -3,10 +3,8 @@
 A sweep advances the local reference and every radius as rows of one
 array, through one step that holds every operator.  Run alone, each
 problem must give the same numbers bitwise on every closure: the rows
-share one FFT length, which one-dimensional boxes take from the grid's
-box nodes (the local dirichlet reference's pinned faces become padding of
-its circulant system, alone as in a sweep), and every operation acts row
-by row.
+share one FFT length, which one-dimensional boxes take from the grid
+alone, and every operation acts row by row.
 """
 
 import math

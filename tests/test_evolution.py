@@ -517,7 +517,7 @@ def test_a_source_term_reaches_every_cell_of_a_hostile_box(dim, kind):
 
 def test_the_logistic_law_is_u_times_a_minus_u():
     # Checked against the law itself, so a change of it as small as a
-    # factor 1 + 1e-6 fails here and not only in the pinned samples.
+    # factor 1 + 1e-6 fails here and not only in the committed samples.
     grid = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 32)
     a = parse_coefficient("tx-product(1,0.5,1)", 1.0)
     u = np.random.default_rng(3).uniform(0.0, 2.0, (2, grid.num_nodes))

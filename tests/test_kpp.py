@@ -70,10 +70,9 @@ def scalar_orbit(times, period=1.0):
 
 
 def bracket_starts(problem):
-    """The super and sub starts of the bracketing, pinned."""
+    """The super and sub starts of the bracketing."""
     op = problem.operator
     upper = np.full(op.grid.num_nodes, validate_saturation(problem))
-    upper[op.constrained] = 0.0
     return upper, 1e-3 * default_start(op).values
 
 
@@ -86,22 +85,14 @@ def serial_step(problem):
     """
     op, dt = problem.operator, problem.dt
     solver = implicit_solver(op, dt)
-    pinned = op.constrained
 
     def rate(t, u):
         return u * (problem.growth.evaluate(t, op.grid.coordinates) - u)
 
     def step(t, u):
         fn = rate(t, u)
-        b = u + dt * fn
-        b[pinned] = 0.0
-        predictor = solver(b, u)
-        predictor[pinned] = 0.0
-        b = u + (dt / 2.0) * (fn + rate(t + dt, predictor))
-        b[pinned] = 0.0
-        out = solver(b, predictor)
-        out[pinned] = 0.0
-        return out
+        predictor = solver(u + dt * fn, u)
+        return solver(u + (dt / 2.0) * (fn + rate(t + dt, predictor)), predictor)
 
     return step
 

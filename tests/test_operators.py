@@ -92,9 +92,8 @@ def test_nonlocal_sign_structure_and_row_width():
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
 def test_matrix_and_offset_action_agree(bc, kind, dim):
     # The action is placed apart from the stencil table (np.roll on cells,
-    # face slices on boxes) and zeroes pinned values and rows itself; every
-    # column pins it against the assembled entries, which the numpy-only
-    # rows must match bitwise.
+    # face slices on boxes); every column pins it against the assembled
+    # entries, which the numpy-only rows must match bitwise.
     h = 1.0 / 16
     if bc == "periodic":
         domain = periodic_cell([1.0] * dim)
