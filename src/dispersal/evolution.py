@@ -10,9 +10,9 @@ explicit method would impose on refinement sweeps.
 Every run solves ``(I - s A) x = b`` many times with fixed operators, so
 the linear part of a step is prepared once per step size as a
 :class:`LinearStep`.  It forms the explicit half step, solves and applies
-the warm-start test on an array of rows advanced together, each row with its own operator: the two brackets of
-:mod:`dispersal.kpp`, and the local reference and every radius of a sweep,
-which share each numpy call.  Periodic closures, in any dimension, are
+the warm-start test on an array of rows advanced together, each row with
+its own operator: the two brackets of :mod:`dispersal.kpp`, and the local
+reference and every radius of a sweep, which share each numpy call.  Periodic closures, in any dimension, are
 circulant: the FFT diagonalizes them exactly with eigenvalues
 ``1 - s * symbol``, and they are acted on, solved and residual-checked in
 Fourier space without assembling a matrix; the step carries each row's
@@ -30,10 +30,9 @@ iterative refinement on stiff steps under a hostile exterior); the
 warm-start test reuses the explicit half step's ``A @ u``.
 Two-dimensional boxes are backed by each operator's CSR matrix and solved
 row by row, iteratively to relative residual ``1e-10`` by conjugate
-gradients, with a sparse direct solve as rescue.  Every
-path returns its warm start unchanged whenever the start already satisfies
-the ``1e-10`` residual test; constant equilibria therefore persist
-bitwise.  :func:`implicit_solver` gives the same solve for one vector.
+gradients, with a sparse direct solve as rescue.  Every path returns its
+warm start unchanged whenever the start already satisfies the ``1e-10``
+residual test; constant equilibria therefore persist bitwise.  :func:`implicit_solver` gives the same solve for one vector.
 
 scipy is a dependency of two-dimensional boxes only: ``scipy.sparse`` and
 ``scipy.sparse.linalg`` are imported when such a solver is first built, so

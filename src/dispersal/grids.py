@@ -2,9 +2,9 @@
 
 The continuous habitats are axis-aligned boxes (with boundary) and periodic
 cells.  A grid samples a habitat with one uniform, isotropic spacing ``h``
-and holds only habitat nodes: a box grid its closed box, a periodic grid
-one representative node per equivalence class, so wrap identification is
-exact by construction.
+and holds only habitat nodes: a box grid one node at the centre of each
+cell, so none lies on a face, a periodic grid one representative node per
+equivalence class, so wrap identification is exact by construction.
 
 Fields are flat nodal value arrays in C order over the tensor grid, and the
 distance between fields is the max-norm over all nodes.

@@ -6,9 +6,8 @@ Both operator kinds are realized as sums of offset differences
 
 over a fixed stencil of integer grid offsets ``o`` with nonnegative weights
 ``w_o``.  The stencil is placed on the grid in one place, a table: for each
-node and each offset (plus the node itself and the reflecting local
-closure's mirror entries), the node reached, wrapped on cells, and whether
-it lies in the habitat.  Its columns run in flat-shift order, so a box row
+node and each offset (plus the node itself), the node reached, wrapped on
+cells, and whether it lies in the habitat.  Its columns run in flat-shift order, so a box row
 lists its targets in column order and only cell rows within reach of an
 edge need sorting.  Three methods read it: the diagonal, the
 compressed-sparse-row :meth:`DispersalOperator.matrix` (compressed row by
@@ -18,8 +17,7 @@ the tests place the offset-difference action apart from the table.  The
 time steppers act (see :mod:`dispersal.evolution`) on periodic closures
 through their Fourier symbol (:meth:`DispersalOperator.symbol`) in O(n)
 memory, on one-dimensional boxes through the band (the stencil convolved
-over the free nodes, the diagonal and the mirror entries) with face rows
-from ``matrix_rows``.  Only two-dimensional boxes use the matrix, so a
+over the nodes, and the diagonal) with face rows from ``matrix_rows``.  Only two-dimensional boxes use the matrix, so a
 periodic or one-dimensional run never loads scipy.
 
 The nonlocal kind samples the kernel's shape at the grid nodes and scales
@@ -32,11 +30,16 @@ Plain nodal weights miss the moment by more as ``delta/h`` shrinks, so the
 operator would tend to a Laplacian with the wrong rate; matched, it agrees
 with ``u''`` on quadratics at every resolved radius, and one common factor
 keeps the matrix exactly symmetric with nonnegative off-diagonal entries.
-The boundary closure follows the habitat type: hostile exterior
-(``dirichlet``, ``u = 0`` off the box: a jump that leaves it is pure
-loss, charged on the diagonal, and the grid holds the box nodes only),
-reflecting budget (``neumann``, integration restricted to the closed box),
-or wrapping (``periodic``).
+A box grid holds one node per cell, at its centre, so the equal
+weights form a midpoint rule that stays second order up to the faces, and
+no node lies on a face to be pinned.  The boundary closure follows the
+habitat type and is one loss rule on the diagonal
+(:attr:`DispersalOperator.exterior_charge`): hostile exterior
+(``dirichlet``, ``u = 0`` off the box: a jump that leaves it is pure loss,
+counted twice by the local Laplacian, whose ghost value across the face is
+``-u``), reflecting budget (``neumann``, only the jumps that stay in the
+box; locally the finite-volume Neumann Laplacian), or wrapping
+(``periodic``).  Every matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -83,9 +86,8 @@ Offset = tuple[int, ...]
 class DispersalOperator:
     """Assembled linear action of one dispersal operator on one grid.
 
-    ``offsets`` pairs each stencil offset with its weight.  No node lies
-    on a box face, so every node is free; the closure shows only in the
-    diagonal (see :attr:`exterior_charge`).
+    ``offsets`` pairs each stencil offset with its weight; the closure
+    shows only in the diagonal (see :attr:`exterior_charge`).
     """
 
     kind: str
@@ -98,14 +100,10 @@ class DispersalOperator:
 
     @property
     def exterior_charge(self) -> int:
-        """How many times a row's loss counts each of its jumps out of the box.
-
-        Reflecting closures (``neumann``) count none: the node keeps only
-        the jumps that stay in the box.  The hostile jump operator counts
-        each once (``u = 0`` off the box), and so does a periodic closure,
-        where no jump leaves.  The hostile local Laplacian counts each
-        twice: its face cell reads the ghost value ``-u`` across the face.
-        """
+        """Times a row's loss counts each of its jumps out of the box: none under
+        a reflecting closure, twice by the hostile local Laplacian (its ghost
+        value across the face is ``-u``), else once (``u = 0`` off a hostile
+        box; no jump leaves a cell)."""
         if self.bc is BoundaryCondition.NEUMANN:
             return 0
         return 2 if self.bc is BoundaryCondition.DIRICHLET and self.kind == LOCAL else 1

@@ -95,11 +95,9 @@ class SpectrumResult:
 def default_start(op: DispersalOperator) -> Field:
     """Positive start vector: constant, or on a hostile box the product of sines.
 
-    Under a hostile exterior the principal eigenfunction falls towards the
-    faces, so the constant vector has a large component outside it; the
-    product over the axes of ``sin(pi (x - lower) / (upper - lower))``,
-    which vanishes on the faces and is positive at every cell centre,
-    converges noticeably faster.
+    The sines, ``sin(pi (x - lower) / (upper - lower))`` per axis, fall to
+    the faces as the principal eigenfunction does, so power iteration
+    converges noticeably faster from them than from the constant.
     """
     grid = op.grid
     if op.bc is BoundaryCondition.DIRICHLET:
