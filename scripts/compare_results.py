@@ -7,7 +7,8 @@ Pairs the CSV and ``run.txt`` files of the two directory trees by relative
 path.  For each CSV pair it prints, per numeric column, the largest
 absolute shift between the two files and that shift relative to the
 column's largest magnitude on either side; cells empty on either side are
-skipped.  A ``run.txt`` pair is read the same way from its ``# key: value``
+skipped.  A CSV pair whose headers differ, or whose row counts differ
+(``rows 257 -> 256``), is named with that reason instead.  A ``run.txt`` pair is read the same way from its ``# key: value``
 outcome lines whose value is a list (``[a, b, ...]``, one column of cells)
 or starts with a number (each number its own column, ``key[i]`` when there
 are several); the configuration lines are not compared.  Then it lists the

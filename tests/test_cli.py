@@ -737,8 +737,8 @@ SPECTRUM_KEYS = dict(
     ],
 )
 def test_a_zero_period_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, command, keys):
-    # 2 pi / T used to be formed before the period was checked: exit 1
-    # with a ZeroDivisionError traceback.
+    # The period is checked before 2 pi / T is formed, so no grid is built
+    # and no ZeroDivisionError escapes.
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built")
 
