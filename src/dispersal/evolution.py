@@ -203,9 +203,8 @@ class LinearStep:
 
     #: The per-operator tables: arrays stacked along their first axis, or lists.
     _per_operator: tuple[str, ...] = ()
-
-    def __init__(self, ops: Sequence[DispersalOperator], scale: float):
-        self.scale = scale
+    #: ``s`` of ``I - s A``.
+    scale: float
 
     def select(self, which: list[int]) -> LinearStep:
         """This step for rows where row ``i`` uses operator ``which[i]``."""
@@ -260,7 +259,7 @@ class _FourierStep(LinearStep):
     _per_operator = ("_symbol", "_eig")
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
-        super().__init__(ops, scale)
+        self.scale = scale
         self._shape = ops[0].grid.shape
         symbols = [op.symbol() for op in ops]  # a lone operator's cached symbol is not copied
         self._symbol = np.stack(symbols) if len(symbols) > 1 else symbols[0][None]
@@ -358,7 +357,7 @@ class _CapacitanceStep(_BoxStep):
     _per_operator = ("_kernels", "_diagonal", "_eig", "_faces", "_gain", "_refine")
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
-        super().__init__(ops, scale)
+        self.scale = scale
         m = ops[0].grid.num_nodes
         self._length = length = _fft_length(m)
         cols, nodes = np.arange(length), np.arange(m)
@@ -445,7 +444,7 @@ class _MatrixStep(_BoxStep):
     _per_operator = ("_A", "_M")
 
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
-        super().__init__(ops, scale)
+        self.scale = scale
         import scipy.sparse as sparse
 
         self._A = [op.matrix() for op in ops]

@@ -92,8 +92,8 @@ def _axis_cells(edge: float, h: float, what: str) -> int:
 class Grid:
     """Uniform tensor grid over a domain.
 
-    ``shape`` counts nodes per axis.  Flattened node data (coordinates,
-    masks) are laid out in C order over the tensor product.
+    ``shape`` counts nodes per axis.  Flattened node data (the coordinates)
+    are laid out in C order over the tensor product.
     """
 
     domain: Domain
