@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Acceptance check: the Tier-1 suite, then every sample config rerun into
 # scripts/results by run_all.sh (which prints each sample's wall_s and the
-# src_lines and test_lines counts to stderr), then the benchmark's range check of the
-# kpp invasion and saturation checks, then a short benchmark smoke run of
-# both workloads, untraced and traced.
+# src_lines, src_code_lines and test_lines counts to stderr), then the
+# benchmark's range check of the kpp invasion and saturation checks, then a
+# short benchmark smoke run of both workloads, untraced and traced.
 # Exits non-zero if a test or a sample fails, if any committed output under
 # scripts/results changed (then it first prints scripts/compare_results.py's
 # report of how far each column moved from HEAD's tree), if the range check

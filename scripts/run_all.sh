@@ -4,8 +4,10 @@
 # installed copy is never run by mistake.  Each sample's wall seconds,
 # interpreter start and import included, go to stderr as
 # "wall_s <name> <seconds>", followed by "src_lines <n>", the line count of
-# the package's sources, and "test_lines <n>", that of the test modules, so
-# that code moved from one to the other shows as a move.
+# the package's sources, "src_code_lines <n>", the lines of those that hold
+# code (blank, comment and docstring lines left out; see code_lines.py), and
+# "test_lines <n>", that of the test modules, so that code moved from one to
+# the other shows as a move.
 set -euo pipefail
 cd "$(dirname "$0")"
 export PYTHONPATH="../src${PYTHONPATH:+:${PYTHONPATH}}"
@@ -36,4 +38,5 @@ for dir in results/converge_*; do
 done
 
 wc -l ../src/dispersal/*.py | awk 'END { printf "src_lines %d\n", $1 > "/dev/stderr" }'
+printf 'src_code_lines %d\n' "$(python3 code_lines.py ../src/dispersal/*.py)" >&2
 wc -l ../tests/*.py | awk 'END { printf "test_lines %d\n", $1 > "/dev/stderr" }'

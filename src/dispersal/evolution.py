@@ -22,12 +22,13 @@ brackets four batched transforms, and a period-map step two.  Box nodes
 sit at the cell centres, so none is pinned and every box matrix is
 symmetric.  On a one-dimensional box the action is a band, applied by
 ``np.convolve`` of the stencil; ``I - s A`` there equals the circulant of
-the wrapped stencil except in the rows within stencil reach of a face, so
-each solve is one FFT diagonalization of that circulant plus a small dense
-capacitance correction on the face rows (Buzbee, Dorr, George & Golub,
-SIAM J. Numer. Anal. 8, 1971), exact up to rounding (with one step of
-iterative refinement on stiff steps under a hostile exterior); the
-warm-start test reuses the explicit half step's ``A @ u``.
+the stencil wrapped on the box's own nodes except in the rows within
+stencil reach of a face, so each solve is one FFT diagonalization of that
+circulant, on any node count, plus a small dense capacitance correction
+on the face rows (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
+1971), exact up to rounding (with one step of iterative refinement on
+stiff steps under a hostile exterior); the warm-start test reuses the
+explicit half step's ``A @ u``.
 Two-dimensional boxes are backed by each operator's CSR matrix and solved
 row by row, iteratively to relative residual ``1e-10`` by conjugate
 gradients, with a sparse direct solve as rescue.  Every path returns its
@@ -332,23 +333,19 @@ class _CapacitanceStep(_BoxStep):
 
     On the ``m`` grid nodes the action is the stencil's band and a
     diagonal; ``_act`` applies it by ``np.convolve``, apart from the
-    operator's entries, as the independent check of the solve.  Zero-padded
-    to a 5-smooth length ``L >= m``, the system ``M = I - sA`` sits in the
-    block matrix ``[[M, 0], [P_pm, P_pp]]``, where ``P = I - sC`` is the
-    circulant of the stencil wrapped on ``L`` nodes with self term
-    ``-sum_o w_o``: the padding rows are ``P``'s own, so the block matrix
-    differs from ``P`` only in ``E``, its ``k`` rows ``R`` within stencil
-    reach of a face, where ``M`` is read from
-    :meth:`DispersalOperator.matrix_rows`.  Writing ``x = P^-1 y`` leaves
-    ``y = b`` off ``R`` and ``y_R = b_R - G b`` on it, with the gain
-    ``G = Q^-1 (E P^-1)_m`` (the first ``m`` columns) and the capacitance
-    matrix ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is one ``k x m``
-    product and one FFT pair, twice on the stiff steps that need a
-    refinement step (see ``__init__``); ``E P^-1`` takes ``k`` batched
-    transforms at set-up, and ``G`` one LAPACK solve with ``Q``, which is
-    never inverted.
+    operator's entries, as the independent check of the solve.  The system
+    ``M = I - sA`` differs from ``P = I - sC``, where ``C`` is the circulant
+    of the stencil wrapped on the ``m`` nodes with self term ``-sum_o w_o``,
+    only in ``E = M - P``, its ``k`` rows ``R`` within stencil reach of a
+    face, where ``M`` is read from :meth:`DispersalOperator.matrix_rows`.
+    Writing ``x = P^-1 y`` leaves ``y = b`` off ``R`` and ``y_R = b_R - G b``
+    on it, with the gain ``G = Q^-1 E P^-1`` and the capacitance matrix
+    ``Q = I + (E P^-1)_R`` (``k x k``).  A solve is one ``k x m`` product
+    and one FFT pair, twice on the stiff steps that need a refinement step
+    (see ``__init__``); ``E P^-1`` takes ``k`` batched transforms at
+    set-up, and ``G`` one LAPACK solve with ``Q``, which is never inverted.
 
-    ``m`` and ``L`` come from the grid alone, so one FFT pair serves every
+    ``m`` comes from the grid alone, so one FFT pair serves every
     operator's rows and a row is solved bitwise as its operator's step
     alone would solve it; each operator has its own ``P``, face rows, gain
     and refinement decision.
@@ -359,9 +356,8 @@ class _CapacitanceStep(_BoxStep):
     def __init__(self, ops: Sequence[DispersalOperator], scale: float):
         self.scale = scale
         m = ops[0].grid.num_nodes
-        self._length = length = _fft_length(m)
-        cols, nodes = np.arange(length), np.arange(m)
-        columns = np.stack([op.wrapped_column((length,)) for op in ops])  # first columns of C
+        nodes = np.arange(m)
+        columns = np.stack([op.wrapped_column() for op in ops])  # first columns of C
         self._eig = 1.0 - scale * np.fft.rfft(columns)
         self._diagonal = np.stack([op.diagonal() for op in ops])
         self._kernels, self._faces, self._gain = [], [], []
@@ -373,14 +369,12 @@ class _CapacitanceStep(_BoxStep):
             self._kernels.append(band[::-1].copy())  # np.convolve flips its kernel
 
             faces = np.flatnonzero((nodes < reach) | (nodes >= m - reach))
-            face_rows = np.zeros((faces.size, length))
-            face_rows[:, :m] = op.matrix_rows(faces)
-            E = scale * (column[(faces[:, None] - cols) % length] - face_rows)
-            EP = np.fft.irfft(np.fft.rfft(E) / np.conj(eig), length)  # rows of E P^-1
+            E = scale * (column[(faces[:, None] - nodes) % m] - op.matrix_rows(faces))
+            EP = np.fft.irfft(np.fft.rfft(E) / np.conj(eig), m)  # rows of E P^-1
             capacitance = np.eye(faces.size) + EP[:, faces]
             self._faces.append(faces)
-            self._gain.append(np.linalg.solve(capacitance, EP[:, :m]))
-            del face_rows, E, EP, capacitance  # no k x L arrays held into the next operator
+            self._gain.append(np.linalg.solve(capacitance, EP))
+            del E, EP, capacitance  # no k x m arrays held into the next operator
 
         # The correction cancels modes of P that M lacks (the constant mode
         # under a hostile exterior); on stiff steps the cancellation loses
@@ -422,13 +416,11 @@ class _CapacitanceStep(_BoxStep):
 
     def _solve(self, b):
         """``(I - scale * A)^-1 b`` for rows ``b``: face correction, then one FFT pair."""
-        m = b.shape[1]
-        y = np.zeros((len(b), self._length))
-        y[:, :m] = b
+        y = b.copy()
         gains = zip(self._each(self._faces, b), self._each(self._gain, b))
         for row, values, (faces, gain) in zip(y, b, gains):
             row[faces] -= gain @ values
-        return np.fft.irfft(np.fft.rfft(y) / self._eig, self._length)[:, :m].copy()
+        return np.fft.irfft(np.fft.rfft(y) / self._eig, b.shape[1])
 
 
 class _MatrixStep(_BoxStep):
@@ -474,23 +466,6 @@ class _MatrixStep(_BoxStep):
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     # einsum sums each row's squares without a squared temporary
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-
-def _fft_length(n: int) -> int:
-    """Smallest ``2**a * 3**b * 5**c >= n``.
-
-    A prime length costs the FFT several times more: ``rfft`` and
-    ``irfft`` took 59 us at 257 against 23 us at 270.
-    """
-    length = n
-    while True:
-        rest = length
-        for prime in (2, 3, 5):
-            while rest % prime == 0:
-                rest //= prime
-        if rest == 1:
-            return length
-        length += 1
 
 
 def half_spectrum_weights(shape: tuple[int, ...]) -> np.ndarray:

@@ -17,8 +17,10 @@ the tests place the offset-difference action apart from the table.  The
 time steppers act (see :mod:`dispersal.evolution`) on periodic closures
 through their Fourier symbol (:meth:`DispersalOperator.symbol`) in O(n)
 memory, on one-dimensional boxes through the band (the stencil convolved
-over the nodes, and the diagonal) with face rows from ``matrix_rows``.  Only two-dimensional boxes use the matrix, so a
-periodic or one-dimensional run never loads scipy.
+over the nodes, and the diagonal) with face rows from ``matrix_rows``.
+Both transform the stencil wrapped on the grid's own shape
+(:meth:`DispersalOperator.wrapped_column`).  Only two-dimensional boxes
+use the matrix, so a periodic or one-dimensional run never loads scipy.
 
 The nonlocal kind samples the kernel's shape at the grid nodes and scales
 all samples by one factor so that the stencil's second moment
@@ -141,17 +143,17 @@ class DispersalOperator:
             total += weight
         return total
 
-    def wrapped_column(self, shape: tuple[int, ...]) -> np.ndarray:
-        """First column of the stencil wrapped on a torus of ``shape`` nodes.
+    def wrapped_column(self) -> np.ndarray:
+        """First column of the stencil wrapped on a torus of the grid's shape.
 
-        ``w_o`` sits at node ``-o`` (modulo ``shape``) and the self term
+        ``w_o`` sits at node ``-o`` (modulo the shape) and the self term
         ``-sum_o w_o`` at node 0: the action of a periodic closure, and the
         circulant that the one-dimensional box solves correct at the faces.
         """
-        column = np.zeros(shape)
+        column = np.zeros(self.grid.shape)
         for offset, weight in self.offsets:
-            column[tuple(-o % n for o, n in zip(offset, shape))] += weight
-        column[(0,) * len(shape)] -= self.total_weight()
+            column[tuple(-o % n for o, n in zip(offset, column.shape))] += weight
+        column[(0,) * column.ndim] -= self.total_weight()
         return column
 
     def symbol(self) -> np.ndarray:
@@ -159,7 +161,7 @@ class DispersalOperator:
         if self.bc is not BoundaryCondition.PERIODIC:
             raise ValidationError("only periodic closures have a Fourier symbol")
         if self._symbol is None:
-            self._symbol = np.fft.rfftn(self.wrapped_column(self.grid.shape))
+            self._symbol = np.fft.rfftn(self.wrapped_column())
         return self._symbol
 
     # ------------------------------------------------------------------ #

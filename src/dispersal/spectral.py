@@ -123,8 +123,11 @@ def principal_value(
     Ratios are sup norms of successive images; the iteration stops when two
     consecutive ratios differ by less than ``tol`` and the eigen-residual
     ``max |image - ratio * u|`` is itself below ``tol`` (the iterate has
-    sup norm one), and the growth rate is ``log(ratio) / period``.  A jump
-    operator's result carries :func:`principal_eigenvalue_criterion`.
+    sup norm one), and the growth rate is ``log(ratio) / period``.  A settled
+    iterate with an entry below ``-tol`` is not the positive principal mode
+    (Crank–Nicolson's stiffest factors near ``-1`` once ``dt * rate / 2 >> 1``)
+    and raises :class:`NumericsError`.  A jump operator's result carries
+    :func:`principal_eigenvalue_criterion`.
     """
     starts = None if start is None else [start]
     result = _power_iteration(period_map, [period_map.operator], tol, max_iterations, starts)[0]
@@ -164,8 +167,14 @@ def _power_iteration(period_map: PeriodMap, ops, tol: float, max_iterations: int
             if previous[row] is not None and abs(ratio - previous[row]) < tol:
                 residual = float(np.max(np.abs(image - ratio * u[row])))
                 if residual < tol:
+                    mode = image / ratio
+                    if np.min(mode) < -tol:
+                        raise NumericsError(
+                            "power iteration settled on a mode that changes sign: the stiffest "
+                            f"Crank-Nicolson factors near -1 at dt={period_map.dt!r}; reduce dt"
+                        )
                     value = log(ratio) / period_map.period
-                    eigenfunction = Field(ops[row].grid, image / ratio)
+                    eigenfunction = Field(ops[row].grid, mode)
                     results[row] = SpectrumResult(value, eigenfunction, iteration, residual, None)
                     continue
             previous[row] = ratio

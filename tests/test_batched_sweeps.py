@@ -3,8 +3,8 @@
 A sweep advances the local reference and every radius as rows of one
 array, through one step that holds every operator.  Run alone, each
 problem must give the same numbers bitwise on every closure: the rows
-share one FFT length, which one-dimensional boxes take from the grid
-alone, and every operation acts row by row.
+share the grid, on whose shape every FFT runs, and every operation acts
+row by row.
 """
 
 import math

@@ -230,33 +230,32 @@ def test_converge_c_constant_orbit_gap_is_tolerance_level(tmp_path):
 
 
 def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp_path):
-    # a = -0.2 + cos(8 pi x) is negative on most of the box: diffusion still
-    # finds the pockets where a > 0 and invades, the jump operators do not,
-    # so both radii get gapless rows and only the reference is bracketed.
+    # a = -0.3 + 6 sin(4 pi t) cos(3x) has time average -0.3.  Its rate
+    # exceeds that average by more the closer the dispersal rate of cos(3x)
+    # is to the forcing frequency 4 pi, from below: diffusion's 9 is closer
+    # than either jump operator's, so diffusion invades, the jump operators
+    # do not, both radii get gapless rows and only the reference is bracketed.
     cfg = write_config(
         tmp_path,
         "c.cfg",
-        bc="neumann",
-        lower="0",
-        upper="1",
-        h="1/64",
-        dt="1/16",
-        T="1",
-        deltas="0.4,0.2",
-        growth="logistic(space-cosine(-0.2,1,8))",
+        bc="periodic",
+        period="2*pi",
+        h="2*pi/64",
+        dt="1/32",
+        T="0.5",
+        deltas="3.0,1.5",
+        growth="logistic(tx-product(-0.3,6,3))",
         orbit_snapshots="16",
     )
     out = tmp_path / "out"
     assert main(["converge-c", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = read_csv_table(out / "report.csv")
     assert header == ["delta", "sup_gap", "h2_delta_lambda", "h2_delta_ok"]
-    assert [(r[0], r[1], r[3]) for r in rows] == [("0.4", "nan", "0"), ("0.2", "nan", "0")]
+    assert [(r[0], r[1], r[3]) for r in rows] == [("3.0", "nan", "0"), ("1.5", "nan", "0")]
     rates = [float(r[2]) for r in rows]
-    assert rates == pytest.approx([-0.061203511950350516, -0.06359453854643207], abs=1e-8)
+    assert rates == pytest.approx([-0.20917372293782943, -0.04114154956934323], abs=1e-8)
     meta = _record_meta(out)
-    assert float(meta["local_rate"]) == pytest.approx(0.7254522457483378, abs=1e-8)
-    # the reference's own record: its sub bracket breaches its order
-    assert float(meta["max_monotone_violation"]) == pytest.approx(9.1867e-05, rel=1e-4)
+    assert float(meta["local_rate"]) == pytest.approx(0.03885627355011868, abs=1e-8)
 
 
 def test_two_dimensional_converge_a_follows_each_radius_sine_mode_oracle(tmp_path):
@@ -917,6 +916,24 @@ def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
             "power iteration did not settle in 1 iterations",
         ),
         (
+            # dt * rate / 2 = 32 for the stiffest mode: its Crank-Nicolson
+            # factor is near -1 and the period map's dominant mode alternates
+            # in sign; at dt = 1/2048 the principal rate is -8.742
+            "spectrum",
+            dict(
+                bc="dirichlet",
+                kind="local",
+                lower="0",
+                upper="1",
+                h="1/8",
+                dt="1/4",
+                T="1",
+                coefficient="tx-product(1,0.5,3)",
+            ),
+            "settled on a mode that changes sign: the stiffest Crank-Nicolson factors near -1 "
+            "at dt=0.25; reduce dt",
+        ),
+        (
             "kpp-orbit",
             dict(
                 bc="neumann",
@@ -960,7 +977,7 @@ def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
             "field exceeded 1e+12 at t=",
         ),
     ],
-    ids=["spectrum", "kpp-orbit", "converge-c", "converge-a"],
+    ids=["spectrum", "spectrum-sign-changing-mode", "kpp-orbit", "converge-c", "converge-a"],
 )
 def test_failed_computations_exit_3(tmp_path, capsys, command, keys, message):
     cfg = write_config(tmp_path, "x.cfg", **keys)
@@ -1073,7 +1090,7 @@ def test_one_dimensional_box_runs_never_load_scipy(tmp_path):
                 lower="0",
                 upper="1",
                 h="1/32",
-                dt="0.05",
+                dt="0.005",  # at 0.05 a mode that changes sign dominates the period map
                 T="1",
                 delta="0.25",
                 coefficient="const(0)",
@@ -1089,7 +1106,7 @@ def test_one_dimensional_box_runs_never_load_scipy(tmp_path):
                 lower="0",
                 upper="1",
                 h="1/64",
-                dt="0.05",
+                dt="1/256",  # the principal mode dominates for the reference and both radii
                 T="1",
                 deltas="0.4, 0.2",
                 coefficient="const(0)",

@@ -11,7 +11,8 @@ is left out: it is a function of the ``delta`` and ``error`` columns next
 to it, and amplifies their drift by the inverse of the smallest error.
 The resolved configuration in each ``run.txt`` must match exactly.
 ``scripts/compare_results.py``, which reports such drift between two
-results trees, is checked here too.
+results trees, is checked here too, and so is ``scripts/code_lines.py``,
+which counts the package's code lines for ``scripts/run_all.sh``.
 """
 
 import importlib.util
@@ -89,8 +90,8 @@ def test_sample_config_reproduces_its_committed_results(tmp_path, command, name,
     assert not problems, "\n".join(problems[:10])
 
 
-def _compare_results():
-    spec = importlib.util.spec_from_file_location("compare_results", SCRIPTS / "compare_results.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -116,7 +117,7 @@ def test_compare_results_reports_a_known_shift(tmp_path, capsys):
             f"# gap_orders: [, {order}, 1.0]\n# interior minimum: {low} (bound 2.0)\n"
             f"# kernel: quartic-polynomial\nh = {h}\n"
         )
-    assert _compare_results().main(["compare_results.py", str(old), str(new)]) == 0
+    assert _script("compare_results").main(["compare_results.py", str(old), str(new)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["renamed.csv: header differs", "short.csv: rows 2 -> 1", "sweep/report.csv"]
     # name, "max shift", shift, "relative", relative
@@ -132,3 +133,27 @@ def test_compare_results_reports_a_known_shift(tmp_path, capsys):
     }
     assert lines[6] == "trace/run.txt"  # the row count and the config lines are not compared
     assert lines[10:] == ["only in OLD: gone.csv", "only in NEW: sweep/run.txt"]
+
+
+def test_code_lines_leaves_out_blank_comment_and_docstring_lines(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment\n"
+        "\n\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        '    text = """a string,\n'
+        'not a docstring"""\n'
+        "    return (x +\n"
+        "            len(text))\n"
+        "\n\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "\n"
+        "    value = os.sep\n"
+    )
+    # import, def, the string's two lines, the return's two lines, class, value
+    assert _script("code_lines").code_lines(str(source)) == 8
