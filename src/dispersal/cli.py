@@ -36,15 +36,7 @@ from .coefficients import parse_call, parse_coefficient
 from .config import ExperimentConfig, format_resolved, load_config
 from .errors import NumericsError, ValidationError
 from .evolution import SemilinearProblem, parse_reaction, solution_convergence_experiment, solve
-from .grids import (
-    BOX,
-    box,
-    build_grid,
-    field_from_function,
-    periodic_cell,
-    sup_norm,
-    write_field_csv,
-)
+from .grids import box, build_grid, field_from_function, periodic_cell, sup_norm, write_field_csv
 from .kernels import MOLLIFIER, QUARTIC, kernel_profile
 from .kpp import (
     KPPProblem,
@@ -117,7 +109,7 @@ def _initial_function(text: str, domain):
     """Build an initial-data sampler from its catalog entry."""
     name, args = parse_call(text, "u0", _U0_ARITY)
     if name == "poly-bump":
-        if domain.kind != BOX:
+        if domain.periodic:
             raise ValidationError("u0 'poly-bump' needs a box domain")
         corners = tuple(zip(domain.lower, domain.upper))
 
@@ -132,15 +124,12 @@ def _initial_function(text: str, domain):
     if name == "const":
         return lambda *cols: np.full_like(np.asarray(cols[0], dtype=float), value)
     wave = np.cos if name == "cosine-mode" else np.sin
-    if domain.kind == BOX:
-        lows = domain.lower
-        freqs = [value * math.pi / (up - lo) for lo, up in zip(lows, domain.upper)]
-    else:
-        lows = (0.0,)
-        freqs = [2.0 * math.pi * value / domain.periods[0]]
+    # ``value`` half waves per box edge, or whole waves per cell period.
+    lows, waves = domain.lower, 2.0 * value if domain.periodic else value
+    freqs = [waves * math.pi / edge for edge in domain.edges]
     # A sine mode on a box is the product over all axes, so it vanishes on
     # every face (the hostile-exterior mode); the others vary along x only.
-    axes = len(freqs) if name == "sine-mode" and domain.kind == BOX else 1
+    axes = len(freqs) if name == "sine-mode" and not domain.periodic else 1
 
     def mode(*cols):
         out = wave(freqs[0] * (cols[0] - lows[0]))

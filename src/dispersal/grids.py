@@ -1,10 +1,12 @@
-"""Uniform grids over boxes and periodic cells, nodal fields, sup distance.
+"""Uniform grids over boxes, nodal fields, sup distance.
 
-The continuous habitats are axis-aligned boxes (with boundary) and periodic
-cells.  A grid samples a habitat with one uniform, isotropic spacing ``h``
-and holds only habitat nodes: a box grid one node at the centre of each
-cell, so none lies on a face, a periodic grid one representative node per
-equivalence class, so wrap identification is exact by construction.
+The continuous habitat is an axis-aligned box, closed either by its
+exterior (hostile or reflecting) or by identifying opposite faces, which
+makes it a periodic cell.  A grid samples a habitat with one uniform,
+isotropic spacing ``h`` and holds only habitat nodes, one per cell of
+side ``h``: at the cell's centre in a box, so none lies on a face, and at
+its lower corner on a periodic cell, so each equivalence class has one
+representative and wrap identification is exact by construction.
 
 Fields are flat nodal value arrays in C order over the tensor grid, and the
 distance between fields is the max-norm over all nodes.
@@ -20,9 +22,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-BOX = "box"
-PERIODIC_CELL = "periodic"
-
 
 def _as_tuple(value) -> tuple[float, ...]:
     if np.ndim(value) == 0:
@@ -32,50 +31,40 @@ def _as_tuple(value) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Domain:
-    """A habitat: a bounded box with boundary, or a periodic cell.
+    """A habitat: the box with corners ``lower`` and ``upper``.
 
-    ``lower``/``upper`` are the box corners (box kind only); ``periods`` are
-    the cell edge lengths (periodic kind only).
+    ``periodic`` identifies opposite faces; a periodic cell is the box
+    ``[0, period)`` on each axis.
     """
 
-    kind: str
-    lower: tuple[float, ...] = ()
-    upper: tuple[float, ...] = ()
-    periods: tuple[float, ...] = ()
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    periodic: bool = False
 
     def __post_init__(self):
-        if self.kind == BOX:
-            if len(self.lower) != len(self.upper) or not self.lower:
-                raise ValidationError("box domains need matching lower/upper corners")
-            if any(u <= l for l, u in zip(self.lower, self.upper)):
-                raise ValidationError(f"box corners must satisfy upper > lower, got {self.lower} / {self.upper}")
-        elif self.kind == PERIODIC_CELL:
-            if not self.periods:
-                raise ValidationError("periodic cells need at least one period")
-            if any(p <= 0 for p in self.periods):
-                raise ValidationError(f"periods must be positive, got {self.periods}")
-        else:
-            raise ValidationError(f"unknown domain kind {self.kind!r}")
+        if len(self.lower) != len(self.upper) or not self.lower:
+            raise ValidationError("box domains need matching lower/upper corners")
+        if any(u <= l for l, u in zip(self.lower, self.upper)):
+            raise ValidationError(f"box corners must satisfy upper > lower, got {self.lower} / {self.upper}")
 
     @property
     def dimension(self) -> int:
-        return len(self.lower) if self.kind == BOX else len(self.periods)
+        return len(self.lower)
 
     @property
     def edges(self) -> tuple[float, ...]:
-        if self.kind == BOX:
-            return tuple(u - l for l, u in zip(self.lower, self.upper))
-        return self.periods
+        return tuple(u - l for l, u in zip(self.lower, self.upper))
 
 
 def box(lower, upper) -> Domain:
     """Bounded box domain; scalars build an interval."""
-    return Domain(BOX, lower=_as_tuple(lower), upper=_as_tuple(upper))
+    return Domain(_as_tuple(lower), _as_tuple(upper))
 
 
 def periodic_cell(periods) -> Domain:
-    """Periodic cell domain; a scalar builds a one-dimensional cell."""
-    return Domain(PERIODIC_CELL, periods=_as_tuple(periods))
+    """Periodic cell ``[0, period)`` per axis; a scalar builds a one-dimensional cell."""
+    upper = _as_tuple(periods)
+    return Domain((0.0,) * len(upper), upper, periodic=True)
 
 
 def _axis_cells(edge: float, h: float, what: str) -> int:
@@ -111,32 +100,27 @@ class Grid:
     def num_nodes(self) -> int:
         return int(np.prod(self.shape))
 
-    def signature(self) -> tuple:
-        return (self.domain, self.h, self.shape)
-
 
 def same_grid(a: Grid, b: Grid) -> bool:
-    return a is b or a.signature() == b.signature()
+    return a is b or (a.domain, a.h, a.shape) == (b.domain, b.h, b.shape)
 
 
 def build_grid(domain: Domain, h: float, ghost_width: float = 0.0) -> Grid:
     """Sample ``domain`` at spacing ``h``.
 
-    A periodic cell has a node at ``i*h``; a box has one node per cell, at
-    its centre ``lower + (i + 1/2)*h``, so no node lies on a face.  The
-    coordinates are computed the same way every time, so identical inputs
-    reproduce identical grids bit for bit.  ``ghost_width`` is ignored: box
+    Each axis holds one node per cell, at ``lower + (i + o)*h``: ``o = 0``
+    on a periodic cell, so the node at ``upper`` is the one at ``lower``,
+    and ``o = 1/2`` in a box, so no node lies on a face.  The coordinates
+    are computed the same way every time, so identical inputs reproduce
+    identical grids bit for bit.  ``ghost_width`` is ignored: box
     grids hold no nodes outside the box, and the keyword stays only for
     callers that still pass it.
     """
     if h <= 0.0:
         raise ValidationError(f"spacing h must be positive, got {h}")
-    if domain.kind == PERIODIC_CELL:
-        shape = tuple(_axis_cells(p, h, "period") for p in domain.periods)
-        axes = tuple(np.arange(n) * h for n in shape)
-    else:
-        shape = tuple(_axis_cells(e, h, "edge length") for e in domain.edges)
-        axes = tuple(lo + (np.arange(n) + 0.5) * h for lo, n in zip(domain.lower, shape))
+    what, offset = ("period", 0.0) if domain.periodic else ("edge length", 0.5)
+    shape = tuple(_axis_cells(e, h, what) for e in domain.edges)
+    axes = tuple(lo + (np.arange(n) + offset) * h for lo, n in zip(domain.lower, shape))
     mesh = np.meshgrid(*axes, indexing="ij") if len(axes) > 1 else [axes[0]]
     coordinates = tuple(m.ravel() for m in mesh)
     return Grid(domain, float(h), shape, coordinates)

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .grids import BOX, PERIODIC_CELL, Domain, Grid, build_grid
+from .grids import Domain, Grid, build_grid
 from .kernels import KernelProfile, scaled_kernel
 
 if TYPE_CHECKING:
@@ -249,9 +249,10 @@ class DispersalOperator:
 
 
 def _require_domain(grid: Grid, bc: BoundaryCondition) -> None:
-    if bc is BoundaryCondition.PERIODIC and grid.domain.kind != PERIODIC_CELL:
+    periodic = bc is BoundaryCondition.PERIODIC
+    if periodic and not grid.domain.periodic:
         raise ValidationError("periodic operators need a periodic-cell domain")
-    if bc is not BoundaryCondition.PERIODIC and grid.domain.kind != BOX:
+    if grid.domain.periodic and not periodic:
         raise ValidationError(f"{bc.value} operators need a bounded box domain")
 
 
@@ -282,7 +283,7 @@ def assemble_nonlocal(
             "refine the grid or enlarge delta"
         )
     if bc is BoundaryCondition.PERIODIC:
-        half = min(grid.domain.periods) / 2.0
+        half = min(grid.domain.edges) / 2.0
         if delta > half + 1e-12:
             raise ValidationError(
                 f"delta {delta!r} exceeds half the smallest period {half!r}; "

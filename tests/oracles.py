@@ -27,7 +27,7 @@ import numpy as np
 from dispersal.coefficients import TimePeriodicCoefficient
 from dispersal.errors import NumericsError, ValidationError
 from dispersal.evolution import Trajectory, linear_step
-from dispersal.grids import BOX, Field, Grid, same_grid
+from dispersal.grids import Field, Grid, same_grid
 from dispersal.kernels import QUARTIC, KernelProfile, _radial_shape, scaled_kernel
 from dispersal.kpp import KPPProblem
 from dispersal.operators import LOCAL, NONLOCAL, BoundaryCondition, DispersalOperator
@@ -211,7 +211,7 @@ def boundary_distance(grid: Grid) -> np.ndarray:
 
     Periodic cells have no boundary; every node reports ``+inf``.
     """
-    if grid.domain.kind != BOX:
+    if grid.domain.periodic:
         return np.full(grid.num_nodes, math.inf)
     dist = np.full(grid.num_nodes, math.inf)
     for lo, up, x in zip(grid.domain.lower, grid.domain.upper, grid.coordinates):

@@ -33,6 +33,15 @@ def test_periodic_cell_identifies_the_wrap_node():
     np.testing.assert_allclose(grid.coordinates[0], [0.0, 0.25, 0.5, 0.75], atol=0.0)
 
 
+def test_cell_with_unequal_periods_has_nodes_at_whole_steps():
+    h = 2.0 * math.pi / 32
+    grid = build_grid(periodic_cell([2.0 * math.pi, math.pi]), h)
+    assert grid.shape == (32, 16)
+    x, y = (c.reshape(grid.shape) for c in grid.coordinates)
+    assert np.array_equal(x, np.broadcast_to((np.arange(32) * h)[:, None], grid.shape))
+    assert np.array_equal(y, np.broadcast_to(np.arange(16) * h, grid.shape))
+
+
 def test_incompatible_spacing_is_rejected():
     with pytest.raises(ValidationError, match="incompatible spacing"):
         build_grid(box(0.0, 1.0), 0.3)

@@ -548,6 +548,25 @@ def test_assembly_rejects_mismatched_dimensions_and_domains():
         assemble_local(grid, "absorbing")
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("kind", ["local", "nonlocal"])
+def test_box_closures_are_refused_on_a_periodic_cell(bc, kind):
+    grid = build_grid(periodic_cell(1.0), 1.0 / 64)
+    with pytest.raises(ValidationError, match=f"{bc} operators need a bounded box domain"):
+        if kind == "local":
+            assemble_local(grid, bc)
+        else:
+            assemble_nonlocal(grid, QUARTIC_1D, 0.1, bc)
+
+
+def test_half_period_bound_reads_the_smallest_of_unequal_periods():
+    grid = build_grid(periodic_cell([2.0 * math.pi, math.pi]), 2.0 * math.pi / 32)
+    profile = kernel_profile(QUARTIC, 2)
+    assert assemble_nonlocal(grid, profile, math.pi / 2, "periodic").delta == math.pi / 2
+    with pytest.raises(ValidationError, match="half the smallest period"):
+        assemble_nonlocal(grid, profile, math.pi / 2 * (1 + 1e-9), "periodic")
+
+
 # --------------------------------------------------------------------- #
 # sweep harness                                                          #
 # --------------------------------------------------------------------- #
