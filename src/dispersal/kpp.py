@@ -147,7 +147,7 @@ class PeriodicOrbit:
 
 
 def verify_invasion_condition(problem: KPPProblem) -> tuple[bool, float]:
-    """Growth rate of the linearization at zero (to ``1e-9``), and whether it is positive."""
+    """Growth rate of the linearization at zero (``rate * T`` to about ``1e-9``), and whether it is positive."""
     value = _invasion_checks(problem, [problem.operator])[0].value
     return bool(value > 0.0), value
 

@@ -21,6 +21,8 @@ inverse transform, two transforms per step.
 ``lambda`` is extracted by plain power iteration with sup-norm ratios (a
 radius sweep iterates one map over its operators, one row each); the dominant
 eigenvector is a positive (Perron) vector, so no shifts or deflation are needed.
+The stopping test is relative to the ratio, about ``exp(lambda T)``, so a
+constant added to the coefficient shifts ``lambda`` but not the iteration count.
 """
 
 from __future__ import annotations
@@ -121,9 +123,10 @@ def principal_value(
     """Dominant growth rate of the period map by power iteration.
 
     Ratios are sup norms of successive images; the iteration stops when two
-    consecutive ratios differ by less than ``tol`` and the eigen-residual
-    ``max |image - ratio * u|`` is itself below ``tol`` (the iterate has
-    sup norm one), and the growth rate is ``log(ratio) / period``.  A settled
+    consecutive ratios differ by less than ``tol * ratio`` and the
+    eigen-residual ``max |image - ratio * u|`` is below ``tol * ratio`` (the
+    iterate has sup norm one; ``residual`` reports it unscaled), and the
+    growth rate is ``log(ratio) / period``.  A settled
     iterate with an entry below ``-tol`` is not the positive principal mode
     (Crank–Nicolson's stiffest factors near ``-1`` once ``dt * rate / 2 >> 1``)
     and raises :class:`NumericsError`.  A jump operator's result carries
@@ -164,9 +167,9 @@ def _power_iteration(period_map: PeriodMap, ops, tol: float, max_iterations: int
         for row, image, ratio in zip(active, images, np.max(np.abs(images), axis=1).tolist()):
             if ratio == 0.0 or not np.isfinite(ratio):
                 raise NumericsError(f"period map produced a degenerate image (ratio {ratio!r})")
-            if previous[row] is not None and abs(ratio - previous[row]) < tol:
+            if previous[row] is not None and abs(ratio - previous[row]) < tol * ratio:
                 residual = float(np.max(np.abs(image - ratio * u[row])))
-                if residual < tol:
+                if residual < tol * ratio:
                     mode = image / ratio
                     if np.min(mode) < -tol:
                         raise NumericsError(

@@ -934,6 +934,23 @@ def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
             "at dt=0.25; reduce dt",
         ),
         (
+            # The same sign-changing mode under a growth of exp(40) per
+            # period: the relative stopping test settles on it at once.
+            "spectrum",
+            dict(
+                bc="dirichlet",
+                kind="local",
+                lower="0",
+                upper="1",
+                h="1/8",
+                dt="1/8",
+                T="1",
+                coefficient="const(40)",
+            ),
+            "settled on a mode that changes sign: the stiffest Crank-Nicolson factors near -1 "
+            "at dt=0.125; reduce dt",
+        ),
+        (
             "kpp-orbit",
             dict(
                 bc="neumann",
@@ -977,7 +994,14 @@ def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
             "field exceeded 1e+12 at t=",
         ),
     ],
-    ids=["spectrum", "spectrum-sign-changing-mode", "kpp-orbit", "converge-c", "converge-a"],
+    ids=[
+        "spectrum",
+        "spectrum-sign-changing-mode",
+        "spectrum-sign-changing-mode-growing",
+        "kpp-orbit",
+        "converge-c",
+        "converge-a",
+    ],
 )
 def test_failed_computations_exit_3(tmp_path, capsys, command, keys, message):
     cfg = write_config(tmp_path, "x.cfg", **keys)

@@ -174,6 +174,29 @@ def test_power_iteration_reports_no_convergence_when_capped():
         principal_value(neumann_map(a), max_iterations=1)
 
 
+@pytest.mark.parametrize("habitat", ["local-cell", "nonlocal-neumann-box"])
+def test_power_iteration_stops_alike_for_every_shift_of_the_rate(habitat):
+    # Adding c to the coefficient multiplies the period map by exp(c T) and
+    # leaves its iterates unchanged, so the rate must move by c and the
+    # iteration must stop where it stops at c = 0, however large or small
+    # the ratio exp(lambda T) is.
+    if habitat == "local-cell":
+        grid = build_grid(periodic_cell(2.0 * math.pi), 2.0 * math.pi / 16)
+        op, dt = assemble_local(grid, "periodic"), 1.0 / 16
+    else:
+        op, dt = assemble_nonlocal(build_grid(box(0.0, 1.0), 1.0 / 32), QUARTIC_1D, 0.25, "neumann"), 0.05
+
+    def rate(c):
+        pm = PeriodMap(op, parse_coefficient(f"space-cosine({c},1,1)", 1.0), dt)
+        return principal_value(pm, max_iterations=200)
+
+    base = rate(0)
+    for c in (-20, 24):
+        shifted = rate(c)
+        assert abs(shifted.value - c - base.value) <= 10 * 1e-9
+        assert shifted.iterations == base.iterations
+
+
 def test_principal_value_validates_inputs():
     pm = neumann_map(constant_coefficient(0.0, period=1.0))
     with pytest.raises(ValidationError, match="tol must be positive"):
