@@ -125,16 +125,16 @@ def _initial_function(text: str, domain):
         return lambda *cols: np.full_like(np.asarray(cols[0], dtype=float), value)
     wave = np.cos if name == "cosine-mode" else np.sin
     # ``value`` half waves per box edge, or whole waves per cell period.
-    lows, waves = domain.lower, 2.0 * value if domain.periodic else value
+    waves = 2.0 * value if domain.periodic else value
     freqs = [waves * math.pi / edge for edge in domain.edges]
     # A sine mode on a box is the product over all axes, so it vanishes on
     # every face (the hostile-exterior mode); the others vary along x only.
     axes = len(freqs) if name == "sine-mode" and not domain.periodic else 1
 
     def mode(*cols):
-        out = wave(freqs[0] * (cols[0] - lows[0]))
+        out = wave(freqs[0] * (cols[0] - domain.lower[0]))
         for axis in range(1, axes):
-            out = out * wave(freqs[axis] * (cols[axis] - lows[axis]))
+            out = out * wave(freqs[axis] * (cols[axis] - domain.lower[axis]))
         return out
 
     return mode
