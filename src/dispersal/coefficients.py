@@ -1,9 +1,12 @@
 """Catalog of analytic time-periodic coefficients a(t, x).
 
 Every coefficient carries its period, a nodal evaluator, and an exact
-closed-form time integral.  The exact integral is what lets the spectral
-period map treat the reaction factor by an integrating factor with no
-additional time-discretization error.
+closed-form time integral.  The exact integral is what lets every time
+step treat the reaction by its exact flow
+(:attr:`dispersal.evolution.ReactionTerm.flow`): the linear flow is the
+integrating factor ``exp(int a)``, with no time-discretization error, and
+the logistic flow takes closed forms too when the coefficient is
+``steady`` (does not depend on ``t``: ``const`` and ``space-cosine``).
 
 Evaluation reduces the time argument modulo the period first (an exact
 floating-point operation), so periodicity ``a(t + T, x) == a(t, x)`` holds
@@ -48,13 +51,15 @@ class TimePeriodicCoefficient:
 
     ``evaluate(t, coords)`` returns per-node values given the grid's
     coordinate columns; ``integral(t0, t1, coords)`` returns the exact
-    integral of ``a(., x)`` over ``[t0, t1]`` per node.
+    integral of ``a(., x)`` over ``[t0, t1]`` per node.  ``steady`` says
+    that ``a`` does not depend on ``t``.
     """
 
     period: float
     evaluate: Callable[[float, Coords], np.ndarray]
     integral: Callable[[float, float, Coords], np.ndarray]
     description: str
+    steady: bool = False
 
     def __post_init__(self):
         _check_period(self.period)
@@ -78,6 +83,7 @@ def constant_coefficient(c: float, period: float = 1.0) -> TimePeriodicCoefficie
         evaluate=lambda t, coords: np.full_like(coords[0], c),
         integral=lambda t0, t1, coords: np.full_like(coords[0], c * (t1 - t0)),
         description=f"const({c!r})",
+        steady=True,
     )
 
 
@@ -125,7 +131,8 @@ def space_cosine(c0: float, c1: float, k: float, period: float = 1.0) -> TimePer
     def integral(t0, t1, coords):
         return (c0 + c1 * cosine(coords[0])) * (t1 - t0)
 
-    return TimePeriodicCoefficient(period, evaluate, integral, f"space-cosine({c0!r},{c1!r},{k!r})")
+    description = f"space-cosine({c0!r},{c1!r},{k!r})"
+    return TimePeriodicCoefficient(period, evaluate, integral, description, steady=True)
 
 
 def time_space_product(c0: float, c1: float, k: float, period: float) -> TimePeriodicCoefficient:

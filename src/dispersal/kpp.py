@@ -13,22 +13,21 @@ one batched call; a bracket that has converged is frozen while the others
 go on, and iteration counts, order-breach records and errors are those of
 running the brackets one after another.
 
-Each time step treats dispersal by backward Euler and the reaction by a
-Heun predictor-corrector.  The backward-Euler resolvent has entrywise
-nonnegative inverse for every step size, so the ordered iterations stay
-ordered numerically no matter how stiff the dispersal rate is.  Its
-first-order bias does not cancel from a nonlocal state's gap to the local
-one: at radius 0.1 on a periodic cell the gap is 1.979e-6 at ``dt = 1/64``
-and 1.894e-6 as ``dt -> 0``, a 4.5 % bias.  The step is the backward Euler
-step of :class:`dispersal.evolution.LinearStep`; on periodic closures it
-costs four transforms for both rows together: each right-hand side is
-formed in real space and transformed, each solution transformed back, and
-the warm-start tests use the spectra the step carries.
+Each time step is the Strang step of :mod:`dispersal.evolution` around a
+dispersal step that keeps the map positive, so the ordered iterations stay
+ordered however stiff the dispersal rate is: on periodic closures the exact
+flow, two transforms for all rows together and no solve; on boxes backward
+Euler, whose resolvent is entrywise nonnegative for every step size,
+warm-started from the rows it solves for, so a row it leaves alone (a
+constant under a reflecting closure) is kept bitwise.  On boxes the states
+carry backward Euler's first-order time bias; on cells the map is second
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from math import nan
 from typing import Sequence
 
@@ -47,6 +46,8 @@ from .evolution import (
     _uniform_snapshot_steps,
     linear_step,
     logistic_reaction,
+    step_flows,
+    strang_step,
     whole_steps,
 )
 from .grids import Field, sup_distance
@@ -87,24 +88,26 @@ class KPPProblem:
     def period(self) -> float:
         return self.growth.period
 
-    def _rate(self, t: float, u: np.ndarray) -> np.ndarray:
-        return self.reaction.evaluate(t, self.operator.grid.coordinates, u)
+    @cached_property
+    def _flows(self) -> list:
+        """The half-step flows of each step of one period, made once."""
+        coords = self.operator.grid.coordinates
+        return list(step_flows(self.reaction, coords, self.dt, self.steps_per_period))
 
     def one_period(self, rows: np.ndarray, step: LinearStep, marks: Sequence[int] = ()):
         """Advance ``rows``, shape ``(rows, num_nodes)``, by one period through ``step``.
 
-        ``step`` is a backward-Euler step of size ``dt`` (``linear_step(ops,
-        dt)``) over this problem's operator or other operators on its grid.
-        Returns the advanced rows and a copy of them taken before each step
-        index in ``marks``.  Each step's companion (the rows' spectrum on
-        periodic closures) is carried to the next step.
+        ``step`` is the dispersal step of scale ``dt`` (``linear_step(ops,
+        dt)``) over this problem's operator or other operators on its grid;
+        each time step is :func:`dispersal.evolution.strang_step` around its
+        backward-Euler step.  Returns the advanced rows and a copy of them
+        taken before each step index in ``marks``.
         """
-        taken, companion = [], None
-        for k in range(self.steps_per_period):
+        taken = []
+        for k, flows in enumerate(self._flows):
             if k in marks:
                 taken.append(rows.copy())
-            t = k * self.dt
-            rows, companion = step.imex_step(t, rows, self._rate, companion, trapezoid=False)
+            rows = strang_step(rows, flows, step.backward_euler)
         return rows, taken
 
 

@@ -5,18 +5,15 @@ The object of study is the one-period solution operator ("period map") of
     u_t = (dispersal) u + a(t, x) u,
 
 whose spectral radius equals ``exp(lambda T)`` with ``lambda`` the
-principal growth rate being approximated.  The map is realized by operator
-splitting: each step multiplies by the exact integrating factor of the
-reaction over a half step, applies one trapezoidal step of the dispersal
-part, and multiplies by the second half-step factor.  Because the catalog
-coefficients carry closed-form time integrals, the reaction contributes no
-time-discretization error at all — a space-free coefficient reproduces its
-time average to rounding — and the splitting is symmetric, so the dispersal
-error stays second order in ``dt``.  The dispersal step is the
-Crank–Nicolson step of :class:`dispersal.evolution.LinearStep`; on periodic
-closures it forms the explicit half step, the warm-start test and the
-solve from one forward transform of the field and returns it with one
-inverse transform, two transforms per step.
+principal growth rate being approximated.  Each step of the map is the
+Strang step of :mod:`dispersal.evolution`: the exact integrating factor of
+the reaction over a half step, one dispersal step, and the second half-step
+factor.  Because the catalog coefficients carry closed-form time integrals,
+the reaction contributes no time-discretization error at all — a
+space-free coefficient reproduces its time average to rounding — and the
+splitting is symmetric, so the error stays second order in ``dt``.  The
+dispersal step is the exact flow on periodic closures, two transforms per
+step, and a Crank–Nicolson step on boxes.
 
 ``lambda`` is extracted by plain power iteration with sup-norm ratios (a
 radius sweep iterates one map over its operators, one row each); the dominant
@@ -36,7 +33,7 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, time_average
 from .errors import NoConvergenceError, NumericsError, ValidationError
-from .evolution import LinearStep, linear_step, whole_steps
+from .evolution import LinearStep, linear_reaction, linear_step, step_flows, strang_step, whole_steps
 from .grids import Field, field_from_function, same_grid
 from .kernels import KernelProfile
 from .operators import NONLOCAL, BoundaryCondition, DispersalOperator, sweep_operators
@@ -60,10 +57,10 @@ class PeriodMap:
         return self.coefficient.period
 
     @cached_property
-    def _factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        x, dt, integral = self.operator.grid.coordinates, self.dt, self.coefficient.integral
-        ends = [(k * dt, k * dt + dt / 2.0, (k + 1) * dt) for k in range(self.steps)]
-        return [(np.exp(integral(a, m, x)), np.exp(integral(m, b, x))) for a, m, b in ends]
+    def _flows(self) -> list:
+        """The half-step integrating factors of each step, made once."""
+        reaction, coords = linear_reaction(self.coefficient), self.operator.grid.coordinates
+        return list(step_flows(reaction, coords, self.dt, self.steps))
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         """Apply the map to a flat nodal array."""
@@ -72,8 +69,8 @@ class PeriodMap:
 
     def _advance(self, rows: np.ndarray, step: LinearStep) -> np.ndarray:
         """Apply the map to ``rows`` through ``step``, which may give each row its own operator."""
-        for first, second in self._factors:
-            rows = step.crank_nicolson(rows * first) * second
+        for flows in self._flows:
+            rows = strang_step(rows, flows, step.crank_nicolson)
         return rows
 
 
@@ -126,9 +123,9 @@ def principal_value(
     consecutive ratios differ by less than ``tol * ratio`` and the
     eigen-residual ``max |image - ratio * u|`` is below ``tol * ratio`` (the
     iterate has sup norm one; ``residual`` reports it unscaled), and the
-    growth rate is ``log(ratio) / period``.  A settled
-    iterate with an entry below ``-tol`` is not the positive principal mode
-    (Crank–Nicolson's stiffest factors near ``-1`` once ``dt * rate / 2 >> 1``)
+    growth rate is ``log(ratio) / period``.  A settled iterate with an entry
+    below ``-tol`` is not the positive principal mode (on a box,
+    Crank–Nicolson's stiffest factors near ``-1`` once ``dt * rate / 2 >> 1``)
     and raises :class:`NumericsError`.  A jump operator's result carries
     :func:`principal_eigenvalue_criterion`.
     """

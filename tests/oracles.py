@@ -10,8 +10,9 @@ kernel's shape, so the unit-mass normalization, the rate constant ``C``
 composite Gauss-Legendre quadrature of the radial profile, and
 :func:`continuum_offsets` rebuilds the stencil from them as the paper
 writes the jump operator.  The other oracles are the consistency probe
-(criterion 3), the perturbation bound (criterion 7) and the comparison
-check (criterion 9), with the small helpers only tests call.  Those that
+(criterion 3), the perturbation bound (criterion 7), the comparison
+check (criterion 9) and a Runge-Kutta integration of the logistic law,
+with the small helpers only tests call.  Those that
 compare raise :class:`dispersal.ValidationError` on mismatched inputs, and
 :func:`moment_constant` raises :class:`QuadratureFailureError` when the
 mass misses one.
@@ -294,6 +295,33 @@ def perturbation_check(map1: PeriodMap, map2: PeriodMap, tol: float) -> bool:
     lam1 = principal_value(map1).value
     lam2 = principal_value(map2).value
     return abs(lam1 - lam2) <= bound + tol
+
+
+# ---------------------------------------------------------------------- #
+# the logistic law                                                        #
+# ---------------------------------------------------------------------- #
+
+
+def logistic_flow(a: TimePeriodicCoefficient, t0: float, t1: float, coords, u, substeps=400):
+    """``u(t1)`` of ``u' = u (a(t, x) - u)`` from ``u(t0) = u``.
+
+    Classical fourth-order Runge-Kutta on ``substeps`` equal steps, from the
+    law and ``a.evaluate`` alone.
+    """
+
+    def rate(t, v):
+        return v * (a.evaluate(t, coords) - v)
+
+    h = (t1 - t0) / substeps
+    v = np.array(u, dtype=float)
+    for j in range(substeps):
+        t = t0 + j * h
+        k1 = rate(t, v)
+        k2 = rate(t + h / 2.0, v + (h / 2.0) * k1)
+        k3 = rate(t + h / 2.0, v + (h / 2.0) * k2)
+        k4 = rate(t + h, v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
 
 
 # ---------------------------------------------------------------------- #

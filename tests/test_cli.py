@@ -230,11 +230,14 @@ def test_converge_c_constant_orbit_gap_is_tolerance_level(tmp_path):
 
 
 def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp_path):
-    # a = -0.3 + 6 sin(4 pi t) cos(3x) has time average -0.3.  Its rate
+    # a = -0.9 + 14 sin(4 pi t) cos(3x) has time average -0.9.  Its rate
     # exceeds that average by more the closer the dispersal rate of cos(3x)
     # is to the forcing frequency 4 pi, from below: diffusion's 9 is closer
-    # than either jump operator's, so diffusion invades, the jump operators
-    # do not, both radii get gapless rows and only the reference is bracketed.
+    # than either wide jump operator's, so diffusion invades, the jump
+    # operators do not, both radii get gapless rows and only the reference
+    # is bracketed.  The reference's rate, 0.88, keeps its brackets
+    # contracting by about exp(-0.44) a period, so they stop within 10 tol
+    # of each other.
     cfg = write_config(
         tmp_path,
         "c.cfg",
@@ -243,25 +246,54 @@ def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp
         h="2*pi/64",
         dt="1/32",
         T="0.5",
-        deltas="3.0,1.5",
-        growth="logistic(tx-product(-0.3,6,3))",
+        deltas="3.0,2.5",
+        growth="logistic(tx-product(-0.9,14,3))",
         orbit_snapshots="16",
     )
     out = tmp_path / "out"
     assert main(["converge-c", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = read_csv_table(out / "report.csv")
     assert header == ["delta", "sup_gap", "h2_delta_lambda", "h2_delta_ok"]
-    assert [(r[0], r[1], r[3]) for r in rows] == [("3.0", "nan", "0"), ("1.5", "nan", "0")]
+    assert [(r[0], r[1], r[3]) for r in rows] == [("3.0", "nan", "0"), ("2.5", "nan", "0")]
     rates = [float(r[2]) for r in rows]
-    assert rates == pytest.approx([-0.20917372293782943, -0.04114154956934323], abs=1e-8)
+    assert rates == pytest.approx([-0.31752552021882513, -0.06051630635422927], abs=1e-8)
     meta = _record_meta(out)
-    assert float(meta["local_rate"]) == pytest.approx(0.03885627355011868, abs=1e-8)
+    assert float(meta["local_rate"]) == pytest.approx(0.8819444626530836, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "habitat",
+    [dict(bc="periodic", period="2*pi"), dict(bc="neumann", lower="0", upper="2*pi")],
+    ids=["periodic", "neumann"],
+)
+def test_a_flat_unit_orbit_settles_at_a_fine_step(tmp_path, habitat):
+    # With a Heun reaction inside the dispersal solve, a constant row's
+    # solve kept its warm start whenever dt |u (1 - u)| < 1e-10 |b|, so
+    # both brackets froze about 1e-10 / dt short of 1, on opposite sides,
+    # and at dt = 1/1024 disagreed by 2.0e-7.  The reaction now flows
+    # exactly and the solve starts from the flowed rows.
+    cfg = write_config(
+        tmp_path,
+        "k.cfg",
+        **habitat,
+        kind="local",
+        h="2*pi/64",
+        dt="1/1024",
+        T="1",
+        growth="logistic(const(1))",
+        orbit_snapshots="4",
+    )
+    out = tmp_path / "out"
+    assert main(["kpp-orbit", "--config", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_csv_table(out / "orbit.csv")
+    assert header == ["t", "x", "value"] and len(rows) == 4 * 64
+    assert max(abs(float(r[2]) - 1.0) for r in rows) <= 10 * 1e-8
 
 
 def test_two_dimensional_converge_a_follows_each_radius_sine_mode_oracle(tmp_path):
     # sin(x) is an eigenvector of every periodic operator on the cell, so
-    # each run is the mode times a power of its symbol's trapezoidal factor,
-    # and each error is the largest gap between two such powers.
+    # each run is the mode times exp(t lam), lam its symbol, and each error
+    # is the largest gap between two such exponentials.
     nodes, dt, steps = 64, 0.05, 10
     cfg = write_config(
         tmp_path,
@@ -278,11 +310,11 @@ def test_two_dimensional_converge_a_follows_each_radius_sine_mode_oracle(tmp_pat
     )
     out = tmp_path / "out"
     assert main(["converge-a", "--config", str(cfg), "--out", str(out)]) == 0
-    h, s = 2.0 * np.pi / nodes, dt / 2.0
+    h = 2.0 * np.pi / nodes
     grid = build_grid(periodic_cell([2.0 * np.pi] * 2), h)
 
     def factor(lam):
-        return (1.0 + s * lam) / (1.0 - s * lam)
+        return np.exp(dt * lam)
 
     local = factor((2.0 * np.cos(h) - 2.0) / h**2)
     marks = _uniform_snapshot_steps(steps, 4)
@@ -323,7 +355,7 @@ def test_two_dimensional_snapshots_carry_both_coordinates(tmp_path):
 @pytest.mark.parametrize("family", [QUARTIC, MOLLIFIER])
 def test_two_dimensional_periodic_run_follows_the_sine_mode_oracle(tmp_path, family):
     # A separable sine mode is an eigenvector of the periodic jump operator,
-    # so each trapezoidal step multiplies it by (1 + s lam) / (1 - s lam).
+    # so each step of its exact flow multiplies it by exp(dt lam).
     nodes, dt, steps = 32, 0.05, 5
     cfg = write_config(
         tmp_path,
@@ -345,8 +377,7 @@ def test_two_dimensional_periodic_run_follows_the_sine_mode_oracle(tmp_path, fam
     grid = build_grid(periodic_cell([2.0 * np.pi] * 2), h)
     op = assemble_nonlocal(grid, kernel_profile(family, 2), 4.0 * h, "periodic")
     lam = sum(w * (np.cos(o[0] * h) - 1.0) for o, w in op.offsets)
-    s = dt / 2.0
-    factor = ((1.0 + s * lam) / (1.0 - s * lam)) ** steps
+    factor = np.exp(dt * lam) ** steps
     header, rows = read_csv_table(out / "snapshot_001.csv")
     assert header == ["x", "y", "value"] and len(rows) == nodes * nodes
     x, value = np.array([[float(r[0]), float(r[2])] for r in rows]).T
@@ -894,7 +925,28 @@ def test_blow_up_exits_3_with_the_time_it_happened(tmp_path, capsys):
     )
     cfg = write_config(tmp_path, "boom.cfg", **keys)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == "error: field exceeded 1e+12 at t=0.31\n"
+    # The sine mode grows as exp((100 + sigma) t), sigma its symbol (about
+    # -1), and passes 1e12 near t = 0.279, in the step that ends at 0.28.
+    assert capsys.readouterr().err == "error: field exceeded 1e+12 at t=0.28\n"
+
+
+def test_a_negative_logistic_run_blows_up_at_the_pole_of_its_flow(tmp_path, capsys):
+    # u' = u (1 - u) from u = -1 gives u = -e^t / (2 - e^t), which leaves
+    # every bound at t = ln 2 = 0.693, inside the step that ends at 0.7.  A
+    # flow that passed its pole would flip the sign and run on.
+    keys = dict(
+        {k: v for k, v in SIMULATE_KEYS.items() if k != "delta"},
+        kind="local",
+        h="2*pi/32",
+        dt="0.01",
+        t_final="1",
+        u0="const(-1)",
+        reaction="logistic(const(1))",
+        snapshots="1",
+    )
+    cfg = write_config(tmp_path, "pole.cfg", **keys)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: field exceeded 1e+12 at t=0.7\n"
 
 
 @pytest.mark.parametrize(
