@@ -21,21 +21,16 @@ Crank-Nicolson in :func:`solve` and the period map, backward Euler in the
 brackets, which need a positive map (a linear rational step that is
 positive for every step size is at most first order: Bolley & Crouzeix,
 RAIRO Anal. Numer. 12, 1978).  Box nodes sit at the cell centres, so none
-is pinned and every box matrix is symmetric.  On a one-dimensional box the
-action is a band, applied by ``np.convolve`` of the stencil; ``I - s A``
-there equals the circulant of the stencil wrapped on the box's own nodes
-except in the rows within stencil reach of a face, so each solve is one FFT
-diagonalization of that circulant, on any node count, plus a small dense
-capacitance correction on the face rows (Buzbee, Dorr, George & Golub, SIAM
-J. Numer. Anal. 8, 1971), exact up to rounding (with one step of iterative
-refinement on stiff steps under a hostile exterior).  Two-dimensional boxes
-are backed by each operator's CSR matrix and solved row by row, iteratively
-to relative residual ``1e-10`` by conjugate gradients, with a sparse direct
-solve as rescue.  Every box solve returns its warm start unchanged whenever
-the start already satisfies the ``1e-10`` residual test; constant
-equilibria therefore persist bitwise.  :func:`implicit_solver` gives the
-solve for one vector; on a periodic cell it is the exact diagonal solve in
-Fourier space.
+is pinned and every box matrix is symmetric.  A one-dimensional box is
+solved exactly up to rounding by one FFT of the stencil wrapped on its
+nodes plus a capacitance correction on the face rows (Buzbee, Dorr, George
+& Golub, SIAM J. Numer. Anal. 8, 1971; :class:`_CapacitanceStep`), a
+two-dimensional box by conjugate gradients to relative residual ``1e-10``
+on each operator's CSR matrix, with a sparse direct rescue.  Every box
+solve returns a warm start that already passes the ``1e-10`` residual test
+unchanged, so constant equilibria persist bitwise.  :func:`implicit_solver`
+gives the solve for one vector; on a periodic cell it is the exact diagonal
+solve in Fourier space.
 
 scipy is a dependency of two-dimensional boxes only: ``scipy.sparse`` and
 ``scipy.sparse.linalg`` are imported when such a solver is first built, so
@@ -50,6 +45,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,6 +234,15 @@ def step_flows(reaction: ReactionTerm, coords, dt: float, steps: int):
         yield reaction.flow(t0, middle, coords), reaction.flow(middle, t1, coords)
 
 
+class OnePeriod:
+    """Base of the period maps: ``steps`` steps ``dt`` of ``reaction`` on ``operator``'s grid."""
+
+    @cached_property
+    def _flows(self) -> list:
+        """The half-step flows of each step, made on first use and kept."""
+        return list(step_flows(self.reaction, self.operator.grid.coordinates, self.dt, self.steps))
+
+
 class LinearStep:
     """The dispersal step for one scale ``s`` and its operators.
 
@@ -262,7 +267,7 @@ class LinearStep:
     def select(self, which: list[int]) -> LinearStep:
         """This step for rows where row ``i`` uses operator ``which[i]``."""
         picked = copy.copy(self)
-        for name in self._per_operator:
+        for name in vars(self).keys() & self._per_operator:  # tables not made yet follow the picks
             table = getattr(self, name)
             picks = [table[o] for o in which] if isinstance(table, list) else table[which]
             setattr(picked, name, picks)
@@ -277,11 +282,12 @@ class LinearStep:
 class _FourierStep(LinearStep):
     """Periodic closures: the FFT diagonalizes ``A`` with eigenvalues ``symbol``.
 
-    A step over ``span`` multiplies each row's spectrum by the exact flow
-    factor ``exp(span * symbol)`` (a symmetric stencil's symbol is real)
-    between two transforms.  ``A`` has no negative entry off its diagonal,
-    so ``exp(span A)`` has none at all: the step is positive for every
-    span.  ``solve`` divides the spectrum by ``1 - scale * symbol``.
+    Both methods are the exact flow, each row's spectrum times ``exp(span *
+    symbol)`` between two transforms, :meth:`crank_nicolson` over ``2 s``
+    and :meth:`backward_euler` over ``s``; each makes its table on first
+    use.  ``A`` has no negative entry off its diagonal, so neither has
+    ``exp(span A)``: the step is positive for every span.  ``solve``
+    divides the spectrum by ``1 - scale * symbol``.
     """
 
     _per_operator = ("_symbol", "_flow", "_double")
@@ -291,8 +297,14 @@ class _FourierStep(LinearStep):
         self._shape = ops[0].grid.shape
         symbols = [op.symbol() for op in ops]  # a lone operator's cached symbol is not copied
         self._symbol = np.stack(symbols) if len(symbols) > 1 else symbols[0][None]
-        self._flow = np.exp(scale * self._symbol.real)  # over s
-        self._double = np.exp(2.0 * scale * self._symbol.real)  # over 2 s
+
+    @cached_property
+    def _flow(self) -> np.ndarray:  # over s
+        return np.exp(self.scale * self._symbol.real)
+
+    @cached_property
+    def _double(self) -> np.ndarray:  # over 2 s
+        return np.exp(2.0 * self.scale * self._symbol.real)
 
     def _forward(self, rows: np.ndarray) -> np.ndarray:
         if len(self._shape) == 1:

@@ -14,20 +14,17 @@ go on, and iteration counts, order-breach records and errors are those of
 running the brackets one after another.
 
 Each time step is the Strang step of :mod:`dispersal.evolution` around a
-dispersal step that keeps the map positive, so the ordered iterations stay
-ordered however stiff the dispersal rate is: on periodic closures the exact
-flow, two transforms for all rows together and no solve; on boxes backward
-Euler, whose resolvent is entrywise nonnegative for every step size,
-warm-started from the rows it solves for, so a row it leaves alone (a
-constant under a reflecting closure) is kept bitwise.  On boxes the states
-carry backward Euler's first-order time bias; on cells the map is second
-order.
+positive dispersal step, so the ordered iterations stay ordered however
+stiff the dispersal is: on periodic closures the exact flow, two
+transforms for all rows and no solve, second order in time; on boxes
+backward Euler, first order, whose resolvent is entrywise nonnegative for
+every step size, warm-started from the rows it solves for, so a row it
+leaves alone (a constant under a reflecting closure) is kept bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from math import nan
 from typing import Sequence
 
@@ -42,11 +39,11 @@ from .errors import (
 )
 from .evolution import (
     LinearStep,
+    OnePeriod,
     ReactionTerm,
     _uniform_snapshot_steps,
     linear_step,
     logistic_reaction,
-    step_flows,
     strang_step,
     whole_steps,
 )
@@ -69,30 +66,24 @@ def parse_growth(text: str, period: float) -> TimePeriodicCoefficient:
 
 
 @dataclass
-class KPPProblem:
+class KPPProblem(OnePeriod):
     """One logistic problem: operator, carrying level ``a`` (checked to saturate), step size."""
 
     operator: DispersalOperator
     growth: TimePeriodicCoefficient
     dt: float
-    steps_per_period: int = dataclass_field(init=False)
+    steps: int = dataclass_field(init=False)
     reaction: ReactionTerm = dataclass_field(init=False)
     saturation_bound: float = dataclass_field(init=False)
 
     def __post_init__(self):
-        self.steps_per_period = whole_steps(self.growth.period, self.dt)
+        self.steps = whole_steps(self.growth.period, self.dt)
         self.reaction = logistic_reaction(self.growth)
         self.saturation_bound = validate_saturation(self)
 
     @property
     def period(self) -> float:
         return self.growth.period
-
-    @cached_property
-    def _flows(self) -> list:
-        """The half-step flows of each step of one period, made once."""
-        coords = self.operator.grid.coordinates
-        return list(step_flows(self.reaction, coords, self.dt, self.steps_per_period))
 
     def one_period(self, rows: np.ndarray, step: LinearStep, marks: Sequence[int] = ()):
         """Advance ``rows``, shape ``(rows, num_nodes)``, by one period through ``step``.
@@ -169,31 +160,34 @@ def _bracket(
     Rows ``2p`` and ``2p + 1`` use operator ``p`` of ``step``.  Each row is
     the serial iteration of its own bracket: a super row should not
     increase and a sub row should not decrease, and the worst breach of
-    that order is recorded per row.  A row stops once a period moves it by
-    less than ``tol`` (converged) or leaves it below
-    :data:`COLLAPSE_FLOOR` (collapsed); only the rows still active are
-    stepped.  Errors come out as if the brackets ran one after another: a
-    failed row stops the rows after it, and is raised once the rows before
-    it have converged.
+    that order is recorded per row.  A row converges once its last move
+    ``d`` (sup norm) is below ``tol`` and so is ``d rho / (1 - rho)``, the
+    distance left if moves shrink by ``rho = d / (the move before)`` a
+    period, or at once if ``d = 0``; a row below :data:`COLLAPSE_FLOOR`
+    collapses.  Only the rows still active are stepped.  Errors come out
+    as if the brackets ran one after another: a failed row stops the rows
+    after it, and is raised once the rows before it have converged.
     """
     active = list(range(len(starts)))
     picked = step.select([row // 2 for row in active])
     rows = starts.copy()
     done: list = [None] * len(rows)  # the period a row converged in, or its error
     worst = [0.0] * len(rows)
+    moves = [nan] * len(rows)  # each row's move in its last period
     for iteration in range(1, max_periods + 1):
         u = rows[active]
         image, _ = problem.one_period(u, picked)
         for before, after, row in zip(u, image, active):
-            breach = np.max(after - before) if row % 2 == 0 else np.max(before - after)
-            worst[row] = max(worst[row], float(breach))
-            rows[row] = after
+            rise, fall = float(np.max(after - before)), float(np.max(before - after))
+            worst[row] = max(worst[row], rise if row % 2 == 0 else fall)
+            rows[row], move = after, max(rise, fall)
+            rho, moves[row] = move / moves[row], move  # nan in the first period
             if float(np.max(np.abs(after))) < COLLAPSE_FLOOR:
                 done[row] = CollapsedToZeroError(
                     f"orbit iteration collapsed to zero after {iteration} periods "
                     "(the zero state is the only nonnegative periodic state here)"
                 )
-            elif float(np.max(np.abs(after - before))) < tol:
+            elif move == 0.0 or (move < tol and move * rho < tol * (1.0 - rho)):
                 done[row] = iteration
         failed = [row for row, outcome in enumerate(done) if isinstance(outcome, Exception)]
         cut = min(failed, default=len(done))
@@ -239,7 +233,7 @@ def check_orbit_options(
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_periods < 1:
         raise ValidationError(f"max_periods must be at least 1, got {max_periods}")
-    steps = problem.steps_per_period
+    steps = problem.steps
     marks = _uniform_snapshot_steps(steps, snapshots_per_period)[:-1]
     if steps % snapshots_per_period != 0:
         raise ValidationError(

@@ -25,7 +25,6 @@ constant added to the coefficient shifts ``lambda`` but not the iteration count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from math import log
 from typing import Sequence
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .coefficients import TimePeriodicCoefficient, time_average
 from .errors import NoConvergenceError, NumericsError, ValidationError
-from .evolution import LinearStep, linear_reaction, linear_step, step_flows, strang_step, whole_steps
+from .evolution import LinearStep, OnePeriod, linear_reaction, linear_step, strang_step, whole_steps
 from .grids import Field, field_from_function, same_grid
 from .kernels import KernelProfile
 from .operators import NONLOCAL, BoundaryCondition, DispersalOperator, sweep_operators
@@ -41,7 +40,7 @@ from .reports import ConvergenceReport, empirical_orders
 
 
 @dataclass(eq=False)
-class PeriodMap:
+class PeriodMap(OnePeriod):
     """One-period solution operator of a linear time-periodic equation."""
 
     operator: DispersalOperator
@@ -51,16 +50,11 @@ class PeriodMap:
 
     def __post_init__(self):
         self.steps = whole_steps(self.period, self.dt)
+        self.reaction = linear_reaction(self.coefficient)
 
     @property
     def period(self) -> float:
         return self.coefficient.period
-
-    @cached_property
-    def _flows(self) -> list:
-        """The half-step integrating factors of each step, made once."""
-        reaction, coords = linear_reaction(self.coefficient), self.operator.grid.coordinates
-        return list(step_flows(reaction, coords, self.dt, self.steps))
 
     def advance(self, values: np.ndarray) -> np.ndarray:
         """Apply the map to a flat nodal array."""

@@ -164,19 +164,19 @@ def test_one_failing_map_raises_its_own_error_while_the_others_settle():
 
 
 def test_one_failing_bracket_raises_its_own_error_while_the_others_settle():
-    # The local reference's sub bracket needs 45 periods, the radii's 42
-    # and 43: a cap of 44 fails the reference alone.
+    # The local reference's sub bracket needs 46 periods, the radii's 42
+    # and 44: a cap of 45 fails the reference alone.
     _, _, _, ops, coefficient, _ = sweep("dirichlet")
     growth = parse_growth(f"logistic({coefficient})", 1.0)
     problems = [KPPProblem(op, growth, DT) for op in ops]
     counts = [positive_periodic_solution(p, snapshots_per_period=4).sub_iterations for p in problems]
-    assert counts == [45, 42, 43]
+    assert counts == [46, 42, 44]
     for problem in problems[1:]:
-        positive_periodic_solution(problem, max_periods=44, snapshots_per_period=4)
+        positive_periodic_solution(problem, max_periods=45, snapshots_per_period=4)
     with pytest.raises(NoConvergenceError) as alone:
-        positive_periodic_solution(problems[0], max_periods=44, snapshots_per_period=4)
+        positive_periodic_solution(problems[0], max_periods=45, snapshots_per_period=4)
     with pytest.raises(NoConvergenceError) as batched:
-        _periodic_solutions(problems[0], ops, 1e-8, 44, 4)
+        _periodic_solutions(problems[0], ops, 1e-8, 45, 4)
     assert str(batched.value) == str(alone.value) == (
-        "period-map iteration did not reach tol=1e-08 within 44 periods"
+        "period-map iteration did not reach tol=1e-08 within 45 periods"
     )

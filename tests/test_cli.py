@@ -229,15 +229,26 @@ def test_converge_c_constant_orbit_gap_is_tolerance_level(tmp_path):
     assert all(r[3] == "1" for r in rows)
 
 
-def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp_path):
-    # a = -0.9 + 14 sin(4 pi t) cos(3x) has time average -0.9.  Its rate
-    # exceeds that average by more the closer the dispersal rate of cos(3x)
-    # is to the forcing frequency 4 pi, from below: diffusion's 9 is closer
-    # than either wide jump operator's, so diffusion invades, the jump
-    # operators do not, both radii get gapless rows and only the reference
-    # is bracketed.  The reference's rate, 0.88, keeps its brackets
-    # contracting by about exp(-0.44) a period, so they stop within 10 tol
-    # of each other.
+@pytest.mark.parametrize(
+    "mean, amplitude, deltas, rates, local_rate",
+    [
+        (-0.3, 6, (3.0, 1.5), (-0.2091910650873169, -0.04152978405468828), 0.0381502108002892),
+        (-0.9, 14, (3.0, 2.5), (-0.31752552021882513, -0.06051630635422927), 0.8819444626530836),
+    ],
+    ids=["near-threshold", "fast-contracting"],
+)
+def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(
+    tmp_path, mean, amplitude, deltas, rates, local_rate
+):
+    # a = mean + amplitude sin(4 pi t) cos(3x) has time average mean.  Its
+    # rate exceeds that average by more the closer the dispersal rate of
+    # cos(3x) is to the forcing frequency 4 pi, from below: diffusion's 9
+    # is closer than either wide jump operator's, so diffusion invades, the
+    # jump operators do not, both radii get gapless rows and only the
+    # reference is bracketed.  Near the threshold (local rate 0.038) the
+    # brackets contract by about 0.98 a period, so a bracket that stopped
+    # once a period moved it by less than tol would stop about 50 tol short
+    # of the state, and the limits would disagree by more than 10 tol.
     cfg = write_config(
         tmp_path,
         "c.cfg",
@@ -246,19 +257,19 @@ def test_converge_c_records_a_gapless_row_for_each_radius_that_cannot_invade(tmp
         h="2*pi/64",
         dt="1/32",
         T="0.5",
-        deltas="3.0,2.5",
-        growth="logistic(tx-product(-0.9,14,3))",
+        deltas=",".join(map(repr, deltas)),
+        growth=f"logistic(tx-product({mean},{amplitude},3))",
         orbit_snapshots="16",
     )
     out = tmp_path / "out"
     assert main(["converge-c", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = read_csv_table(out / "report.csv")
     assert header == ["delta", "sup_gap", "h2_delta_lambda", "h2_delta_ok"]
-    assert [(r[0], r[1], r[3]) for r in rows] == [("3.0", "nan", "0"), ("2.5", "nan", "0")]
-    rates = [float(r[2]) for r in rows]
-    assert rates == pytest.approx([-0.31752552021882513, -0.06051630635422927], abs=1e-8)
+    assert [(r[0], r[1], r[3]) for r in rows] == [(repr(d), "nan", "0") for d in deltas]
+    assert [float(r[2]) for r in rows] == pytest.approx(rates, abs=1e-8)
     meta = _record_meta(out)
-    assert float(meta["local_rate"]) == pytest.approx(0.8819444626530836, abs=1e-8)
+    assert float(meta["local_rate"]) == pytest.approx(local_rate, abs=1e-8)
+    assert float(meta["max_start_agreement"]) <= 10 * 1e-8
 
 
 @pytest.mark.parametrize(

@@ -437,7 +437,7 @@ def test_periodic_steps_transform_each_field_once_each_way(monkeypatch, dim):
     assert len(calls) == 2
     calls.clear()
     kpp.one_period(rows, step)  # four steps
-    assert len(calls) == 2 * kpp.steps_per_period
+    assert len(calls) == 2 * kpp.steps
     calls.clear()
     period_map.advance(wave.values)  # four steps
     assert len(calls) == 2 * period_map.steps

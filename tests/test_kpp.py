@@ -110,12 +110,17 @@ def serial_step(problem):
 
 
 def serial_bracket(problem, start, expect, tol=1e-8, max_periods=2000):
-    """One bracket on its own: limit, iteration count, worst order breach."""
+    """One bracket on its own: limit, iteration count, worst order breach.
+
+    It stops once the move of a period is below ``tol`` and so is the
+    geometric estimate of the distance still to go, ``gap rho / (1 - rho)``
+    with ``rho`` the ratio of this period's move to the last one's.
+    """
     step = serial_step(problem)
-    u, worst = start.copy(), 0.0
+    u, worst, last = start.copy(), 0.0, None
     for iteration in range(1, max_periods + 1):
         image = u
-        for k in range(problem.steps_per_period):
+        for k in range(problem.steps):
             image = step(k, image)
         breach = np.max(image - u) if expect == "nonincreasing" else np.max(u - image)
         worst = max(worst, float(breach))
@@ -123,7 +128,11 @@ def serial_bracket(problem, start, expect, tol=1e-8, max_periods=2000):
         u = image
         if float(np.max(np.abs(u))) < COLLAPSE_FLOOR:
             raise CollapsedToZeroError(f"collapsed to zero after {iteration} periods")
-        if gap < tol:
+        if gap == 0.0:
+            return u, iteration, worst
+        rho = gap / last if last else None
+        last = gap
+        if gap < tol and rho is not None and rho < 1.0 and gap * rho / (1.0 - rho) < tol:
             return u, iteration, worst
     raise NoConvergenceError(f"did not reach tol={tol!r} within {max_periods} periods")
 
@@ -309,9 +318,9 @@ def test_paired_brackets_reproduce_the_serial_iterations(case):
     assert orbit.monotone_violation_super == viol_super
     assert orbit.monotone_violation_sub == viol_sub
     assert orbit.start_agreement == float(np.max(np.abs(upper - lower)))
-    step, stride = serial_step(problem), problem.steps_per_period // 4
+    step, stride = serial_step(problem), problem.steps // 4
     u = upper
-    for k in range(problem.steps_per_period):
+    for k in range(problem.steps):
         if k % stride == 0:
             state = orbit.states[k // stride]
             assert state.time == k * problem.dt
